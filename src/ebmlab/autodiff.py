@@ -18,10 +18,6 @@ class AutodiffError(Exception):
     pass
 
 
-class UnsupportedOrderError(AutodiffError):
-    """Raised when a trace recorded at depth 1 is asked for depth 2."""
-
-
 class Node:
     """One value in the computation graph.
 
@@ -307,53 +303,6 @@ def grad(output: Node, leaves: Sequence[Node]) -> list[Node]:
         g = adjoint.get(id(lf))
         out.append(g if g is not None else constant(np.zeros_like(lf.value)))
     return out
-
-
-class Trace:
-    """A recorded scalar computation with named leaves.
-
-    ``order`` declares the supported derivative depth; quadratic-form
-    helpers refuse depth-1 traces up front instead of failing deep in a
-    second backward pass.
-    """
-
-    def __init__(self, output: Node, leaves: dict[str, Node], order: int = 2):
-        if order not in (1, 2):
-            raise AutodiffError("trace order must be 1 or 2")
-        self.output = output
-        self.leaves = dict(leaves)
-        self.order = order
-
-
-def grad_wrt(trace: Trace, names: Sequence[str] | None = None) -> dict[str, np.ndarray]:
-    """Gradient values of the trace output for each named leaf."""
-    names = list(trace.leaves) if names is None else list(names)
-    missing = [n for n in names if n not in trace.leaves]
-    if missing:
-        raise AutodiffError(f"leaves not in trace: {missing}")
-    nodes = [trace.leaves[n] for n in names]
-    return {n: g.value for n, g in zip(names, grad(trace.output, nodes))}
-
-
-def input_hvp_form(energy: Callable[[Node], Node], x: Node, v, *, order: int = 2) -> Node:
-    """Quadratic form v^T (d s / d x) v with s = -dE/dx, as a graph node.
-
-    ``x`` may be a batch (N, D); the result is then length N. The node
-    stays differentiable w.r.t. any parameter leaves used inside
-    ``energy``.
-    """
-    if order < 2:
-        raise UnsupportedOrderError("Hessian-vector forms need a depth-2 trace")
-    v = as_node(v)
-    if v.value.shape != x.value.shape:
-        raise AutodiffError("projection vector must match the input shape")
-    e = energy(x)
-    e_total = reduce_sum(e) if e.value.ndim else e
-    (gx,) = grad(e_total, [x])  # rows are per-sample dE/dx
-    gv = reduce_sum(mul(gx, v))
-    (hv,) = grad(gv, [x])
-    axis = 1 if x.value.ndim == 2 else None
-    return neg(reduce_sum(mul(hv, v), axis=axis))
 
 
 def check_gradient(f: Callable[[np.ndarray], float], point, step: float = 1e-4):

@@ -10,22 +10,19 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from .data import DataError, make_constant, make_noise, make_oodomain, make_smoothness, make_two_moons, write_csv, LabeledTable
-from .evaluate import EvalReport, norm_sweep, ood_report, unit_directions_through, write_series_csv
+from .data import DataError, LabeledTable, load_csv, make_constant, make_noise, make_oodomain, make_smoothness, make_two_moons, write_csv
+from .evaluate import write_series_csv
 from .models import ModelError, load_checkpoint
-from .objectives import make_energy_fn
 from .rng import stream
-from .samplers import likelihood_ascent
 from .training import (
     ConfigError,
     RunConfig,
     build_bundle,
+    evaluation_report,
     gamma_sweep,
+    run_analysis,
     run_experiment_suite,
     save_run,
-    standard_ood_sets,
     train,
 )
 
@@ -35,28 +32,32 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
+def _load_run(checkpoint: str):
+    """(spec, params, config, bundle) of a saved run."""
+    spec, params, metadata = load_checkpoint(checkpoint)
+    config = RunConfig.from_dict(metadata["config"])
+    return spec, params, config, build_bundle(config)
+
+
+def _print_aps(report):
+    for r in report.results:
+        print(f"  {r['ood_set']:<20} AP={r['auc_pr']:.4f} [{r['group']}]")
+
+
 def cmd_train(args) -> int:
     config = RunConfig.from_dict(_load_json(args.config))
     result = train(config)
     save_run(result, args.out)
     print(f"trained {config.objective} (gamma={config.gamma}, seed={config.seed}) -> {args.out}")
-    for r in result.report.results:
-        print(f"  {r['ood_set']:<20} AP={r['auc_pr']:.4f} [{r['group']}]")
+    _print_aps(result.report)
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    spec, params, metadata = load_checkpoint(args.checkpoint)
-    config = RunConfig.from_dict(metadata["config"])
-    bundle = build_bundle(config)
-    ood_sets, groups = standard_ood_sets(bundle, config.seed)
-    run_meta = {"objective": config.objective, "gamma": config.gamma,
-                "bottleneck": config.bottleneck_factor, "seed": config.seed}
-    report = ood_report(spec, params, bundle, ood_sets, groups, run_meta)
-    os.makedirs(args.out, exist_ok=True)
+    spec, params, config, bundle = _load_run(args.checkpoint)
+    report = evaluation_report(spec, params, bundle, config)
     report.save(os.path.join(args.out, "report.json"))
-    for r in report.results:
-        print(f"  {r['ood_set']:<20} AP={r['auc_pr']:.4f} [{r['group']}]")
+    _print_aps(report)
     return 0
 
 
@@ -71,7 +72,7 @@ def cmd_sweep_gamma(args) -> int:
         tag = "-S" if res.config.gamma == 1.0 else ""
         save_run(res, os.path.join(args.out, f"gamma{res.config.gamma:g}_seed{res.config.seed}"))
         for r in res.report.results:
-            rows.append([res.config.gamma, repr(r["auc_pr"]),
+            rows.append([res.config.gamma, r["auc_pr"],
                          f"{res.config.objective}{tag}:{r['ood_set']}:seed{res.config.seed}"])
     write_series_csv(os.path.join(args.out, "gamma_sweep.csv"), rows,
                      header=("gamma", "auc_pr", "series"))
@@ -92,8 +93,6 @@ def cmd_gen_data(args) -> int:
     elif args.kind == "two-moons":
         table = make_two_moons(args.n, args.noise_std, rng)
     elif args.kind == "oodomain":
-        from .data import load_csv
-
         base = load_csv(args.input) if args.input else None
         if base is None:
             raise ConfigError("oodomain generation needs --input features")
@@ -108,34 +107,22 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_diagnose_norm(args) -> int:
-    spec, params, metadata = load_checkpoint(args.checkpoint)
-    config = RunConfig.from_dict(metadata["config"])
-    bundle = build_bundle(config)
-    radii = [float(r) for r in args.radii.split(",")]
-    anchor = bundle.id_train.features.mean(axis=0)
-    dirs = unit_directions_through(anchor, bundle.id_test.features[: args.n_directions])
-    curve = norm_sweep(spec, params, anchor, dirs, radii)
+    spec, params, config, bundle = _load_run(args.checkpoint)
+    item = {"kind": "norm_sweep", "name": "norm_sweep", "radii": args.radii.split(","),
+            "n_directions": args.n_directions}
     os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "norm_sweep.csv")
-    write_series_csv(path, [[r, repr(v), "heldout"] for r, v in zip(radii, curve)])
-    for r, v in zip(radii, curve):
+    for r, v, _ in run_analysis(item, spec, params, bundle, config.seed, args.out):
         print(f"  radius {r:>8.2f}  mean log p~ = {v:.4f}")
     return 0
 
 
 def cmd_ascend(args) -> int:
-    spec, params, metadata = load_checkpoint(args.checkpoint)
-    config = RunConfig.from_dict(metadata["config"])
-    bundle = build_bundle(config)
-    energy = make_energy_fn(spec, params)
+    spec, params, config, bundle = _load_run(args.checkpoint)
+    item = {"kind": "ascend", "name": "ascent", "steps": args.steps, "lr": args.lr,
+            "n_points": args.n_points}
     os.makedirs(args.out, exist_ok=True)
-    rows = []
-    for i, x0 in enumerate(bundle.id_test.features[: args.n_points]):
-        traj = likelihood_ascent(energy, x0, args.steps, args.lr)
-        rows.extend([[t, repr(lp), f"point{i}"] for t, lp in enumerate(traj.logdensity)])
-    path = os.path.join(args.out, "ascent.csv")
-    write_series_csv(path, rows)
-    print(f"wrote trajectories -> {path}")
+    run_analysis(item, spec, params, bundle, config.seed, args.out)
+    print(f"wrote trajectories -> {os.path.join(args.out, 'ascent.csv')}")
     return 0
 
 

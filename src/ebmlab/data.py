@@ -26,8 +26,8 @@ class LabeledTable:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        if np.isnan(self.features).any():
-            raise DataError("NaN features after ingestion")
+        if not np.all(np.isfinite(self.features)):
+            raise DataError("non-finite features after ingestion")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if len(self.labels) != len(self.features):
@@ -137,8 +137,9 @@ def class_removal_split(
     seed: int = 0,
 ) -> SplitBundle:
     """Removed classes become the OOD side (``val_frac`` of them for model
-    selection, the rest as OOD test); the remaining classes are split into
-    train/val/test and relabeled contiguously."""
+    selection, the rest as OOD test), named ``removed-classes``; the
+    remaining classes are split into train/val/test and relabeled
+    contiguously."""
     if table.labels is None:
         raise DataError("class removal requires labels")
     removed = sorted(set(int(c) for c in removed_classes))
@@ -165,6 +166,10 @@ def class_removal_split(
     remap = {c: i for i, c in enumerate(kept)}
     names = [table.class_names[c] if table.class_names else str(c) for c in kept]
 
+    def ood_part(idx):
+        return LabeledTable(table.features[idx], table.labels[idx], table.class_names,
+                            "removed-classes")
+
     def id_part(idx):
         part = table.take(idx)
         part.labels = np.array([remap[c] for c in part.labels], dtype=np.int64)
@@ -175,8 +180,8 @@ def class_removal_split(
         id_train=id_part(tr_idx),
         id_val=id_part(va_idx),
         id_test=id_part(te_idx),
-        ood_val=table.take(ood_val_idx),
-        ood_test=table.take(ood_test_idx),
+        ood_val=ood_part(ood_val_idx),
+        ood_test=ood_part(ood_test_idx),
         removed_classes=removed,
     )
 
@@ -240,6 +245,50 @@ def make_two_moons(n: int, noise_std: float, rng: np.random.Generator) -> Labele
     return LabeledTable(feats[perm], labels[perm], ["outer", "inner"], source="two-moons")
 
 
+MAX_OOD_ROUNDS = 100
+
+
+def two_moons_split(n: int, noise_std: float, margin: float, exclusion: float,
+                    seed: int) -> SplitBundle:
+    """Two moons split 70/10/20 into train/val/test, with uniform OOD parts
+    drawn from the data's bounding box grown by ``margin``.
+
+    Uniform points landing on the moons are not out-of-distribution, so
+    candidates closer than ``exclusion`` to a data point are redrawn, for
+    at most ``MAX_OOD_ROUNDS`` rounds.
+    """
+    rng = stream(seed, "data")
+    table = make_two_moons(n, noise_std, rng)
+    idx = rng.permutation(n)
+    n_tr, n_va = round(0.7 * n), round(0.1 * n)
+    lo = table.features.min(axis=0) - margin
+    hi = table.features.max(axis=0) + margin
+    n_ood = n - n_tr - n_va
+    want = n_ood + max(n_ood // 5, 10)
+    chunks = []
+    got = 0
+    for _ in range(MAX_OOD_ROUNDS):
+        cand = rng.uniform(lo, hi, size=(want, table.dim))
+        if exclusion > 0:
+            d2 = ((cand[:, None, :] - table.features[None, :, :]) ** 2).sum(axis=2)
+            cand = cand[np.sqrt(d2.min(axis=1)) >= exclusion]
+        chunks.append(cand)
+        got += len(cand)
+        if got >= want:
+            break
+    else:
+        raise DataError(f"only {got} of {want} uniform OOD points lie {exclusion} away from "
+                        f"the data after {MAX_OOD_ROUNDS} rounds; lower ood_exclusion_radius")
+    ood = np.concatenate(chunks)[:want]
+    return SplitBundle(
+        id_train=table.take(idx[:n_tr]),
+        id_val=table.take(idx[n_tr:n_tr + n_va]),
+        id_test=table.take(idx[n_tr + n_va:]),
+        ood_val=LabeledTable(ood[n_ood:], source="uniform-noise"),
+        ood_test=LabeledTable(ood[:n_ood], source="uniform-noise"),
+    )
+
+
 def standardize(bundle: SplitBundle) -> SplitBundle:
     """z-score every part with id_train statistics (std floored at 1e-8)."""
     mean = bundle.id_train.features.mean(axis=0)
@@ -258,12 +307,6 @@ def standardize(bundle: SplitBundle) -> SplitBundle:
         std=std,
         removed_classes=list(bundle.removed_classes),
     )
-
-
-def unstandardize(features: np.ndarray, bundle: SplitBundle) -> np.ndarray:
-    if bundle.mean is None:
-        raise DataError("bundle carries no standardization stats")
-    return features * bundle.std + bundle.mean
 
 
 def embed_dataset(spec: ModelSpec, params, bundle: SplitBundle) -> SplitBundle:

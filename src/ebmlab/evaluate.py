@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,6 +70,8 @@ def average_precision(labels, scores) -> float:
     scores = np.asarray(scores, dtype=np.float64)
     if labels.shape != scores.shape:
         raise EvalError("labels and scores must align")
+    if np.isnan(scores).any():
+        raise EvalError("NaN score")
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
@@ -176,9 +178,9 @@ def density_histogram(score_sets: dict[str, np.ndarray], bins: int):
 
 
 def write_series_csv(path: str, rows, header=("x", "value", "series")):
-    """CSV of (x, value, series) rows for external plotting."""
+    """CSV of (x, value, series) rows for plotting; floats, numpy's too, as plain repr."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow(row)
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])

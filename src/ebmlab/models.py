@@ -244,13 +244,6 @@ def jem_logdensity(logits):
     return np.squeeze(np.log(np.sum(np.exp(logits - m), axis=-1, keepdims=True)) + m, -1)
 
 
-def jem_class_probs(logits: np.ndarray) -> np.ndarray:
-    logits = np.asarray(logits, dtype=np.float64)
-    m = np.max(logits, axis=-1, keepdims=True)
-    e = np.exp(logits - m)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def radial_constrained(alpha_hat, beta_hat):
     """Map unconstrained layer parameters to (alpha > 0, beta >= -alpha)."""
     alpha = ad.softplus(ad.as_node(alpha_hat))

@@ -11,23 +11,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .models import ModelSpec, ParameterSet, flow_logdensity, jem_logdensity, mlp_energy, mlp_forward, mlp_logits, param_nodes
-from .rng import rademacher
 
 
 class ObjectiveError(Exception):
     pass
-
-
-@dataclass
-class JemConfig:
-    gamma: float = 0.0
-    base: str = "cd"  # ssm | cd | vera
-
-    def __post_init__(self):
-        if self.gamma < 0:
-            raise ObjectiveError("gamma must be nonnegative")
-        if self.base not in ("ssm", "cd", "vera"):
-            raise ObjectiveError(f"unknown base objective {self.base!r}")
 
 
 @dataclass
@@ -40,7 +27,6 @@ class VeraConfig:
     gen_noise_std: float = 0.01
     n_posterior_samples: int = 20
     latent_dim: int = 16
-    ebm_lr: float = 3e-4
     gen_lr: float = 6e-4
     gen_betas: tuple[float, float] = (0.0, 0.9)
 
@@ -129,7 +115,6 @@ def _log_normal(x, mean, var):
 @dataclass
 class VeraStep:
     ebm_loss: ad.Node
-    ebm_leaves: dict[str, ad.Node]
     gen_loss: ad.Node
     gen_leaves: dict[str, ad.Node]
     eta: float
@@ -151,19 +136,18 @@ def generator_spec(data_dim: int, cfg: VeraConfig) -> ModelSpec:
 
 def vera_step(
     spec: ModelSpec,
-    params: ParameterSet,
+    params,
     gen_spec: ModelSpec,
     gen_params: ParameterSet,
     x_data: np.ndarray,
     cfg: VeraConfig,
     eta: float,
     rng: np.random.Generator,
-    gamma: float = 0.0,
-    labels=None,
 ) -> VeraStep:
     """One VERA step: EBM and generator loss nodes plus the eta update.
 
-    The EBM loss contrasts data with generator samples held constant.
+    ``params`` is a ParameterSet or a dict of parameter leaves; the EBM
+    loss is the CD loss of data against generator samples held constant.
     The generator minimizes the energy of its samples minus an entropy
     surrogate whose gradient matches the importance-weighted posterior
     score estimator; eta follows one ascent step on the log-mean
@@ -185,16 +169,8 @@ def vera_step(
     x_gen_val = x_gen.value
 
     # EBM side: generated samples are constants
-    ebm_leaves = param_nodes(params)
-    energy_theta = make_energy_fn(spec, ebm_leaves)
-    ebm_loss = ad.add(
-        ad.mean(energy_theta(ad.constant(x_data))),
-        ad.neg(ad.mean(energy_theta(ad.constant(x_gen_val)))),
-    )
-    if gamma > 0.0:
-        if labels is None:
-            raise ObjectiveError("gamma > 0 requires labels")
-        ebm_loss = jem_loss(ebm_loss, mlp_logits(spec, ebm_leaves, x_data), labels, gamma)
+    energy_theta = make_energy_fn(spec, params)
+    ebm_loss = cd_loss(energy_theta, x_data, x_gen_val)
 
     # posterior samples z_k = z + eta*xi; eta as a leaf so the log-mean
     # importance weight stays differentiable in eta
@@ -262,7 +238,6 @@ def vera_step(
 
     return VeraStep(
         ebm_loss=ebm_loss,
-        ebm_leaves=ebm_leaves,
         gen_loss=gen_loss,
         gen_leaves=gen_leaves,
         eta=eta_new,
@@ -270,7 +245,3 @@ def vera_step(
         entropy_grad_wrt_x=score,
         n_skipped=n_skipped,
     )
-
-
-def sample_rademacher(rng: np.random.Generator, shape) -> np.ndarray:
-    return rademacher(rng, shape)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,9 +18,6 @@ class SgldConfig:
     steps: int = 100
     step_size: float = 1.0
     noise_std: float = 0.01
-    coupled_noise: bool = False  # Welling-Teh pairing sigma = sqrt(step_size)
-    clamp_min: np.ndarray | None = None
-    clamp_max: np.ndarray | None = None
 
     def __post_init__(self):
         if self.steps < 0:
@@ -30,10 +26,6 @@ class SgldConfig:
             raise SamplerError("step size must be positive")
         if self.noise_std < 0:
             raise SamplerError("noise std must be nonnegative")
-
-    @property
-    def sigma(self) -> float:
-        return math.sqrt(self.step_size) if self.coupled_noise else self.noise_std
 
 
 def _input_grad(energy_fn, x: np.ndarray) -> np.ndarray:
@@ -61,12 +53,8 @@ def sgld_chain(energy_fn, x0, config: SgldConfig, rng: np.random.Generator,
         if not np.all(np.isfinite(g)):
             raise SamplerError(f"non-finite energy gradient at SGLD step {step}")
         x = x - 0.5 * config.step_size * g
-        if config.sigma > 0:
-            x = x + config.sigma * rng.normal(size=x.shape)
-        if config.clamp_min is not None:
-            x = np.maximum(x, config.clamp_min)
-        if config.clamp_max is not None:
-            x = np.minimum(x, config.clamp_max)
+        if config.noise_std > 0:
+            x = x + config.noise_std * rng.normal(size=x.shape)
         if record:
             trajectory.append(x.copy())
     return np.asarray(trajectory) if record else x
@@ -85,7 +73,6 @@ class ReplayBuffer:
     reinit_sampler: object = None
     _storage: np.ndarray | None = field(default=None, repr=False)
     _size: int = 0
-    _write_pos: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.reinit_prob <= 1.0:
@@ -147,15 +134,6 @@ class ReplayBuffer:
             raise SamplerError("buffer index out of range")
         self._storage[indices] = samples
         self._size = max(self._size, int(indices.max()) + 1 if indices.size else 0)
-
-    def append(self, samples):
-        """Rolling insertion; size never exceeds capacity."""
-        samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-        self._ensure_storage(samples.shape[1])
-        for row in samples:
-            self._storage[self._write_pos] = row
-            self._write_pos = (self._write_pos + 1) % self.capacity
-            self._size = min(self._size + 1, self.capacity)
 
     def contents(self) -> np.ndarray:
         return self._storage[: self._size].copy() if self._storage is not None else np.zeros((0, 0))

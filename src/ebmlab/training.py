@@ -1,9 +1,8 @@
-"""Training loops with warm-up and model selection, Adam, the gamma
-sweep, and the experiment-suite orchestrator."""
+"""One training loop for every objective, with warm-up and model selection,
+Adam, the gamma sweep, the experiment suite and its analyses."""
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field, asdict
@@ -12,7 +11,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import (
-    LabeledTable,
     SplitBundle,
     class_removal_split,
     embed_dataset,
@@ -21,8 +19,8 @@ from .data import (
     make_noise,
     make_oodomain,
     make_smoothness,
-    make_two_moons,
     standardize,
+    two_moons_split,
 )
 from .evaluate import (
     EvalReport,
@@ -40,12 +38,12 @@ from .models import (
     ParameterSet,
     _atomic_write_json,
     init_params,
-    load_checkpoint,
     mlp_logits,
     param_nodes,
     save_checkpoint,
 )
 from .objectives import (
+    ObjectiveError,
     VeraConfig,
     cd_loss,
     ce_loss,
@@ -57,7 +55,7 @@ from .objectives import (
     vera_step,
 )
 from .rng import rademacher, stream
-from .samplers import AscentTrajectory, ReplayBuffer, SgldConfig, likelihood_ascent, sgld_chain
+from .samplers import ReplayBuffer, SgldConfig, likelihood_ascent, sgld_chain
 
 OBJECTIVES = ("ssm", "cd", "vera", "nf", "ce")
 DEFAULT_LR = {"ssm": 1e-3, "cd": 1e-3, "vera": 3e-4, "nf": 1e-3, "ce": 1e-3}
@@ -65,10 +63,6 @@ DEFAULT_GAMMA_GRID = (0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
 
 
 class ConfigError(Exception):
-    pass
-
-
-class TrainingError(Exception):
     pass
 
 
@@ -131,6 +125,10 @@ class RunConfig:
             raise ConfigError(f"gamma does not apply to objective {self.objective!r}")
         if not isinstance(self.data, dict) or "kind" not in self.data:
             raise ConfigError("data config must be a dict with a 'kind'")
+        try:
+            VeraConfig(**self.vera)
+        except (TypeError, ObjectiveError) as exc:
+            raise ConfigError(f"vera config: {exc}") from exc
 
     @property
     def base_lr(self) -> float:
@@ -167,36 +165,12 @@ def build_bundle(config: RunConfig) -> SplitBundle:
             seed=seed,
         )
     elif kind == "two_moons":
-        n = d.pop("n", 2000)
-        noise_std = d.pop("noise_std", 0.1)
-        margin = d.pop("ood_margin", 1.5)
-        # uniform points landing on the moons are not out-of-distribution;
-        # resample anything closer than this to a data point
-        exclusion = d.pop("ood_exclusion_radius", 0.3)
-        rng = stream(seed, "data")
-        table = make_two_moons(n, noise_std, rng)
-        idx = rng.permutation(n)
-        n_tr, n_va = round(0.7 * n), round(0.1 * n)
-        lo = table.features.min(axis=0) - margin
-        hi = table.features.max(axis=0) + margin
-        n_ood = n - n_tr - n_va
-        want = n_ood + max(n_ood // 5, 10)
-        chunks = []
-        got = 0
-        while got < want:
-            cand = rng.uniform(lo, hi, size=(want, table.dim))
-            if exclusion > 0:
-                d2 = ((cand[:, None, :] - table.features[None, :, :]) ** 2).sum(axis=2)
-                cand = cand[np.sqrt(d2.min(axis=1)) >= exclusion]
-            chunks.append(cand)
-            got += len(cand)
-        ood = np.concatenate(chunks)[:want]
-        bundle = SplitBundle(
-            id_train=table.take(idx[:n_tr]),
-            id_val=table.take(idx[n_tr:n_tr + n_va]),
-            id_test=table.take(idx[n_tr + n_va:]),
-            ood_val=LabeledTable(ood[n_ood:], source="uniform-noise"),
-            ood_test=LabeledTable(ood[:n_ood], source="uniform-noise"),
+        bundle = two_moons_split(
+            d.pop("n", 2000),
+            d.pop("noise_std", 0.1),
+            margin=d.pop("ood_margin", 1.5),
+            exclusion=d.pop("ood_exclusion_radius", 0.3),
+            seed=seed,
         )
     else:
         raise ConfigError(f"unknown data kind {kind!r}")
@@ -256,7 +230,9 @@ class TrainResult:
     gen_params: ParameterSet | None = None
 
 
-def _flatten_grads(pset: ParameterSet, grads: dict[str, ad.Node]) -> np.ndarray:
+def _param_grads(loss: ad.Node, leaves: dict[str, ad.Node], pset: ParameterSet) -> np.ndarray:
+    """Gradient of ``loss`` w.r.t. the named leaves, flat in ``pset``'s layout."""
+    grads = dict(zip(leaves, ad.grad(loss, list(leaves.values()))))
     flat = np.zeros(pset.size)
     for name, start, shape in pset.offsets:
         size = int(np.prod(shape)) if shape else 1
@@ -264,18 +240,78 @@ def _flatten_grads(pset: ParameterSet, grads: dict[str, ad.Node]) -> np.ndarray:
     return flat
 
 
-def _param_grads(loss: ad.Node, leaves: dict[str, ad.Node], pset: ParameterSet) -> np.ndarray:
-    names = list(leaves)
-    gs = ad.grad(loss, [leaves[n] for n in names])
-    return _flatten_grads(pset, dict(zip(names, gs)))
+def _objective(config: RunConfig, spec: ModelSpec, pset: ParameterSet,
+               x_train: np.ndarray, data_rng: np.random.Generator):
+    """Per-run state of the configured objective.
+
+    Returns ``loss(leaves, xb, yb)``, which builds the objective's loss
+    node on the parameter leaves, a hook run after each parameter update
+    (VERA's generator step and eta update, else None), and VERA's
+    generator as (spec, params), else None.
+    """
+    if config.objective == "ssm":
+        proj_rng = stream(config.seed, "projection")
+        return (lambda leaves, xb, yb: ssm_vr_loss(
+            make_energy_fn(spec, leaves), xb, rademacher(proj_rng, xb.shape))), None, None
+    if config.objective == "cd":
+        lo, hi = x_train.min(axis=0), x_train.max(axis=0)
+        buffer = ReplayBuffer(
+            capacity=config.buffer_capacity,
+            reinit_prob=config.reinit_prob,
+            reinit_sampler=lambda rng, k: rng.uniform(lo, hi, size=(k, x_train.shape[1])),
+        )
+        sgld_cfg = SgldConfig(
+            steps=config.sgld_steps,
+            step_size=config.sgld_step_size,
+            noise_std=config.sgld_noise_std,
+        )
+        sgld_rng = stream(config.seed, "sgld")
+        buf_rng = stream(config.seed, "buffer")
+
+        def cd_step_loss(leaves, xb, yb):
+            starts, slots = buffer.draw(xb.shape[0], buf_rng)
+            samples = sgld_chain(make_energy_fn(spec, pset), starts, sgld_cfg, sgld_rng)
+            buffer.write(slots, samples)
+            xb_noisy = xb + math.sqrt(config.data_noise_var) * data_rng.normal(size=xb.shape)
+            return cd_loss(make_energy_fn(spec, leaves), xb_noisy, samples)
+
+        return cd_step_loss, None, None
+    if config.objective == "vera":
+        vera_cfg = VeraConfig(**config.vera)
+        gen_spec = generator_spec(x_train.shape[1], vera_cfg)
+        gen_params = init_params(gen_spec, config.seed + 1)
+        gen_adam = Adam(gen_params.size, betas=vera_cfg.gen_betas)
+        vera_rng = stream(config.seed, "vera")
+        eta, vs = vera_cfg.eta_init, None
+
+        def vera_step_loss(leaves, xb, yb):
+            nonlocal vs
+            vs = vera_step(spec, leaves, gen_spec, gen_params, xb, vera_cfg, eta, vera_rng)
+            return vs.ebm_loss
+
+        def generator_update(step):
+            nonlocal eta
+            g_gen = _param_grads(vs.gen_loss, vs.gen_leaves, gen_params)
+            gen_params.values -= gen_adam.step(
+                g_gen, warmup_lr(vera_cfg.gen_lr, step, config.warmup_steps)
+            )
+            eta = vs.eta
+
+        return vera_step_loss, generator_update, (gen_spec, gen_params)
+    if config.objective == "nf":
+        return (lambda leaves, xb, yb: flow_nll(spec, leaves, xb)), None, None
+    return (lambda leaves, xb, yb: ce_loss(mlp_logits(spec, leaves, xb), yb)), None, None
 
 
 def train(config: RunConfig, bundle: SplitBundle | None = None) -> TrainResult:
     """Run the configured objective and keep the best-selection checkpoint.
 
-    EBM objectives select on ood_val AP every ``eval_interval`` steps; NF
-    early-stops on validation log-likelihood and CE on validation
-    accuracy, both with the configured patience.
+    Every objective shares one loop: batch draw, warm-up lr, the
+    supervised composite ``loss + gamma * CE`` for the EBM objectives,
+    the finite-loss check, Adam, selection and patience. EBM objectives
+    select on ood_val AP every ``eval_interval`` steps; NF early-stops on
+    validation log-likelihood and CE on validation accuracy, both with
+    the configured patience.
     """
     if bundle is None:
         bundle = build_bundle(config)
@@ -285,34 +321,10 @@ def train(config: RunConfig, bundle: SplitBundle | None = None) -> TrainResult:
     x_train = bundle.id_train.features
     y_train = bundle.id_train.labels
     n_train = x_train.shape[0]
+    step_loss, after_update, generator = _objective(config, spec, pset, x_train, data_rng)
 
     adam = Adam(pset.size)
     history = {"loss": [], "selection": [], "stopped_at": None, "diverged": False}
-
-    # objective-specific state
-    sgld_rng = stream(config.seed, "sgld")
-    proj_rng = stream(config.seed, "projection")
-    vera_rng = stream(config.seed, "vera")
-    buf_rng = stream(config.seed, "buffer")
-    buffer = None
-    gen_spec = gen_params = gen_adam = None
-    vera_cfg = None
-    eta = None
-    if config.objective == "cd":
-        lo = x_train.min(axis=0)
-        hi = x_train.max(axis=0)
-        buffer = ReplayBuffer(
-            capacity=config.buffer_capacity,
-            reinit_prob=config.reinit_prob,
-            reinit_sampler=lambda rng, k: rng.uniform(lo, hi, size=(k, x_train.shape[1])),
-        )
-    elif config.objective == "vera":
-        vera_cfg = VeraConfig(**config.vera)
-        gen_spec = generator_spec(x_train.shape[1], vera_cfg)
-        gen_params = init_params(gen_spec, config.seed + 1)
-        gen_adam = Adam(gen_params.size, betas=vera_cfg.gen_betas)
-        eta = vera_cfg.eta_init
-
     best = pset.copy()
     best_score = -math.inf
     patience_left = config.patience
@@ -328,66 +340,24 @@ def train(config: RunConfig, bundle: SplitBundle | None = None) -> TrainResult:
         logits = mlp_logits(spec, pset, bundle.id_val.features).value
         return float((logits.argmax(axis=1) == bundle.id_val.labels).mean())
 
-    sgld_cfg = SgldConfig(
-        steps=config.sgld_steps,
-        step_size=config.sgld_step_size,
-        noise_std=config.sgld_noise_std,
-    )
-
-    step = 0
     for step in range(1, config.steps + 1):
         idx = data_rng.integers(0, n_train, size=min(config.batch_size, n_train))
         xb = x_train[idx]
         yb = y_train[idx] if y_train is not None else None
-        lr = warmup_lr(config.base_lr, step, config.warmup_steps)
-
-        if config.objective == "vera":
-            vs = vera_step(
-                spec, pset, gen_spec, gen_params, xb, vera_cfg, eta, vera_rng,
-                gamma=config.gamma, labels=yb,
-            )
-            loss_val = float(vs.ebm_loss.value)
-            if not np.isfinite(loss_val):
-                history["diverged"] = True
-                break
-            g_ebm = _param_grads(vs.ebm_loss, vs.ebm_leaves, pset)
-            g_gen = _param_grads(vs.gen_loss, vs.gen_leaves, gen_params)
-            pset.values -= adam.step(g_ebm, warmup_lr(vera_cfg.ebm_lr, step, config.warmup_steps))
-            gen_params.values -= gen_adam.step(
-                g_gen, warmup_lr(vera_cfg.gen_lr, step, config.warmup_steps)
-            )
-            eta = vs.eta
-        else:
-            leaves = param_nodes(pset)
-            if config.objective == "ssm":
-                energy = make_energy_fn(spec, leaves)
-                v = rademacher(proj_rng, xb.shape)
-                loss = ssm_vr_loss(energy, xb, v)
-            elif config.objective == "cd":
-                energy = make_energy_fn(spec, leaves)
-                starts, slots = buffer.draw(xb.shape[0], buf_rng)
-                const_energy = make_energy_fn(spec, pset)
-                samples = sgld_chain(const_energy, starts, sgld_cfg, sgld_rng)
-                buffer.write(slots, samples)
-                xb_noisy = xb + math.sqrt(config.data_noise_var) * data_rng.normal(size=xb.shape)
-                loss = cd_loss(energy, xb_noisy, samples)
-            elif config.objective == "nf":
-                loss = flow_nll(spec, leaves, xb)
-            elif config.objective == "ce":
-                loss = ce_loss(mlp_logits(spec, leaves, xb), yb)
-            else:
-                raise ConfigError(config.objective)
-            if config.gamma > 0 and config.objective in ("ssm", "cd"):
-                loss = jem_loss(loss, mlp_logits(spec, leaves, xb), yb, config.gamma)
-            loss_val = float(loss.value)
-            if not np.isfinite(loss_val):
-                history["diverged"] = True
-                break
-            grad_flat = _param_grads(loss, leaves, pset)
-            if config.objective == "ce" and config.weight_decay > 0:
-                grad_flat = grad_flat + config.weight_decay * pset.values
-            pset.values -= adam.step(grad_flat, lr)
-
+        leaves = param_nodes(pset)
+        loss = step_loss(leaves, xb, yb)
+        if config.gamma > 0:
+            loss = jem_loss(loss, mlp_logits(spec, leaves, xb), yb, config.gamma)
+        loss_val = float(loss.value)
+        if not np.isfinite(loss_val):
+            history["diverged"] = True
+            break
+        grad_flat = _param_grads(loss, leaves, pset)
+        if config.objective == "ce" and config.weight_decay > 0:
+            grad_flat = grad_flat + config.weight_decay * pset.values
+        pset.values -= adam.step(grad_flat, warmup_lr(config.base_lr, step, config.warmup_steps))
+        if after_update is not None:
+            after_update(step)
         history["loss"].append(loss_val)
 
         if step % config.eval_interval == 0 or step == config.steps:
@@ -407,25 +377,26 @@ def train(config: RunConfig, bundle: SplitBundle | None = None) -> TrainResult:
         best = pset.copy()
         best_score = evaluate_selection() if config.steps > 0 else None
 
-    ood_sets, groups = standard_ood_sets(bundle, config.seed)
-    run_meta = {
-        "objective": config.objective,
-        "gamma": config.gamma,
-        "bottleneck": config.bottleneck_factor,
-        "seed": config.seed,
-        "selection_score": best_score,
-    }
-    report = ood_report(spec, best, bundle, ood_sets, groups, run_meta)
+    gen_spec, gen_params = generator or (None, None)
     return TrainResult(
         config=config,
         spec=spec,
         params=best,
-        report=report,
+        report=evaluation_report(spec, best, bundle, config, selection_score=best_score),
         bundle=bundle,
         history=history,
         gen_spec=gen_spec,
         gen_params=gen_params,
     )
+
+
+def evaluation_report(spec: ModelSpec, params, bundle: SplitBundle, config: RunConfig,
+                      **run_meta) -> EvalReport:
+    """OOD report of a model on the run's standard OOD sets."""
+    ood_sets, groups = standard_ood_sets(bundle, config.seed)
+    meta = {"objective": config.objective, "gamma": config.gamma,
+            "bottleneck": config.bottleneck_factor, "seed": config.seed, **run_meta}
+    return ood_report(spec, params, bundle, ood_sets, groups, meta)
 
 
 def save_run(result: TrainResult, out_dir: str):
@@ -506,7 +477,7 @@ def run_experiment_suite(manifest: dict, out_root: str) -> dict:
         for r in result.report.results:
             rel = ""
             if r["ood_set"] in base_aps and base_aps[r["ood_set"]] > 0:
-                rel = repr(100.0 * (r["auc_pr"] - base_aps[r["ood_set"]]) / base_aps[r["ood_set"]])
+                rel = 100.0 * (r["auc_pr"] - base_aps[r["ood_set"]]) / base_aps[r["ood_set"]]
             rows.append([
                 name,
                 result.report.run.get("label", name),
@@ -515,7 +486,7 @@ def run_experiment_suite(manifest: dict, out_root: str) -> dict:
                 result.config.seed,
                 r["ood_set"],
                 r["group"],
-                repr(r["auc_pr"]),
+                r["auc_pr"],
                 base_name or "",
                 rel,
             ])
@@ -532,7 +503,8 @@ def run_experiment_suite(manifest: dict, out_root: str) -> dict:
     for item in analyses:
         name = item.get("name", item["kind"])
         try:
-            _run_analysis(item, results, out_root)
+            model = results[item["model"]]
+            run_analysis(item, model.spec, model.params, model.bundle, model.config.seed, out_root)
         except Exception as exc:
             errors[name] = f"{type(exc).__name__}: {exc}"
 
@@ -545,51 +517,40 @@ def run_experiment_suite(manifest: dict, out_root: str) -> dict:
     return summary
 
 
-def _run_analysis(item: dict, results: dict[str, TrainResult], out_root: str):
+def run_analysis(item: dict, spec: ModelSpec, params, bundle: SplitBundle, seed: int,
+                 out_dir: str) -> list[list]:
+    """Run one analysis of a trained model, write ``<name>.csv`` in
+    ``out_dir`` and return its (x, value, series) rows."""
     kind = item["kind"]
     name = item.get("name", kind)
-    model = results[item["model"]]
-    out = os.path.join(out_root, f"{name}.csv")
     if kind == "norm_sweep":
         radii = [float(r) for r in item.get("radii", [0, 1, 2, 5, 10, 20, 50])]
-        anchor = model.bundle.id_train.features.mean(axis=0)
+        anchor = bundle.id_train.features.mean(axis=0)
         mode = item.get("directions", "heldout")
+        n_directions = item.get("n_directions", 64)
         if mode == "heldout":
-            dirs = unit_directions_through(
-                anchor, model.bundle.id_test.features[: item.get("n_directions", 64)]
-            )
+            dirs = unit_directions_through(anchor, bundle.id_test.features[:n_directions])
         else:
-            dirs = random_unit_directions(
-                model.bundle.id_train.dim, item.get("n_directions", 64),
-                stream(model.config.seed, "eval"),
-            )
-        curve = norm_sweep(model.spec, model.params, anchor, dirs, radii)
-        write_series_csv(out, [[r, repr(v), f"{name}:{mode}"] for r, v in zip(radii, curve)])
+            dirs = random_unit_directions(bundle.id_train.dim, n_directions, stream(seed, "eval"))
+        curve = norm_sweep(spec, params, anchor, dirs, radii)
+        rows = [[r, v, f"{name}:{mode}"] for r, v in zip(radii, curve)]
     elif kind == "smoothness":
-        side = item.get("side", 16)
-        pools = item.get("pool_sizes", [2, 3, 4, 16])
-        n = item.get("n", 1000)
-        rng = stream(model.config.seed, "eval")
-        sets = {f"pool{p}": make_smoothness(n, side, p, rng) for p in pools}
-        scores = {
-            k: score_logdensity(model.spec, model.params, v) for k, v in sets.items()
-        }
-        scores["id_test"] = score_logdensity(model.spec, model.params, model.bundle.id_test.features)
+        rng = stream(seed, "eval")
+        sets = {f"pool{p}": make_smoothness(item.get("n", 1000), item.get("side", 16), p, rng)
+                for p in item.get("pool_sizes", [2, 3, 4, 16])}
+        scores = {k: score_logdensity(spec, params, v) for k, v in sets.items()}
+        scores["id_test"] = score_logdensity(spec, params, bundle.id_test.features)
         edges, counts = density_histogram(scores, bins=item.get("bins", 40))
         centers = 0.5 * (edges[:-1] + edges[1:])
-        rows = []
-        for series, cnt in sorted(counts.items()):
-            rows.extend([[repr(c), int(v), series] for c, v in zip(centers, cnt)])
-        write_series_csv(out, rows)
+        rows = [[c, int(v), series] for series, cnt in sorted(counts.items())
+                for c, v in zip(centers, cnt)]
     elif kind == "ascend":
-        n_points = item.get("n_points", 16)
-        steps = item.get("steps", 100)
-        lr = item.get("lr", 0.01)
-        energy = make_energy_fn(model.spec, model.params)
+        energy = make_energy_fn(spec, params)
         rows = []
-        for i, x0 in enumerate(model.bundle.id_test.features[:n_points]):
-            traj = likelihood_ascent(energy, x0, steps, lr)
-            rows.extend([[t, repr(lp), f"point{i}"] for t, lp in enumerate(traj.logdensity)])
-        write_series_csv(out, rows)
+        for i, x0 in enumerate(bundle.id_test.features[: item.get("n_points", 16)]):
+            traj = likelihood_ascent(energy, x0, item.get("steps", 100), item.get("lr", 0.01))
+            rows.extend([t, lp, f"point{i}"] for t, lp in enumerate(traj.logdensity))
     else:
         raise ConfigError(f"unknown analysis kind {kind!r}")
+    write_series_csv(os.path.join(out_dir, f"{name}.csv"), rows)
+    return rows

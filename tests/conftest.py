@@ -1,0 +1,26 @@
+import contextlib
+import signal
+
+import pytest
+
+
+@pytest.fixture
+def time_limit():
+    """``with time_limit(seconds):`` raises TimeoutError in the body once
+    it has run that long, so a hang fails the test instead of stalling
+    the suite."""
+
+    @contextlib.contextmanager
+    def limit(seconds: float):
+        def expire(signum, frame):
+            raise TimeoutError(f"still running after {seconds} s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return limit

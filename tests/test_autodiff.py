@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ebmlab import autodiff as ad
+from ebmlab import objectives as obj
 
 
 def quad(x):
@@ -42,10 +43,11 @@ class TestGrad:
             ad.grad(ad.mul(x, 2.0), [x])
 
     def test_leaf_not_in_trace(self):
-        x = ad.leaf([1.0])
-        tr = ad.Trace(quad(x), {"x": x})
-        with pytest.raises(ad.AutodiffError):
-            ad.grad_wrt(tr, ["y"])
+        x = ad.leaf([1.0, 2.0])
+        y = ad.leaf(np.ones((2, 3)))
+        gx, gy = ad.grad(quad(x), [x, y])
+        assert np.allclose(gx.value, [1.0, 2.0])
+        assert gy.value.shape == (2, 3) and np.all(gy.value == 0.0)
 
     def test_matches_finite_differences_random_mlp(self):
         rng = np.random.default_rng(7)
@@ -84,26 +86,30 @@ class TestGrad:
 
 
 class TestHvpForm:
+    """The Hessian-vector term of ``ssm_vr_loss``: per row it is
+    -v^T H v + 0.5 |dE/dx|^2 with H the input Hessian of the energy."""
+
     def test_identity_hessian(self):
         rng = np.random.default_rng(0)
         for d in (1, 3, 7):
-            x = ad.leaf(rng.normal(size=d))
+            xv = rng.normal(size=d)
             v = np.where(rng.random(d) < 0.5, -1.0, 1.0)
-            form = ad.input_hvp_form(quad, x, v)
-            assert form.value == pytest.approx(-d)
+            loss = obj.ssm_vr_loss(quad, xv, v)
+            assert loss.value == pytest.approx(-d + 0.5 * float(xv @ xv))
 
     def test_quartic_1d(self):
-        x = ad.leaf(np.array(2.0))
-        form = ad.input_hvp_form(lambda t: ad.mul(ad.power(t, 4.0), 0.25), x, np.array(1.0))
-        assert form.value == pytest.approx(-12.0)
+        # E = t^4/4: dE/dt = t^3, d2E/dt2 = 3t^2; at t = 2, -12 + 0.5 * 64
+        loss = obj.ssm_vr_loss(lambda t: ad.mul(ad.power(t, 4.0), 0.25),
+                               np.array(2.0), np.array(1.0))
+        assert loss.value == pytest.approx(20.0)
 
     def test_even_in_v(self):
         rng = np.random.default_rng(5)
         f, _, _ = random_mlp(rng, [3, 6, 1])
         xv = rng.normal(size=3)
         v = rng.normal(size=3)
-        a = ad.input_hvp_form(f, ad.leaf(xv), v).value
-        b = ad.input_hvp_form(f, ad.leaf(xv), -v).value
+        a = obj.ssm_vr_loss(f, xv, v).value
+        b = obj.ssm_vr_loss(f, xv, -v).value
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_matches_fd_of_input_gradient(self):
@@ -111,7 +117,7 @@ class TestHvpForm:
         f, _, _ = random_mlp(rng, [4, 6, 1])
         xv = rng.normal(size=4)
         v = rng.normal(size=4)
-        form = ad.input_hvp_form(f, ad.leaf(xv), v).value
+        loss = obj.ssm_vr_loss(f, xv, v).value
         h = 1e-5
 
         def input_grad(pt):
@@ -120,15 +126,12 @@ class TestHvpForm:
             return g.value
 
         hv = (input_grad(xv + h * v) - input_grad(xv - h * v)) / (2 * h)
-        assert form == pytest.approx(-float(hv @ v), rel=1e-4)
-
-    def test_depth1_trace_rejected(self):
-        x = ad.leaf([1.0])
-        with pytest.raises(ad.UnsupportedOrderError):
-            ad.input_hvp_form(quad, x, np.array([1.0]), order=1)
+        g = input_grad(xv)
+        assert loss == pytest.approx(-float(hv @ v) + 0.5 * float(g @ g), rel=1e-4)
 
     def test_parameter_gradient_second_order(self):
-        # d/dtheta of the quadratic form matches finite differences
+        # d/dtheta of the loss, which holds a second input derivative,
+        # matches finite differences
         rng = np.random.default_rng(2)
         w0 = rng.normal(size=(3, 2)) * 0.5
         xv = rng.normal(size=3)
@@ -137,10 +140,10 @@ class TestHvpForm:
         def build(wv):
             w = ad.leaf(wv.reshape(3, 2))
             f = lambda x: ad.reduce_sum(ad.square(ad.softplus(ad.matmul(ad.reshape(x, (1, 3)), w))))
-            return ad.input_hvp_form(f, ad.leaf(xv), v), w
+            return obj.ssm_vr_loss(f, xv, v), w
 
-        form, w = build(w0)
-        (gw,) = ad.grad(form, [w])
+        loss, w = build(w0)
+        (gw,) = ad.grad(loss, [w])
         num = np.zeros(6)
         for i in range(6):
             e = np.zeros(6)

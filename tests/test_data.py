@@ -61,6 +61,12 @@ class TestLoadCsv:
         assert np.array_equal(back.features, table.features)  # repr() is lossless
         assert np.array_equal(back.labels, table.labels)
 
+    def test_inf_cell_rejected(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("a,b\n1,2\ninf,4\n")
+        with pytest.raises(dt.DataError, match="non-finite"):
+            dt.load_csv(str(p))
+
     def test_nan_features_rejected(self):
         with pytest.raises(dt.DataError):
             dt.LabeledTable(np.array([[1.0, np.nan]]))
@@ -89,6 +95,8 @@ class TestClassRemovalSplit:
             assert part.labels.max() < 3  # relabeled 0..2 from kept {0,1,3}
         n_removed = int((table.labels == 2).sum())
         assert bundle.ood_val.n + bundle.ood_test.n == n_removed
+        # named for what they are, not for the file they came from
+        assert bundle.ood_val.source == bundle.ood_test.source == "removed-classes"
 
     def test_ood_val_fraction(self):
         rng = np.random.default_rng(5)
@@ -264,14 +272,11 @@ class TestStandardize:
         assert sb.std[0] == 1e-8
 
     def test_unstandardize_round_trip(self):
+        # the recorded statistics undo the z-scoring
         raw = self._bundle(3)
         sb = dt.standardize(raw)
-        back = dt.unstandardize(sb.id_test.features, sb)
+        back = sb.id_test.features * sb.std + sb.mean
         assert np.allclose(back, raw.id_test.features, atol=1e-12)
-
-    def test_unstandardize_without_stats(self):
-        with pytest.raises(dt.DataError):
-            dt.unstandardize(np.zeros((1, 3)), self._bundle())
 
 
 class TestEmbedDataset:

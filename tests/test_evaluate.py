@@ -98,6 +98,10 @@ class TestAveragePrecision:
         with pytest.raises(ev.EvalError):
             ev.average_precision([0, 0], [0.1, 0.2])
 
+    def test_nan_score_rejected(self, time_limit):
+        with time_limit(10), pytest.raises(ev.EvalError, match="NaN"):
+            ev.average_precision([1, 0, 1], [0.5, np.nan, 0.1])
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ev.EvalError):
             ev.average_precision([1, 0, 1], [0.5, 0.1])

@@ -123,19 +123,6 @@ class TestJemHead:
     def test_no_overflow(self):
         assert np.isfinite(mz.jem_logdensity(np.array([1e4, 1e4 - 3.0])))
 
-    def test_class_probs_uniform(self):
-        assert np.allclose(mz.jem_class_probs(np.zeros(4)), 0.25)
-
-    def test_class_probs_closed_form(self):
-        p = mz.jem_class_probs(np.log(np.array([1.0, 3.0])))
-        assert np.allclose(p, [0.25, 0.75])
-
-    def test_class_probs_shift_invariance(self):
-        rng = np.random.default_rng(3)
-        l = rng.normal(size=5)
-        assert np.allclose(mz.jem_class_probs(l), mz.jem_class_probs(l + 11.0))
-        assert abs(mz.jem_class_probs(l).sum() - 1.0) < 1e-12
-
 
 class TestRadialFlow:
     def _layer(self, rng, d):

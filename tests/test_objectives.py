@@ -7,6 +7,7 @@ from ebmlab import autodiff as ad
 from ebmlab import models as mz
 from ebmlab import objectives as obj
 from ebmlab import rng as rngmod
+from ebmlab import training as tr
 
 
 def quadratic_energy(x):
@@ -66,26 +67,28 @@ class TestSsmVr:
         assert loss.value == pytest.approx(expected, abs=1e-5)
 
     def test_rademacher_expectation_matches_trace(self):
-        # E_v[v^T H v] = tr(H) for Rademacher v; check the Monte Carlo mean
+        # E_v[-v^T H v] = -tr(H) for Rademacher v: the Monte Carlo mean of
+        # the loss approaches -tr(H) + 0.5|dE/dx|^2
         spec = mz.ModelSpec(input_dim=2, hidden=[4], activation="softplus", head="energy")
         pset = mz.init_params(spec, 3)
         energy_fn = obj.make_energy_fn(spec, pset)
         x = np.array([[0.4, -0.7]])
 
-        # exact trace of the score Jacobian via basis-vector HVPs
-        exact = 0.0
+        # exact Hessian diagonal from two nested input gradients
+        xn = ad.leaf(x)
+        (g,) = ad.grad(ad.reduce_sum(energy_fn(xn)), [xn])
+        trace = 0.0
         for j in range(2):
-            e = np.zeros((1, 2))
-            e[0, j] = 1.0
-            exact += -ad.input_hvp_form(energy_fn, ad.constant(x), ad.constant(e)).value[0]
+            (hj,) = ad.grad(ad.reduce_sum(ad.mul(g, np.eye(2)[j])), [xn])
+            trace += float(hj.value[0, j])
+        exact = -trace + 0.5 * float((g.value ** 2).sum())
 
         rng = np.random.default_rng(71)
         n = 100_000
         v = rngmod.rademacher(rng, (n, 2))
         xx = np.repeat(x, n, axis=0)
-        hv = ad.input_hvp_form(energy_fn, ad.constant(xx), ad.constant(v)).value
-        empirical = (-(-hv)).mean()  # hvp form already carries the minus sign
-        assert abs(empirical - (-exact)) / max(abs(exact), 1e-12) < 0.02
+        empirical = obj.ssm_vr_loss(energy_fn, xx, v).value
+        assert abs(empirical - exact) / max(abs(trace), 1e-12) < 0.02
 
     def test_parameter_gradient_matches_fd(self):
         spec = mz.ModelSpec(input_dim=2, hidden=[2], activation="softplus", head="energy")
@@ -294,23 +297,16 @@ class TestVera:
         spec, params, gen_spec, gen_params, cfg = linear_gen_setup()
         rng = np.random.default_rng(1)
         x = rng.normal(size=(16, 2))
-        step = obj.vera_step(spec, params, gen_spec, gen_params, x, cfg, eta=0.1, rng=rng)
+        ebm_leaves = mz.param_nodes(params)
+        step = obj.vera_step(spec, ebm_leaves, gen_spec, gen_params, x, cfg, eta=0.1, rng=rng)
         ref = obj.cd_loss(obj.make_energy_fn(spec, params), x, step.x_gen)
         assert step.ebm_loss.value == pytest.approx(ref.value, abs=1e-12)
-        ga = ad.grad(step.ebm_loss, list(step.ebm_leaves.values()))
+        ga = ad.grad(step.ebm_loss, list(ebm_leaves.values()))
         leaves = mz.param_nodes(params)
         gb = ad.grad(obj.cd_loss(obj.make_energy_fn(spec, leaves), x, step.x_gen),
                      list(leaves.values()))
         for a, b in zip(ga, gb):
             assert np.allclose(a.value, b.value, atol=1e-12)
-
-    def test_gamma_without_labels_rejected(self):
-        spec = mz.ModelSpec(input_dim=2, hidden=[4], head="logits", n_classes=2)
-        params = mz.init_params(spec, 0)
-        _, _, gen_spec, gen_params, cfg = linear_gen_setup()
-        with pytest.raises(obj.ObjectiveError):
-            obj.vera_step(spec, params, gen_spec, gen_params, np.zeros((4, 2)), cfg,
-                          eta=0.1, rng=np.random.default_rng(0), gamma=1.0)
 
     def test_score_estimate_against_linear_gaussian(self):
         # g(z) = Az gives x ~ N(0, A A^T + s^2 I); the marginal score is
@@ -366,14 +362,13 @@ class TestConfigs:
         assert cfg.entropy_weight == 1e-4
         assert (cfg.eta_min, cfg.eta_init, cfg.eta_max) == (0.01, 0.1, 0.3)
         assert cfg.gen_betas == (0.0, 0.9)
-        assert (cfg.ebm_lr, cfg.gen_lr) == (3e-4, 6e-4)
+        assert cfg.gen_lr == 6e-4
 
     def test_negative_entropy_weight_rejected(self):
         with pytest.raises(obj.ObjectiveError):
             obj.VeraConfig(entropy_weight=-1.0)
 
     def test_jem_config_validation(self):
-        with pytest.raises(obj.ObjectiveError):
-            obj.JemConfig(gamma=-0.5)
-        with pytest.raises(obj.ObjectiveError):
-            obj.JemConfig(base="nope")
+        # the supervised composite is configured by RunConfig.gamma
+        with pytest.raises(tr.ConfigError):
+            tr.RunConfig(objective="cd", gamma=-0.5, data={"kind": "two_moons"})

@@ -23,10 +23,6 @@ class TestSgldConfig:
         with pytest.raises(sp.SamplerError):
             sp.SgldConfig(noise_std=-0.1)
 
-    def test_coupled_noise_sigma(self):
-        cfg = sp.SgldConfig(step_size=0.04, coupled_noise=True)
-        assert cfg.sigma == pytest.approx(0.2)
-
 
 class TestSgldChain:
     def test_zero_steps_identity(self):
@@ -51,15 +47,6 @@ class TestSgldChain:
         traj = sp.sgld_chain(quadratic_energy, np.zeros((1, 1)), cfg, rng, record=True)
         samples = traj[10_000:, 0, 0]
         assert samples.var() == pytest.approx(cfg.noise_std**2 / cfg.step_size, rel=0.1)
-
-    def test_clamp_respected(self):
-        def downhill(x):
-            return ad.reduce_sum(x, axis=1)  # gradient pushes x up without clamp
-
-        cfg = sp.SgldConfig(steps=50, step_size=1.0, noise_std=0.5,
-                            clamp_min=np.array(-1.0), clamp_max=np.array(1.0))
-        out = sp.sgld_chain(downhill, np.zeros((4, 2)), cfg, np.random.default_rng(1))
-        assert np.all(out >= -1.0) and np.all(out <= 1.0)
 
     def test_record_trajectory_shape(self):
         traj = sp.sgld_chain(quadratic_energy, np.zeros((2, 3)),
@@ -106,7 +93,7 @@ class TestReplayBuffer:
     def test_reinit_prob_one_always_fresh(self):
         buf = sp.ReplayBuffer(capacity=100, reinit_prob=1.0, reinit_sampler=box_sampler)
         rng = np.random.default_rng(1)
-        buf.append(np.full((50, 2), 7.0))
+        buf.write(np.arange(50), np.full((50, 2), 7.0))
         pts, _ = buf.draw(20, rng)
         assert np.all(np.abs(pts) <= 1.0)  # never the stored 7s
 
@@ -114,7 +101,7 @@ class TestReplayBuffer:
         buf = sp.ReplayBuffer(capacity=100, reinit_prob=0.0, reinit_sampler=box_sampler)
         rng = np.random.default_rng(2)
         stored = rng.normal(size=(10, 2)) + 5.0
-        buf.append(stored)
+        buf.write(np.arange(10), stored)
         pts, idx = buf.draw(50, rng)
         assert np.all(np.any(np.all(np.isclose(pts[:, None, :], stored[None]), axis=2), axis=1))
         assert np.all(idx < 10)
@@ -122,7 +109,7 @@ class TestReplayBuffer:
     def test_fresh_fraction_binomial_band(self):
         buf = sp.ReplayBuffer(capacity=20_000, reinit_prob=0.05, reinit_sampler=box_sampler)
         rng = np.random.default_rng(3)
-        buf.append(np.full((1000, 2), 9.0))
+        buf.write(np.arange(1000), np.full((1000, 2), 9.0))
         pts, _ = buf.draw(10_000, rng)
         n_fresh = int((np.abs(pts).max(axis=1) <= 1.0).sum())
         assert 430 <= n_fresh <= 570  # ~4 sigma around 500
@@ -142,16 +129,10 @@ class TestReplayBuffer:
         with pytest.raises(sp.SamplerError):
             buf.write(np.array([4]), np.zeros((1, 2)))
 
-    def test_append_rolls_over_capacity(self):
-        buf = sp.ReplayBuffer(capacity=3, reinit_prob=0.0, reinit_sampler=box_sampler)
-        buf.append(np.array([[1.0], [2.0], [3.0], [4.0], [5.0]]))
-        assert len(buf) == 3
-        assert sorted(buf.contents().ravel()) == [3.0, 4.0, 5.0]
-
     def test_full_buffer_fresh_overwrites_random_slot(self):
         buf = sp.ReplayBuffer(capacity=5, reinit_prob=1.0, reinit_sampler=box_sampler)
         rng = np.random.default_rng(6)
-        buf.append(np.zeros((5, 2)))
+        buf.write(np.arange(5), np.zeros((5, 2)))
         _, idx = buf.draw(3, rng)
         assert np.all((idx >= 0) & (idx < 5))
 

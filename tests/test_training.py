@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -7,7 +8,14 @@ import pytest
 from ebmlab import cli
 from ebmlab import models as mz
 from ebmlab import training as tr
+from ebmlab.data import DataError, LabeledTable, write_csv
 from ebmlab.evaluate import EvalReport
+
+
+def write_toy_csv(path, dim=4, n=200, seed=0):
+    rng = np.random.default_rng(seed)
+    write_csv(str(path), LabeledTable(rng.normal(size=(n, dim)), rng.integers(0, 3, size=n)))
+    return str(path)
 
 
 def toy_config(**kw):
@@ -79,6 +87,11 @@ class TestRunConfig:
             cfg = tr.RunConfig(objective=objective, data={"kind": "two_moons"})
             assert cfg.base_lr == lr
 
+    def test_bad_vera_config_rejected(self):
+        for vera in ({"nope": 1}, {"entropy_weight": -1.0}, {"ebm_lr": 3e-4}):
+            with pytest.raises(tr.ConfigError, match="vera"):
+                toy_config(objective="vera", vera=vera)
+
     def test_round_trip(self):
         cfg = toy_config(gamma=0.5)
         assert tr.RunConfig.from_dict(cfg.to_dict()) == cfg
@@ -105,17 +118,18 @@ class TestBuildBundle:
     def test_two_moons_ood_avoids_data(self):
         bundle = tr.build_bundle(toy_config())
         # unstandardized distances: OOD points were rejection-sampled away
-        from ebmlab.data import unstandardize
-
-        data = unstandardize(bundle.id_train.features, bundle)
-        ood = unstandardize(bundle.ood_test.features, bundle)
+        data = bundle.id_train.features * bundle.std + bundle.mean
+        ood = bundle.ood_test.features * bundle.std + bundle.mean
         d2 = ((ood[:, None, :] - data[None, :, :]) ** 2).sum(axis=2)
         assert np.sqrt(d2.min(axis=1)).min() >= 0.3 - 1e-9
 
+    def test_unreachable_exclusion_radius_fails_fast(self, time_limit):
+        cfg = toy_config(data={"kind": "two_moons", "n": 300, "ood_exclusion_radius": 50})
+        with time_limit(20), pytest.raises(DataError, match="ood_exclusion_radius"):
+            tr.build_bundle(cfg)
+
     def test_csv_bundle(self, tmp_path):
         rng = np.random.default_rng(0)
-        from ebmlab.data import LabeledTable, write_csv
-
         table = LabeledTable(rng.normal(size=(100, 3)), rng.integers(0, 3, size=100))
         path = str(tmp_path / "d.csv")
         write_csv(path, table)
@@ -303,6 +317,49 @@ class TestSuite:
         assert os.path.exists(os.path.join(out, "sweep.csv"))
         assert os.path.exists(os.path.join(out, "climb.csv"))
 
+    def test_report_omits_csv_path(self, tmp_path):
+        os.makedirs(tmp_path / "where")
+        path = write_toy_csv(tmp_path / "where" / "data.csv")
+        cfg = toy_config(steps=5, eval_interval=5,
+                         data={"kind": "csv", "path": path, "removed_classes": [2]})
+        out = str(tmp_path / "out")
+        tr.run_experiment_suite({"runs": [{"name": "m", "config": cfg.to_dict()}]}, out)
+        with open(os.path.join(out, "m", "report.json")) as fh:
+            text = fh.read()
+        assert "removed-classes" in text
+        assert "where" not in text and "data.csv" not in text
+
+    def test_every_csv_value_cell_is_a_number(self, tmp_path):
+        path = write_toy_csv(tmp_path / "d.csv")
+        cfg = toy_config(steps=5, eval_interval=5,
+                         data={"kind": "csv", "path": path, "removed_classes": [2]})
+        manifest = {
+            "runs": [{"name": "m", "config": cfg.to_dict()},
+                     {"name": "s", "config": dict(cfg.to_dict(), gamma=1.0), "baseline": "m"}],
+            "analyses": [
+                {"kind": "norm_sweep", "model": "m", "radii": [0, 1, 5]},
+                {"kind": "norm_sweep", "model": "m", "directions": "random", "name": "rand"},
+                {"kind": "smoothness", "model": "m", "side": 2, "pool_sizes": [1, 2], "n": 20},
+                {"kind": "ascend", "model": "m", "n_points": 2, "steps": 3},
+            ],
+        }
+        out = str(tmp_path / "out")
+        summary = tr.run_experiment_suite(manifest, out)
+        assert summary["errors"] == {}
+        numeric = {"aggregate.csv": ("gamma", "seed", "auc_pr", "rel_improvement_pct")}
+        names = sorted(f for f in os.listdir(out) if f.endswith(".csv"))
+        assert names == ["aggregate.csv", "ascend.csv", "norm_sweep.csv", "rand.csv",
+                         "smoothness.csv"]
+        for name in names:
+            with open(os.path.join(out, name)) as fh:
+                rows = list(csv.DictReader(fh))
+            assert rows
+            for row in rows:
+                for col in numeric.get(name, ("x", "value")):
+                    if col == "rel_improvement_pct" and row["baseline"] == "":
+                        continue
+                    float(row[col])
+
     def test_embedded_run(self, tmp_path):
         cfg_ce = toy_config(objective="ce", steps=10, eval_interval=5).to_dict()
         cfg_cd = toy_config(steps=5, eval_interval=5, hidden=[8]).to_dict()
@@ -370,6 +427,41 @@ class TestCli:
         assert cli.main(["ascend", "--checkpoint", ckpt, "--steps", "3",
                          "--n-points", "2", "--out", str(tmp_path / "asc")]) == 0
         assert os.path.exists(str(tmp_path / "asc" / "ascent.csv"))
+
+    def test_diagnose_norm_matches_suite_analysis(self, tmp_path, capsys):
+        cfg = toy_config(steps=5, eval_interval=5).to_dict()
+        out = str(tmp_path / "suite")
+        tr.run_experiment_suite({
+            "runs": [{"name": "m", "config": cfg}],
+            "analyses": [{"kind": "norm_sweep", "name": "norm_sweep", "model": "m",
+                          "radii": [0, 1, 5], "n_directions": 8}],
+        }, out)
+        assert cli.main(["diagnose-norm", "--checkpoint", os.path.join(out, "m", "checkpoint.json"),
+                         "--radii", "0,1,5", "--n-directions", "8",
+                         "--out", str(tmp_path / "norm")]) == 0
+        with open(os.path.join(out, "norm_sweep.csv"), "rb") as fh:
+            suite_bytes = fh.read()
+        with open(str(tmp_path / "norm" / "norm_sweep.csv"), "rb") as fh:
+            assert fh.read() == suite_bytes
+        assert b"norm_sweep:heldout" in suite_bytes
+
+    def test_bad_inputs_exit_1(self, tmp_path, capsys, time_limit):
+        bad_csv = tmp_path / "inf.csv"
+        bad_csv.write_text("a,label\n1,0\ninf,1\n")
+        configs = [
+            toy_config(objective="vera").to_dict() | {"vera": {"nope": 1}},
+            toy_config(objective="vera").to_dict() | {"vera": {"entropy_weight": -1.0}},
+            toy_config(data={"kind": "two_moons", "n": 300, "ood_exclusion_radius": 50}).to_dict(),
+            toy_config(data={"kind": "csv", "path": str(bad_csv)}).to_dict(),
+        ]
+        for i, config in enumerate(configs):
+            path = str(tmp_path / f"bad{i}.json")
+            with open(path, "w") as fh:
+                json.dump(config, fh)
+            with time_limit(20):
+                code = cli.main(["train", "--config", path, "--out", str(tmp_path / "o")])
+            assert code == 1, config
+            assert "config error" in capsys.readouterr().err
 
     def test_sweep_gamma(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path)
