@@ -4,6 +4,7 @@ generators (noise, constant, out-of-domain, smoothness ladder, two moons)."""
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -72,45 +73,57 @@ class SplitBundle:
 
 
 def load_csv(path: str, label_column: str | None = None) -> LabeledTable:
-    """CSV with header row; the label column (if named) may be integer or
-    categorical. Rows with unparseable cells abort with their line numbers."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    if not rows:
+    """CSV with a header row, skipping empty lines and lines starting with ``#``;
+    the label column (if named) may be integer or categorical. Rows numpy cannot
+    parse, or whose cell count is not the header's, abort with their line numbers."""
+    with open(path, "r", encoding="utf-8") as fh:  # "\r\n" and "\r" read as "\n"
+        lines = fh.readlines()
+    numbers = [n for n, ln in enumerate(lines, start=1)
+               if ln != "\n" and not ln.startswith(("#", '"#'))]
+    if not numbers:
         raise DataError(f"{path}: empty file")
-    header = rows[0]
+    header = next(csv.reader([lines[numbers[0] - 1]]))
     if label_column is not None and label_column not in header:
         raise DataError(f"{path}: missing label column {label_column!r}")
+    if header == [label_column]:
+        raise DataError(f"{path}: no feature columns")
     label_idx = header.index(label_column) if label_column is not None else None
-    features, raw_labels, bad_lines = [], [], []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            bad_lines.append(lineno)
-            continue
-        try:
-            feat = [float(c) for i, c in enumerate(row) if i != label_idx]
-        except ValueError:
-            bad_lines.append(lineno)
-            continue
-        features.append(feat)
-        if label_idx is not None:
-            raw_labels.append(row[label_idx])
-    if bad_lines:
-        raise DataError(f"{path}: unparseable rows at lines {bad_lines}")
-    if not features:
+    rows = [lines[n - 1] for n in numbers[1:]]
+    if not rows:
         raise DataError(f"{path}: no data rows")
+    dtype = [(f"c{i}", object if i == label_idx else np.float64) for i in range(len(header))]
+    parse = functools.partial(np.loadtxt, dtype=dtype, delimiter=",", quotechar='"',
+                              comments=None, ndmin=1)
+    try:
+        table = parse(rows)
+    except ValueError as exc:
+        bad_lines = _rejected_lines(parse, rows, numbers[1:])
+        raise DataError(f"{path}: unparseable rows at lines {bad_lines}" if bad_lines
+                        else f"{path}: {exc}") from None
+    features = np.column_stack([table[f"c{i}"] for i in range(len(header)) if i != label_idx])
     labels = class_names = None
     if label_idx is not None:
+        names, inverse = np.unique(table[f"c{label_idx}"].astype(str), return_inverse=True)
         try:
-            labels = np.array([int(v) for v in raw_labels])
-            class_names = [str(c) for c in sorted(set(labels.tolist()))]
-            remap = {c: i for i, c in enumerate(sorted(set(labels.tolist())))}
-            labels = np.array([remap[v] for v in labels])
+            names = np.array([int(name) for name in names])
         except ValueError:
-            class_names = sorted(set(raw_labels))
-            remap = {c: i for i, c in enumerate(class_names)}
-            labels = np.array([remap[v] for v in raw_labels])
-    return LabeledTable(np.asarray(features), labels, class_names, source=path)
+            pass  # categorical labels
+        classes, codes = np.unique(names, return_inverse=True)
+        labels, class_names = codes[inverse], [str(c) for c in classes]
+    return LabeledTable(features, labels, class_names, source=path)
+
+
+def _rejected_lines(parse, rows: list[str], numbers: list[int]) -> list[int]:
+    """Line numbers of the rows ``parse`` rejects, found by halving rejected blocks."""
+    try:
+        parse(rows)
+        return []
+    except ValueError:
+        if len(rows) == 1:
+            return numbers
+    mid = len(rows) // 2
+    return (_rejected_lines(parse, rows[:mid], numbers[:mid])
+            + _rejected_lines(parse, rows[mid:], numbers[mid:]))
 
 
 def write_csv(path: str, table: LabeledTable, provenance: str = ""):
@@ -143,7 +156,7 @@ def class_removal_split(
     if table.labels is None:
         raise DataError("class removal requires labels")
     removed = sorted(set(int(c) for c in removed_classes))
-    present = sorted(set(table.labels.tolist()))
+    present = np.unique(table.labels).tolist()
     for c in removed:
         if c not in present:
             raise DataError(f"class {c} not present")
@@ -163,7 +176,6 @@ def class_removal_split(
     n_va = round(id_fracs[1] * n_id)
     tr_idx, va_idx, te_idx = id_idx[:n_tr], id_idx[n_tr:n_tr + n_va], id_idx[n_tr + n_va:]
 
-    remap = {c: i for i, c in enumerate(kept)}
     names = [table.class_names[c] if table.class_names else str(c) for c in kept]
 
     def ood_part(idx):
@@ -172,7 +184,7 @@ def class_removal_split(
 
     def id_part(idx):
         part = table.take(idx)
-        part.labels = np.array([remap[c] for c in part.labels], dtype=np.int64)
+        part.labels = np.searchsorted(kept, part.labels)
         part.class_names = names
         return part
 

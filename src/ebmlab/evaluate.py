@@ -62,9 +62,10 @@ class EvalReport:
 def average_precision(labels, scores) -> float:
     """AP with ID labeled 1, OOD labeled 0; tied scores form one block.
 
-    Sort descending, walk distinct-score thresholds, and accumulate
-    (R_k - R_{k-1}) * P_k; a constant scorer therefore gets the
-    prevalence instead of an arbitrary tie-ordering artifact.
+    Sort descending and accumulate (R_k - R_{k-1}) * P_k over distinct-score
+    thresholds, so a constant scorer gets the prevalence instead of an
+    arbitrary tie-ordering artifact. ``cumsum`` sums left to right, where
+    ``np.sum`` would sum pairwise and round differently.
     """
     labels = np.asarray(labels)
     scores = np.asarray(scores, dtype=np.float64)
@@ -72,30 +73,20 @@ def average_precision(labels, scores) -> float:
         raise EvalError("labels and scores must align")
     if np.isnan(scores).any():
         raise EvalError("NaN score")
-    n_pos = int((labels == 1).sum())
-    n_neg = int((labels == 0).sum())
-    if n_pos == 0 or n_neg == 0:
+    pos, neg = labels == 1, labels == 0
+    if not np.all(pos | neg):
+        raise EvalError("labels must be 1 (ID) or 0 (OOD)")
+    n_pos = int(pos.sum())
+    if n_pos == 0 or not neg.any():
         raise EvalError("need at least one positive and one negative")
     order = np.argsort(-scores, kind="stable")
     s = scores[order]
-    y = labels[order]
-    ap = 0.0
-    tp = fp = 0
-    prev_recall = 0.0
-    i = 0
-    n = len(s)
-    while i < n:
-        j = i
-        while j < n and s[j] == s[i]:
-            j += 1
-        tp += int((y[i:j] == 1).sum())
-        fp += int((y[i:j] == 0).sum())
-        recall = tp / n_pos
-        precision = tp / (tp + fp)
-        ap += (recall - prev_recall) * precision
-        prev_recall = recall
-        i = j
-    return float(ap)
+    last = np.flatnonzero(np.r_[s[1:] != s[:-1], True])  # end of each tie block
+    tp = np.cumsum(pos[order])[last]
+    fp = (last + 1) - tp
+    recall = tp / n_pos
+    precision = tp / (tp + fp)
+    return float(np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1])
 
 
 def score_dataset(spec: ModelSpec, params, features, source: str = "") -> ScoreSet:

@@ -33,6 +33,12 @@ class VeraConfig:
     def __post_init__(self):
         if self.entropy_weight < 0:
             raise ObjectiveError("entropy weight must be nonnegative")
+        for name in ("eta_init", "eta_min", "eta_max", "eta_lr", "gen_noise_std",
+                     "n_posterior_samples", "latent_dim", "gen_lr"):
+            if not getattr(self, name) > 0:
+                raise ObjectiveError(f"{name} must be positive")
+        if self.eta_min > self.eta_max:
+            raise ObjectiveError("eta_min must not exceed eta_max")
 
 
 def make_energy_fn(spec: ModelSpec, params):

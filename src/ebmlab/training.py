@@ -315,6 +315,13 @@ def train(config: RunConfig, bundle: SplitBundle | None = None) -> TrainResult:
     """
     if bundle is None:
         bundle = build_bundle(config)
+    selection_mode = "ood_ap" if config.objective in ("ssm", "cd", "vera") else (
+        "val_ll" if config.objective == "nf" else "val_acc"
+    )
+    if selection_mode == "ood_ap" and bundle.ood_val.n == 0:
+        raise ConfigError(f"objective {config.objective!r} selects on OOD validation AP, but the "
+                          "split has no OOD validation rows: list classes in data.removed_classes "
+                          "(with enough rows for data.ood_val_frac)")
     spec = build_model_spec(config, bundle)
     pset = init_params(spec, config.seed)
     data_rng = stream(config.seed, "data")
@@ -328,9 +335,6 @@ def train(config: RunConfig, bundle: SplitBundle | None = None) -> TrainResult:
     best = pset.copy()
     best_score = -math.inf
     patience_left = config.patience
-    selection_mode = "ood_ap" if config.objective in ("ssm", "cd", "vera") else (
-        "val_ll" if config.objective == "nf" else "val_acc"
-    )
 
     def evaluate_selection() -> float:
         if selection_mode == "ood_ap":
@@ -535,8 +539,12 @@ def run_analysis(item: dict, spec: ModelSpec, params, bundle: SplitBundle, seed:
         curve = norm_sweep(spec, params, anchor, dirs, radii)
         rows = [[r, v, f"{name}:{mode}"] for r, v in zip(radii, curve)]
     elif kind == "smoothness":
+        side = item.get("side", 16)
+        if spec.input_dim != side**2:
+            raise ConfigError(f"smoothness images of side {side} have {side**2} pixels, "
+                              f"but the model takes {spec.input_dim} inputs")
         rng = stream(seed, "eval")
-        sets = {f"pool{p}": make_smoothness(item.get("n", 1000), item.get("side", 16), p, rng)
+        sets = {f"pool{p}": make_smoothness(item.get("n", 1000), side, p, rng)
                 for p in item.get("pool_sizes", [2, 3, 4, 16])}
         scores = {k: score_logdensity(spec, params, v) for k, v in sets.items()}
         scores["id_test"] = score_logdensity(spec, params, bundle.id_test.features)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ebmlab import data as dt
 from ebmlab import models as mz
@@ -46,6 +48,12 @@ class TestLoadCsv:
         with pytest.raises(dt.DataError, match="label"):
             dt.load_csv(str(p), label_column="y")
 
+    def test_label_column_alone_rejected(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("label\n1\n2\n")
+        with pytest.raises(dt.DataError, match="no feature columns"):
+            dt.load_csv(str(p), label_column="label")
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("")
@@ -66,6 +74,79 @@ class TestLoadCsv:
         p.write_text("a,b\n1,2\ninf,4\n")
         with pytest.raises(dt.DataError, match="non-finite"):
             dt.load_csv(str(p))
+
+    def test_bad_line_numbers_count_comment_and_blank_lines(self, tmp_path):
+        p = tmp_path / "t.csv"
+        dt.write_csv(str(p), dt.LabeledTable(np.ones((3, 2)), np.array([0, 1, 0])),
+                     provenance="made by hand")
+        lines = p.read_text().splitlines()
+        assert lines[0].startswith("#")
+        lines[3] = "1.0,oops,1"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(dt.DataError, match=r"lines \[4\]"):
+            dt.load_csv(str(p), label_column="label")
+        p.write_text("\n".join(lines[:2] + [""] + lines[2:]) + "\n")
+        with pytest.raises(dt.DataError, match=r"lines \[5\]"):
+            dt.load_csv(str(p), label_column="label")
+
+    def test_quoted_categorical_labels(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text('a,label\n1,"iris, setosa"\n2,"say ""hi"""\n3,"iris, setosa"\n'
+                     '4,"two\nlines"\n')
+        table = dt.load_csv(str(p), label_column="label")
+        assert table.class_names == ["iris, setosa", 'say "hi"', "two\nlines"]
+        assert table.labels.tolist() == [0, 1, 0, 2]
+        assert table.features.ravel().tolist() == [1.0, 2.0, 3.0, 4.0]
+
+    def test_crlf_line_endings(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_bytes(b"# note\r\na,b,label\r\n1.5,2,0\r\n\r\n3,4.25,1\r\n")
+        table = dt.load_csv(str(p), label_column="label")
+        assert table.features.tolist() == [[1.5, 2.0], [3.0, 4.25]]
+        assert table.labels.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("header, rows", [
+        ("label,a,b", ["7,1,2", "3,3,4"]),
+        ("a,label,b", ["1,7,2", "3,3,4"]),
+    ])
+    def test_label_column_first_and_middle(self, tmp_path, header, rows):
+        p = tmp_path / "t.csv"
+        p.write_text("\n".join([header] + rows) + "\n")
+        table = dt.load_csv(str(p), label_column="label")
+        assert table.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert table.labels.tolist() == [1, 0]
+        assert table.class_names == ["3", "7"]
+
+    def test_single_data_row(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("a,b,label\n1,2,x\n")
+        table = dt.load_csv(str(p), label_column="label")
+        assert table.features.shape == (1, 2)
+        assert table.labels.tolist() == [0]
+        assert table.class_names == ["x"]
+
+    def test_ragged_rows_reported_by_line(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("a,b,label\n1,2,0\n3,4,1,5\n6,7,0\n8,1\n")
+        with pytest.raises(dt.DataError, match=r"lines \[3, 5\]"):
+            dt.load_csv(str(p), label_column="label")
+
+    def test_underscore_digits_rejected(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("a,b\n1,2\n1_000,3\n")
+        with pytest.raises(dt.DataError, match=r"lines \[3\]"):
+            dt.load_csv(str(p))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                             min_size=3, max_size=3), min_size=1, max_size=20))
+    def test_features_match_python_float_bit_for_bit(self, tmp_path_factory, rows):
+        p = tmp_path_factory.mktemp("csv") / "t.csv"
+        cells = [["%.17g" % v for v in row] for row in rows]
+        p.write_text("a,b,c\n" + "".join(",".join(r) + "\n" for r in cells))
+        table = dt.load_csv(str(p))
+        want = np.array([[float(c) for c in r] for r in cells])
+        assert table.features.tobytes() == want.tobytes()
 
     def test_nan_features_rejected(self):
         with pytest.raises(dt.DataError):

@@ -102,6 +102,12 @@ class TestAveragePrecision:
         with time_limit(10), pytest.raises(ev.EvalError, match="NaN"):
             ev.average_precision([1, 0, 1], [0.5, np.nan, 0.1])
 
+    def test_labels_other_than_0_and_1_rejected(self):
+        with pytest.raises(ev.EvalError, match="labels"):
+            ev.average_precision([1, 0, 2], [3, 2, 1])
+        with pytest.raises(ev.EvalError, match="labels"):
+            ev.average_precision([1.0, 0.0, 0.5], [3, 2, 1])
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ev.EvalError):
             ev.average_precision([1, 0, 1], [0.5, 0.1])

@@ -88,7 +88,10 @@ class TestRunConfig:
             assert cfg.base_lr == lr
 
     def test_bad_vera_config_rejected(self):
-        for vera in ({"nope": 1}, {"entropy_weight": -1.0}, {"ebm_lr": 3e-4}):
+        for vera in ({"nope": 1}, {"entropy_weight": -1.0}, {"ebm_lr": 3e-4},
+                     {"n_posterior_samples": 0}, {"latent_dim": 0}, {"gen_noise_std": 0},
+                     {"gen_lr": -1e-3}, {"eta_lr": 0}, {"eta_init": 0}, {"eta_min": 0},
+                     {"eta_min": 0.5, "eta_max": 0.1}):
             with pytest.raises(tr.ConfigError, match="vera"):
                 toy_config(objective="vera", vera=vera)
 
@@ -329,6 +332,13 @@ class TestSuite:
         assert "removed-classes" in text
         assert "where" not in text and "data.csv" not in text
 
+    def test_smoothness_checks_model_input_dim(self, tmp_path):
+        bundle = tr.build_bundle(toy_config())
+        spec = mz.ModelSpec(input_dim=2, hidden=[8], head="energy")
+        item = {"kind": "smoothness", "side": 4, "pool_sizes": [2], "n": 10}
+        with pytest.raises(tr.ConfigError, match=r"side 4 have 16 pixels.* takes 2 inputs"):
+            tr.run_analysis(item, spec, mz.init_params(spec, 0), bundle, 0, str(tmp_path))
+
     def test_every_csv_value_cell_is_a_number(self, tmp_path):
         path = write_toy_csv(tmp_path / "d.csv")
         cfg = toy_config(steps=5, eval_interval=5,
@@ -451,6 +461,8 @@ class TestCli:
         configs = [
             toy_config(objective="vera").to_dict() | {"vera": {"nope": 1}},
             toy_config(objective="vera").to_dict() | {"vera": {"entropy_weight": -1.0}},
+            toy_config(objective="vera").to_dict() | {"vera": {"n_posterior_samples": 0}},
+            toy_config(objective="vera").to_dict() | {"vera": {"gen_noise_std": 0}},
             toy_config(data={"kind": "two_moons", "n": 300, "ood_exclusion_radius": 50}).to_dict(),
             toy_config(data={"kind": "csv", "path": str(bad_csv)}).to_dict(),
         ]
@@ -462,6 +474,14 @@ class TestCli:
                 code = cli.main(["train", "--config", path, "--out", str(tmp_path / "o")])
             assert code == 1, config
             assert "config error" in capsys.readouterr().err
+
+    def test_ebm_on_csv_without_removed_classes_exits_1(self, tmp_path, capsys):
+        config = toy_config(data={"kind": "csv", "path": write_toy_csv(tmp_path / "d.csv")})
+        path = str(tmp_path / "c.json")
+        with open(path, "w") as fh:
+            json.dump(config.to_dict(), fh)
+        assert cli.main(["train", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        assert "removed_classes" in capsys.readouterr().err
 
     def test_sweep_gamma(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path)
