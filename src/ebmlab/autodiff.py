@@ -9,6 +9,7 @@ existing primitives plus a finite-difference test.
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,7 +27,7 @@ class Node:
     result is itself differentiable).
     """
 
-    __slots__ = ("value", "parents", "vjp")
+    __slots__ = ("value", "parents", "vjp", "__weakref__")
 
     def __init__(self, value, parents=(), vjp=None):
         self.value = np.asarray(value, dtype=np.float64)
@@ -250,9 +251,12 @@ def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Node:
     if not keepdims:
         val = np.squeeze(val, axis=axis)
     out = Node(val, (a,))
+    # weak: a cycle out -> vjp -> out would keep out's whole graph (every row of
+    # a scoring pass) alive until the garbage collector ran; grad holds out
+    out_ref = weakref.ref(out)
 
     def vjp(g):
-        lse_kd = out if keepdims else reshape(out, m.shape)
+        lse_kd = out_ref() if keepdims else reshape(out_ref(), m.shape)
         soft = exp(add(a, neg(broadcast_to(lse_kd, a.value.shape))))
         g_kd = g if keepdims else reshape(g, m.shape)
         return (mul(broadcast_to(g_kd, a.value.shape), soft),)

@@ -93,13 +93,6 @@ class ModelSpec:
         plan.append(("head.b", (out,)))
         return plan
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelSpec":
-        return cls(**d)
-
 
 @dataclass
 class ParameterSet:
@@ -109,19 +102,10 @@ class ParameterSet:
     offsets: list[tuple[str, int, tuple[int, ...]]]
     seed: int | None = None
 
-    def get(self, name: str) -> np.ndarray:
-        for n, start, shape in self.offsets:
-            if n == name:
-                size = int(np.prod(shape)) if shape else 1
-                return self.values[start:start + size].reshape(shape)
-        raise KeyError(name)
-
     def arrays(self) -> dict[str, np.ndarray]:
-        out = {}
-        for n, start, shape in self.offsets:
-            size = int(np.prod(shape)) if shape else 1
-            out[n] = self.values[start:start + size].reshape(shape)
-        return out
+        """Named views into ``values``, in layout order."""
+        return {n: self.values[start:start + math.prod(shape)].reshape(shape)
+                for n, start, shape in self.offsets}
 
     def copy(self) -> "ParameterSet":
         return ParameterSet(self.values.copy(), list(self.offsets), self.seed)
@@ -131,6 +115,16 @@ class ParameterSet:
         return self.values.size
 
 
+def _layout(spec: ModelSpec) -> tuple[list[tuple[str, int, tuple[int, ...]]], int]:
+    """(name, start, shape) of each parameter block in the flat vector, and
+    the vector's length."""
+    offsets, pos = [], 0
+    for name, shape in spec.layer_plan():
+        offsets.append((name, pos, tuple(shape)))
+        pos += math.prod(shape)
+    return offsets, pos
+
+
 def init_params(spec: ModelSpec, seed: int) -> ParameterSet:
     """Weights uniform in +-sqrt(6/(fan_in+fan_out)); biases zero.
 
@@ -138,12 +132,10 @@ def init_params(spec: ModelSpec, seed: int) -> ParameterSet:
     distributed centers.
     """
     rng = stream(seed, "init")
-    plan = spec.layer_plan()
-    offsets = []
+    offsets, _ = _layout(spec)
     chunks = []
-    pos = 0
-    for name, shape in plan:
-        size = int(np.prod(shape)) if shape else 1
+    for name, _, shape in offsets:
+        size = math.prod(shape)
         if name.endswith(".W"):
             fan_in, fan_out = shape
             bound = math.sqrt(6.0 / (fan_in + fan_out))
@@ -154,9 +146,7 @@ def init_params(spec: ModelSpec, seed: int) -> ParameterSet:
             vals = np.full(size, _SOFTPLUS_INV_1)
         else:  # biases
             vals = np.zeros(size)
-        offsets.append((name, pos, shape))
         chunks.append(vals)
-        pos += size
     return ParameterSet(np.concatenate(chunks), offsets, seed)
 
 
@@ -173,13 +163,12 @@ def _activation(spec: ModelSpec, h: ad.Node) -> ad.Node:
     return ad.leaky_relu(h, spec.leaky_slope)
 
 
-def _as_batch(x) -> tuple[ad.Node, bool]:
+def _as_batch(x, dim: int) -> ad.Node:
+    """``x`` as a node holding an (n, dim) batch; any other shape is a ModelError."""
     x = ad.as_node(x)
-    if x.value.ndim == 1:
-        return ad.reshape(x, (1, x.value.shape[0])), True
-    if x.value.ndim != 2:
-        raise ModelError(f"expected vector or batch input, got ndim={x.value.ndim}")
-    return x, False
+    if x.value.ndim != 2 or x.value.shape[1] != dim:
+        raise ModelError(f"expected an (n, {dim}) batch, got shape {x.value.shape}")
+    return x
 
 
 def mlp_forward(spec: ModelSpec, params, x) -> tuple[ad.Node, ad.Node]:
@@ -187,11 +176,7 @@ def mlp_forward(spec: ModelSpec, params, x) -> tuple[ad.Node, ad.Node]:
     if spec.head == "flow":
         raise ModelError("mlp_forward does not apply to flow heads")
     pn = params if isinstance(params, dict) else param_nodes(params)
-    h, single = _as_batch(x)
-    if h.value.shape[1] != spec.input_dim:
-        raise ModelError(
-            f"input dim {h.value.shape[1]} does not match spec input_dim {spec.input_dim}"
-        )
+    h = _as_batch(x, spec.input_dim)
     for i in range(len(spec.hidden)):
         h = _activation(spec, ad.add(ad.matmul(h, pn[f"layer{i}.W"]), pn[f"layer{i}.b"]))
         if spec.has_bottleneck:
@@ -199,20 +184,14 @@ def mlp_forward(spec: ModelSpec, params, x) -> tuple[ad.Node, ad.Node]:
                 spec, ad.add(ad.matmul(h, pn[f"layer{i}.bn_down.W"]), pn[f"layer{i}.bn_down.b"])
             )
             h = ad.add(ad.matmul(d, pn[f"layer{i}.bn_up.W"]), pn[f"layer{i}.bn_up.b"])
-    out = ad.add(ad.matmul(h, pn["head.W"]), pn["head.b"])
-    if single:
-        out = ad.reshape(out, (out.value.shape[1],))
-        h = ad.reshape(h, (h.value.shape[1],))
-    return out, h
+    return ad.add(ad.matmul(h, pn["head.W"]), pn["head.b"]), h
 
 
 def mlp_energy(spec: ModelSpec, params, x) -> ad.Node:
-    """Scalar energy per row; single input gives a 0-d node."""
+    """Scalar energy per row, shape (n,)."""
     if spec.head != "energy":
         raise ModelError("mlp_energy requires a scalar-energy head")
     out, _ = mlp_forward(spec, params, x)
-    if out.value.ndim == 1:  # single input, shape (1,)
-        return ad.reshape(out, ())
     return ad.reshape(out, (out.value.shape[0],))
 
 
@@ -231,19 +210,6 @@ def classifier_embed(spec: ModelSpec, params, x) -> np.ndarray:
     return h.value
 
 
-def jem_logdensity(logits):
-    """log p~(x) = logsumexp of the logits (also the energy score)."""
-    if isinstance(logits, ad.Node):
-        if logits.value.shape[-1] < 1:
-            raise ModelError("empty logit vector")
-        return ad.logsumexp(logits, axis=-1)
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.shape[-1] < 1:
-        raise ModelError("empty logit vector")
-    m = np.max(logits, axis=-1, keepdims=True)
-    return np.squeeze(np.log(np.sum(np.exp(logits - m), axis=-1, keepdims=True)) + m, -1)
-
-
 def radial_constrained(alpha_hat, beta_hat):
     """Map unconstrained layer parameters to (alpha > 0, beta >= -alpha)."""
     alpha = ad.softplus(ad.as_node(alpha_hat))
@@ -257,10 +223,10 @@ def radial_forward(z0, alpha_hat, beta_hat, x) -> tuple[ad.Node, ad.Node]:
     h = 1/(alpha + r), r = |x - z0|; log|det J| has the closed form
     (D-1)*log(1 + beta*h) + log(1 + beta*h + beta*h'*r), h' = -h^2.
     """
-    x, single = _as_batch(x)
-    d = x.value.shape[1]
+    z0 = ad.as_node(z0)
+    x = _as_batch(x, z0.value.shape[0])
     alpha, beta = radial_constrained(alpha_hat, beta_hat)
-    diff = ad.add(x, ad.neg(ad.as_node(z0)))
+    diff = ad.add(x, ad.neg(z0))
     r = ad.sqrt(ad.add(ad.reduce_sum(ad.square(diff), axis=1, keepdims=True), 1e-24))
     h = 1.0 / ad.add(alpha, r)
     bh = ad.mul(beta, h)
@@ -268,14 +234,10 @@ def radial_forward(z0, alpha_hat, beta_hat, x) -> tuple[ad.Node, ad.Node]:
     # beta*h'*r with h' = -h^2
     bhr = ad.neg(ad.mul(beta, ad.mul(ad.square(h), r)))
     logdet = ad.add(
-        ad.mul(float(d - 1), ad.log(ad.add(1.0, bh))),
+        ad.mul(float(x.value.shape[1] - 1), ad.log(ad.add(1.0, bh))),
         ad.log(ad.add(ad.add(1.0, bh), bhr)),
     )
-    logdet = ad.reshape(logdet, (x.value.shape[0],))
-    if single:
-        y = ad.reshape(y, (d,))
-        logdet = ad.reshape(logdet, ())
-    return y, logdet
+    return y, ad.reshape(logdet, (x.value.shape[0],))
 
 
 def flow_logdensity(spec: ModelSpec, params, x) -> ad.Node:
@@ -283,8 +245,7 @@ def flow_logdensity(spec: ModelSpec, params, x) -> ad.Node:
     if spec.head != "flow":
         raise ModelError("flow_logdensity requires a flow head")
     pn = params if isinstance(params, dict) else param_nodes(params)
-    z, single = _as_batch(x)
-    d = spec.input_dim
+    z = _as_batch(x, spec.input_dim)
     total = ad.constant(np.zeros(z.value.shape[0]))
     for k in range(spec.n_flow_layers):
         z, logdet = radial_forward(
@@ -293,28 +254,35 @@ def flow_logdensity(spec: ModelSpec, params, x) -> ad.Node:
         total = ad.add(total, logdet)
     base = ad.add(
         ad.mul(-0.5, ad.reduce_sum(ad.square(z), axis=1)),
-        -0.5 * d * math.log(2.0 * math.pi),
+        -0.5 * spec.input_dim * math.log(2.0 * math.pi),
     )
-    out = ad.add(base, total)
-    if single:
-        out = ad.reshape(out, ())
-    return out
+    return ad.add(base, total)
+
+
+def energy(spec: ModelSpec, params, x) -> ad.Node:
+    """Per-row energy E(x) = -log p~(x) of an (n, d) batch, shape (n,).
+
+    The energy head's output; -logsumexp of the logits for a logits head
+    (JEM); -log p(x) for a flow. A vector head has no energy.
+    """
+    if spec.head == "energy":
+        return mlp_energy(spec, params, x)
+    if spec.head == "logits":
+        return ad.neg(ad.logsumexp(mlp_logits(spec, params, x), axis=-1))
+    if spec.head == "flow":
+        return ad.neg(flow_logdensity(spec, params, x))
+    raise ModelError(f"no energy for head {spec.head!r}")
 
 
 def score_logdensity(spec: ModelSpec, params, x) -> np.ndarray:
-    """Unnormalized log-density used for OOD scoring: -E or logsumexp."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if spec.head == "energy":
-        return -mlp_energy(spec, params, x).value
-    if spec.head == "logits":
-        return jem_logdensity(mlp_logits(spec, params, x).value)
-    return flow_logdensity(spec, params, x).value
+    """Unnormalized log-density used for OOD scoring: -E(x)."""
+    return -energy(spec, params, x).value
 
 
 def save_checkpoint(path: str, spec: ModelSpec, pset: ParameterSet, metadata: dict | None = None):
     doc = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
-        "spec": spec.to_dict(),
+        "spec": asdict(spec),
         "seed": pset.seed,
         "parameters": pset.values.tolist(),
         "metadata": metadata or {},
@@ -330,14 +298,9 @@ def load_checkpoint(path: str) -> tuple[ModelSpec, ParameterSet, dict]:
             f"checkpoint schema version {doc.get('schema_version')} "
             f"!= supported {CHECKPOINT_SCHEMA_VERSION}"
         )
-    spec = ModelSpec.from_dict(doc["spec"])
+    spec = ModelSpec(**doc["spec"])
     values = np.asarray(doc["parameters"], dtype=np.float64)
-    offsets = []
-    pos = 0
-    for name, shape in spec.layer_plan():
-        size = int(np.prod(shape)) if shape else 1
-        offsets.append((name, pos, tuple(shape)))
-        pos += size
+    offsets, pos = _layout(spec)
     if pos != values.size:
         raise ModelError(f"parameter count {values.size} does not match spec ({pos})")
     return spec, ParameterSet(values, offsets, doc.get("seed")), doc.get("metadata", {})

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .models import ModelSpec, ParameterSet, flow_logdensity, jem_logdensity, mlp_energy, mlp_forward, mlp_logits, param_nodes
+from .models import ModelSpec, ParameterSet, energy, flow_logdensity, mlp_forward, param_nodes
 
 
 class ObjectiveError(Exception):
@@ -42,13 +42,9 @@ class VeraConfig:
 
 
 def make_energy_fn(spec: ModelSpec, params):
-    """Per-row energy builder: -log p~(x) for logits heads, E(x) otherwise."""
+    """``models.energy`` with the parameters bound once: x -> E(x), shape (n,)."""
     pn = params if isinstance(params, dict) else param_nodes(params)
-    if spec.head == "energy":
-        return lambda x: mlp_energy(spec, pn, x)
-    if spec.head == "logits":
-        return lambda x: ad.neg(jem_logdensity(mlp_logits(spec, pn, x)))
-    raise ObjectiveError(f"no energy function for head {spec.head!r}")
+    return lambda x: energy(spec, pn, x)
 
 
 def ssm_vr_loss(energy_fn, x, v) -> ad.Node:
@@ -58,21 +54,17 @@ def ssm_vr_loss(energy_fn, x, v) -> ad.Node:
     the projected square is integrated out analytically for Rademacher v.
     Differentiable w.r.t. any parameter leaves inside ``energy_fn``.
     """
-    x = ad.as_node(x)
-    v = ad.as_node(v)
-    if v.value.shape != x.value.shape:
-        raise ObjectiveError("one projection vector per sample is required")
-    e = energy_fn(x)
-    e_total = ad.reduce_sum(e) if e.value.ndim else e
-    (gx,) = ad.grad(e_total, [x])
+    x, v = ad.as_node(x), ad.as_node(v)
+    if x.value.ndim != 2 or v.value.shape != x.value.shape:
+        raise ObjectiveError("an (n, d) batch and one projection vector per row are required")
+    (gx,) = ad.grad(ad.reduce_sum(energy_fn(x)), [x])
     gv = ad.reduce_sum(ad.mul(gx, v))
     (hv,) = ad.grad(gv, [x])
-    axis = 1 if x.value.ndim == 2 else None
     per_row = ad.add(
-        ad.neg(ad.reduce_sum(ad.mul(hv, v), axis=axis)),
-        ad.mul(0.5, ad.reduce_sum(ad.mul(gx, gx), axis=axis)),
+        ad.neg(ad.reduce_sum(ad.mul(hv, v), axis=1)),
+        ad.mul(0.5, ad.reduce_sum(ad.mul(gx, gx), axis=1)),
     )
-    return ad.mean(per_row) if per_row.value.ndim else per_row
+    return ad.mean(per_row)
 
 
 def cd_loss(energy_fn, x_data, x_samples) -> ad.Node:
@@ -110,12 +102,6 @@ def jem_loss(base_loss: ad.Node, logits: ad.Node, labels, gamma: float) -> ad.No
     if gamma == 0.0:
         return base_loss
     return ad.add(base_loss, ad.mul(gamma, ce_loss(logits, labels)))
-
-
-def _log_normal(x, mean, var):
-    """Row-wise log N(x; mean, var*I), numpy only."""
-    d = x.shape[-1]
-    return -0.5 * np.sum((x - mean) ** 2, axis=-1) / var - 0.5 * d * math.log(2.0 * math.pi * var)
 
 
 @dataclass
@@ -160,8 +146,7 @@ def vera_step(
     importance weight before clamping.
     """
     x_data = np.asarray(x_data, dtype=np.float64)
-    n = x_data.shape[0]
-    d = x_data.shape[1]
+    n, d = x_data.shape
     k = cfg.n_posterior_samples
 
     z = rng.normal(size=(n, cfg.latent_dim))
@@ -181,10 +166,9 @@ def vera_step(
     # posterior samples z_k = z + eta*xi; eta as a leaf so the log-mean
     # importance weight stays differentiable in eta
     eta_leaf = ad.leaf(np.asarray(eta))
-    gen_const = {name: ad.constant(arr.copy()) for name, arr in gen_params.arrays().items()}
     zk = ad.add(ad.constant(z[:, None, :]), ad.mul(eta_leaf, ad.constant(xi)))
     zk_flat = ad.reshape(zk, (n * k, cfg.latent_dim))
-    g_zk, _ = mlp_forward(gen_spec, gen_const, zk_flat)
+    g_zk, _ = mlp_forward(gen_spec, gen_leaves, zk_flat)
 
     var_x = cfg.gen_noise_std**2
     x_rep = np.repeat(x_gen_val, k, axis=0)

@@ -30,9 +30,7 @@ class SgldConfig:
 
 def _input_grad(energy_fn, x: np.ndarray) -> np.ndarray:
     xn = ad.leaf(x)
-    e = energy_fn(xn)
-    e_total = ad.reduce_sum(e) if e.value.ndim else e
-    (g,) = ad.grad(e_total, [xn])
+    (g,) = ad.grad(ad.reduce_sum(energy_fn(xn)), [xn])
     return g.value
 
 
@@ -141,20 +139,18 @@ class ReplayBuffer:
 
 @dataclass
 class AscentTrajectory:
-    points: np.ndarray       # (T+1, ...) visited inputs
-    logdensity: np.ndarray   # (T+1,) unnormalized log-density per point
+    points: np.ndarray       # (T+1, n, d) visited batches
+    logdensity: np.ndarray   # (T+1,) unnormalized log-density summed over each batch
     diverged: bool = False
 
 
 def likelihood_ascent(energy_fn, x, steps: int, lr: float) -> AscentTrajectory:
-    """Gradient ascent on log p~ = -E in input space; records the path."""
+    """Gradient ascent on log p~ = -E of an (n, d) batch in input space;
+    records the path."""
     if lr <= 0:
         raise SamplerError("learning rate must be positive")
     x = np.array(x, dtype=np.float64)
-    e = energy_fn(ad.constant(x))
-    logp = -(e.value.sum() if e.value.ndim else float(e.value))
-    points = [x.copy()]
-    logps = [logp]
+    points, logps = [x.copy()], [-energy_fn(ad.constant(x)).value.sum()]
     diverged = False
     for _ in range(steps):
         g = _input_grad(energy_fn, x)
@@ -162,8 +158,7 @@ def likelihood_ascent(energy_fn, x, steps: int, lr: float) -> AscentTrajectory:
             diverged = True
             break
         x = x - lr * g  # ascent on -E
-        e = energy_fn(ad.constant(x))
-        logp = -(e.value.sum() if e.value.ndim else float(e.value))
+        logp = -energy_fn(ad.constant(x)).value.sum()
         if not np.isfinite(logp):
             diverged = True
             break

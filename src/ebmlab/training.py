@@ -60,6 +60,11 @@ from .samplers import ReplayBuffer, SgldConfig, likelihood_ascent, sgld_chain
 OBJECTIVES = ("ssm", "cd", "vera", "nf", "ce")
 DEFAULT_LR = {"ssm": 1e-3, "cd": 1e-3, "vera": 3e-4, "nf": 1e-3, "ce": 1e-3}
 DEFAULT_GAMMA_GRID = (0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
+# numeric RunConfig fields and their least allowed value; lr and
+# sgld_step_size must be positive (lr may be None for the default)
+_MINIMUM = {"steps": 0, "warmup_steps": 0, "batch_size": 1, "weight_decay": 0,
+            "eval_interval": 1, "patience": 1, "n_flow_layers": 1, "sgld_steps": 0,
+            "sgld_noise_std": 0, "buffer_capacity": 1, "reinit_prob": 0, "data_noise_var": 0}
 
 
 class ConfigError(Exception):
@@ -125,6 +130,14 @@ class RunConfig:
             raise ConfigError(f"gamma does not apply to objective {self.objective!r}")
         if not isinstance(self.data, dict) or "kind" not in self.data:
             raise ConfigError("data config must be a dict with a 'kind'")
+        for name, least in _MINIMUM.items():
+            if not getattr(self, name) >= least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
+        for name in ("lr", "sgld_step_size"):
+            if getattr(self, name) is not None and not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)!r}")
+        if self.reinit_prob > 1:
+            raise ConfigError(f"reinit_prob must be <= 1, got {self.reinit_prob!r}")
         try:
             VeraConfig(**self.vera)
         except (TypeError, ObjectiveError) as exc:
@@ -231,13 +244,9 @@ class TrainResult:
 
 
 def _param_grads(loss: ad.Node, leaves: dict[str, ad.Node], pset: ParameterSet) -> np.ndarray:
-    """Gradient of ``loss`` w.r.t. the named leaves, flat in ``pset``'s layout."""
-    grads = dict(zip(leaves, ad.grad(loss, list(leaves.values()))))
-    flat = np.zeros(pset.size)
-    for name, start, shape in pset.offsets:
-        size = int(np.prod(shape)) if shape else 1
-        flat[start:start + size] = grads[name].value.ravel()
-    return flat
+    """Gradient of ``loss`` w.r.t. ``param_nodes(pset)`` leaves, flat in
+    ``pset``'s layout (``param_nodes`` lists the blocks in layout order)."""
+    return np.concatenate([g.value.ravel() for g in ad.grad(loss, list(leaves.values()))])
 
 
 def _objective(config: RunConfig, spec: ModelSpec, pset: ParameterSet,
@@ -440,11 +449,17 @@ def run_experiment_suite(manifest: dict, out_root: str) -> dict:
 
     Each run gets its own report directory; an aggregate CSV collects
     every AP plus the percent improvement over a declared baseline run.
-    A failing run is recorded and skipped; the suite continues.
+    A repeated name is a ConfigError before any training; a failing run
+    is recorded and skipped, and the suite continues.
     """
-    os.makedirs(out_root, exist_ok=True)
     runs = manifest.get("runs", [])
     analyses = manifest.get("analyses", [])
+    # every name is an output file or directory beside the suite's aggregate.csv
+    names = ["aggregate"] + [r["name"] for r in runs] + [a.get("name", a["kind"]) for a in analyses]
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise ConfigError(f"run and analysis names must be unique and not 'aggregate': {repeated}")
+    os.makedirs(out_root, exist_ok=True)
     results: dict[str, TrainResult] = {}
     errors: dict[str, str] = {}
 
@@ -556,7 +571,7 @@ def run_analysis(item: dict, spec: ModelSpec, params, bundle: SplitBundle, seed:
         energy = make_energy_fn(spec, params)
         rows = []
         for i, x0 in enumerate(bundle.id_test.features[: item.get("n_points", 16)]):
-            traj = likelihood_ascent(energy, x0, item.get("steps", 100), item.get("lr", 0.01))
+            traj = likelihood_ascent(energy, x0[None], item.get("steps", 100), item.get("lr", 0.01))
             rows.extend([t, lp, f"point{i}"] for t, lp in enumerate(traj.logdensity))
     else:
         raise ConfigError(f"unknown analysis kind {kind!r}")

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -14,8 +17,7 @@ def random_mlp(rng, dims):
     weights = [ad.leaf(rng.normal(size=(a, b)) * 0.7) for a, b in zip(dims[:-1], dims[1:])]
     biases = [ad.leaf(rng.normal(size=b) * 0.1) for b in dims[1:]]
 
-    def f(x):
-        h = ad.reshape(x, (1, dims[0])) if x.value.ndim == 1 else x
+    def f(h):
         for i, (w, b) in enumerate(zip(weights, biases)):
             h = ad.add(ad.matmul(h, w), b)
             if i < len(weights) - 1:
@@ -53,7 +55,7 @@ class TestGrad:
         rng = np.random.default_rng(7)
         for _ in range(5):
             f, weights, _ = random_mlp(rng, [4, 8, 8, 1])
-            x = rng.normal(size=4)
+            x = rng.normal(size=(1, 4))
             err, _ = ad.check_gradient(f, x, step=1e-4)
             assert err < 1e-6
 
@@ -85,29 +87,55 @@ class TestGrad:
         assert run() == run()
 
 
+class TestLogsumexpGraph:
+    def test_output_freed_without_garbage_collector(self):
+        # no out -> vjp -> out cycle: scoring graphs go as soon as they are dropped
+        out = ad.logsumexp(ad.leaf(np.zeros((4, 3))), axis=1)
+        ref = weakref.ref(out)
+        gc.disable()
+        try:
+            del out
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_second_order_through_logsumexp(self):
+        # d/dx of sum(softmax(x) * c) via the gradient graph of logsumexp
+        x0 = np.array([[0.3, -1.2, 2.0]])
+        c = np.array([[1.0, -2.0, 0.5]])
+
+        def f(x):
+            (g,) = ad.grad(ad.reduce_sum(ad.logsumexp(x, axis=1)), [x])
+            return ad.reduce_sum(ad.mul(g, c))
+
+        err, _ = ad.check_gradient(f, x0, step=1e-5)
+        assert err < 1e-6
+
+
 class TestHvpForm:
     """The Hessian-vector term of ``ssm_vr_loss``: per row it is
-    -v^T H v + 0.5 |dE/dx|^2 with H the input Hessian of the energy."""
+    -v^T H v + 0.5 |dE/dx|^2 with H the input Hessian of the energy.
+    Each test feeds one (1, d) row."""
 
     def test_identity_hessian(self):
         rng = np.random.default_rng(0)
         for d in (1, 3, 7):
-            xv = rng.normal(size=d)
-            v = np.where(rng.random(d) < 0.5, -1.0, 1.0)
+            xv = rng.normal(size=(1, d))
+            v = np.where(rng.random((1, d)) < 0.5, -1.0, 1.0)
             loss = obj.ssm_vr_loss(quad, xv, v)
-            assert loss.value == pytest.approx(-d + 0.5 * float(xv @ xv))
+            assert loss.value == pytest.approx(-d + 0.5 * float((xv * xv).sum()))
 
     def test_quartic_1d(self):
         # E = t^4/4: dE/dt = t^3, d2E/dt2 = 3t^2; at t = 2, -12 + 0.5 * 64
         loss = obj.ssm_vr_loss(lambda t: ad.mul(ad.power(t, 4.0), 0.25),
-                               np.array(2.0), np.array(1.0))
+                               np.array([[2.0]]), np.array([[1.0]]))
         assert loss.value == pytest.approx(20.0)
 
     def test_even_in_v(self):
         rng = np.random.default_rng(5)
         f, _, _ = random_mlp(rng, [3, 6, 1])
-        xv = rng.normal(size=3)
-        v = rng.normal(size=3)
+        xv = rng.normal(size=(1, 3))
+        v = rng.normal(size=(1, 3))
         a = obj.ssm_vr_loss(f, xv, v).value
         b = obj.ssm_vr_loss(f, xv, -v).value
         assert a == pytest.approx(b, rel=1e-12)
@@ -115,8 +143,8 @@ class TestHvpForm:
     def test_matches_fd_of_input_gradient(self):
         rng = np.random.default_rng(11)
         f, _, _ = random_mlp(rng, [4, 6, 1])
-        xv = rng.normal(size=4)
-        v = rng.normal(size=4)
+        xv = rng.normal(size=(1, 4))
+        v = rng.normal(size=(1, 4))
         loss = obj.ssm_vr_loss(f, xv, v).value
         h = 1e-5
 
@@ -127,19 +155,19 @@ class TestHvpForm:
 
         hv = (input_grad(xv + h * v) - input_grad(xv - h * v)) / (2 * h)
         g = input_grad(xv)
-        assert loss == pytest.approx(-float(hv @ v) + 0.5 * float(g @ g), rel=1e-4)
+        assert loss == pytest.approx(-float((hv * v).sum()) + 0.5 * float((g * g).sum()), rel=1e-4)
 
     def test_parameter_gradient_second_order(self):
         # d/dtheta of the loss, which holds a second input derivative,
         # matches finite differences
         rng = np.random.default_rng(2)
         w0 = rng.normal(size=(3, 2)) * 0.5
-        xv = rng.normal(size=3)
-        v = rng.normal(size=3)
+        xv = rng.normal(size=(1, 3))
+        v = rng.normal(size=(1, 3))
 
         def build(wv):
             w = ad.leaf(wv.reshape(3, 2))
-            f = lambda x: ad.reduce_sum(ad.square(ad.softplus(ad.matmul(ad.reshape(x, (1, 3)), w))))
+            f = lambda x: ad.reduce_sum(ad.square(ad.softplus(ad.matmul(x, w))))
             return obj.ssm_vr_loss(f, xv, v), w
 
         loss, w = build(w0)

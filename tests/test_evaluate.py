@@ -218,7 +218,7 @@ class TestNormSweep:
         # with directions averaging to ~0 and anchor 0 it is exactly -r^2/2 + c
         spec = mz.ModelSpec(input_dim=2, head="flow", n_flow_layers=1)
         pset = mz.init_params(spec, 0)
-        pset.get("flow0.z0")[:] = 0.0
+        pset.arrays()["flow0.z0"][:] = 0.0
         radii = np.array([0.0, 1.0, 5.0, 50.0])
         dirs = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         curve = ev.norm_sweep(spec, pset, np.zeros(2), dirs, radii)

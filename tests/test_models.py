@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
 from ebmlab import autodiff as ad
 from ebmlab import models as mz
 
@@ -42,24 +41,25 @@ class TestMlpEnergy:
         spec = small_energy_spec()
         pset = mz.init_params(spec, 0)
         pset.values[:] = 0.0
-        for x in (np.zeros(3), np.ones(3), np.array([3.0, -2.0, 0.5])):
+        for x in (np.zeros((1, 3)), np.ones((1, 3)), np.array([[3.0, -2.0, 0.5]])):
             assert mz.mlp_energy(spec, pset, x).value == 0.0
 
     def test_single_linear_layer(self):
         # w=[1,2], b=0.5: relu is inactive on the head, so E = w.x + b
         spec = mz.ModelSpec(input_dim=2, hidden=[1], head="energy")
         pset = mz.init_params(spec, 0)
-        pset.get("layer0.W")[:] = np.array([[1.0], [2.0]])
-        pset.get("layer0.b")[:] = 0.5
-        pset.get("head.W")[:] = 1.0
-        pset.get("head.b")[:] = 0.0
-        assert mz.mlp_energy(spec, pset, np.array([1.0, 1.0])).value == pytest.approx(3.5)
+        arrays = pset.arrays()
+        arrays["layer0.W"][:] = np.array([[1.0], [2.0]])
+        arrays["layer0.b"][:] = 0.5
+        arrays["head.W"][:] = 1.0
+        arrays["head.b"][:] = 0.0
+        assert mz.mlp_energy(spec, pset, np.array([[1.0, 1.0]])).value == pytest.approx(3.5)
 
     def test_dimension_mismatch(self):
         spec = small_energy_spec()
         pset = mz.init_params(spec, 0)
         with pytest.raises(mz.ModelError):
-            mz.mlp_energy(spec, pset, np.zeros(4))
+            mz.mlp_energy(spec, pset, np.zeros((1, 4)))
 
     def test_against_straight_line_evaluator(self):
         # independent plain-numpy reimplementation
@@ -68,10 +68,11 @@ class TestMlpEnergy:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(10, 3))
 
+        p = pset.arrays()
         h = x
         for i in range(3):
-            h = np.maximum(h @ pset.get(f"layer{i}.W") + pset.get(f"layer{i}.b"), 0.0)
-        expected = (h @ pset.get("head.W") + pset.get("head.b")).ravel()
+            h = np.maximum(h @ p[f"layer{i}.W"] + p[f"layer{i}.b"], 0.0)
+        expected = (h @ p["head.W"] + p["head.b"]).ravel()
         got = mz.mlp_energy(spec, pset, x).value
         assert np.abs(got - expected).max() < 1e-12
 
@@ -91,37 +92,79 @@ class TestMlpEnergy:
 
 
 class TestJemHead:
+    """A logits head's log p~ (JEM) is ``ad.logsumexp`` over its logits."""
+
     def test_logsumexp_uniform(self):
-        assert mz.jem_logdensity(np.zeros(4)) == pytest.approx(math.log(4.0))
+        assert ad.logsumexp(np.zeros(4)).value == pytest.approx(math.log(4.0))
 
     def test_logsumexp_dominant(self):
-        assert mz.jem_logdensity(np.array([10.0, 0.0])) == pytest.approx(
+        assert ad.logsumexp(np.array([10.0, 0.0])).value == pytest.approx(
             math.log(math.exp(10) + 1), rel=1e-12
         )
 
     def test_single_logit_identity(self):
-        assert mz.jem_logdensity(np.array([2.75])) == pytest.approx(2.75)
-
-    def test_empty_rejected(self):
-        with pytest.raises(mz.ModelError):
-            mz.jem_logdensity(np.zeros(0))
+        assert ad.logsumexp(np.array([2.75])).value == pytest.approx(2.75)
 
     def test_shift_property(self):
         rng = np.random.default_rng(2)
         l = rng.normal(size=6)
         c = 3.7
-        assert mz.jem_logdensity(l + c) - mz.jem_logdensity(l) == pytest.approx(c)
+        assert ad.logsumexp(l + c).value - ad.logsumexp(l).value == pytest.approx(c)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8),
            st.floats(-100, 100))
     def test_property_shift_equivariance(self, logits, c):
         l = np.array(logits)
-        assert mz.jem_logdensity(l + c) == pytest.approx(mz.jem_logdensity(l) + c,
-                                                         rel=1e-9, abs=1e-9)
+        assert ad.logsumexp(l + c).value == pytest.approx(ad.logsumexp(l).value + c,
+                                                          rel=1e-9, abs=1e-9)
 
     def test_no_overflow(self):
-        assert np.isfinite(mz.jem_logdensity(np.array([1e4, 1e4 - 3.0])))
+        assert np.isfinite(ad.logsumexp(np.array([1e4, 1e4 - 3.0])).value)
+
+
+class TestEnergy:
+    """``energy`` is the one per-row -log p~ for every head."""
+
+    def test_logits_score_is_max_shifted_logsumexp(self):
+        spec = mz.ModelSpec(input_dim=3, hidden=[6], head="logits", n_classes=4)
+        pset = mz.init_params(spec, 3)
+        x = np.random.default_rng(5).normal(size=(7, 3)) * 3.0
+        logits = mz.mlp_logits(spec, pset, x).value
+        m = np.max(logits, axis=-1, keepdims=True)
+        expected = np.squeeze(np.log(np.sum(np.exp(logits - m), axis=-1, keepdims=True)) + m, -1)
+        assert mz.score_logdensity(spec, pset, x).tobytes() == expected.tobytes()
+
+    def test_energy_of_each_head_and_score_is_its_negative(self):
+        x = np.random.default_rng(6).normal(size=(5, 2))
+        cases = [
+            (mz.ModelSpec(input_dim=2, hidden=[4]),
+             lambda s, p: mz.mlp_energy(s, p, x).value),
+            (mz.ModelSpec(input_dim=2, hidden=[4], head="logits", n_classes=3),
+             lambda s, p: -ad.logsumexp(mz.mlp_logits(s, p, x), axis=1).value),
+            (mz.ModelSpec(input_dim=2, head="flow", n_flow_layers=2),
+             lambda s, p: -mz.flow_logdensity(s, p, x).value),
+        ]
+        for spec, expected in cases:
+            pset = mz.init_params(spec, 1)
+            e = mz.energy(spec, pset, x).value
+            assert e.shape == (5,)
+            assert np.array_equal(e, expected(spec, pset))
+            assert np.array_equal(mz.score_logdensity(spec, pset, x), -e)
+
+    def test_vector_head_has_no_energy(self):
+        spec = mz.ModelSpec(input_dim=2, hidden=[4], head="vector", n_outputs=2)
+        with pytest.raises(mz.ModelError):
+            mz.energy(spec, mz.init_params(spec, 0), np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("shape", [(3,), (), (2, 1, 3), (2, 4)])
+    def test_only_n_by_d_batches(self, shape):
+        for spec in (small_energy_spec(), mz.ModelSpec(input_dim=3, head="flow",
+                                                       n_flow_layers=1)):
+            with pytest.raises(mz.ModelError):
+                mz.energy(spec, mz.init_params(spec, 0), np.zeros(shape))
+        with pytest.raises(mz.ModelError):
+            mz.radial_forward(np.zeros(3), 0.1, 0.1, np.zeros(shape))
 
 
 class TestRadialFlow:
@@ -135,35 +178,35 @@ class TestRadialFlow:
         d = 3
         z0 = np.zeros(d)
         alpha_hat = 0.3
-        y, logdet = mz.radial_forward(z0, alpha_hat, alpha_hat, np.array([1.0, -2.0, 0.5]))
-        assert np.allclose(y.value, [1.0, -2.0, 0.5])
-        assert logdet.value == pytest.approx(0.0, abs=1e-12)
+        y, logdet = mz.radial_forward(z0, alpha_hat, alpha_hat, np.array([[1.0, -2.0, 0.5]]))
+        assert np.allclose(y.value, [[1.0, -2.0, 0.5]])
+        assert logdet.value[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_center_point(self):
         rng = np.random.default_rng(4)
         d = 4
         z0, ah, bh = self._layer(rng, d)
         alpha, beta = (n.value for n in mz.radial_constrained(ah, bh))
-        y, logdet = mz.radial_forward(z0, ah, bh, z0.copy())
-        assert np.allclose(y.value, z0)
+        y, logdet = mz.radial_forward(z0, ah, bh, z0[None].copy())
+        assert np.allclose(y.value, z0[None])
         expected = (d - 1) * math.log(1 + beta / alpha) + math.log(1 + beta / alpha)
-        assert logdet.value == pytest.approx(expected, rel=1e-9)
+        assert logdet.value[0] == pytest.approx(expected, rel=1e-9)
 
     def test_logdet_matches_numeric_jacobian(self):
         rng = np.random.default_rng(8)
         for _ in range(5):
             z0, ah, bh = self._layer(rng, 2)
-            x = rng.normal(size=2) * 2.0
+            x = rng.normal(size=(1, 2)) * 2.0
             _, logdet = mz.radial_forward(z0, ah, bh, x)
             h = 1e-6
             jac = np.zeros((2, 2))
             for j in range(2):
-                e = np.zeros(2)
-                e[j] = h
+                e = np.zeros((1, 2))
+                e[0, j] = h
                 yp, _ = mz.radial_forward(z0, ah, bh, x + e)
                 ym, _ = mz.radial_forward(z0, ah, bh, x - e)
-                jac[:, j] = (yp.value - ym.value) / (2 * h)
-            assert logdet.value == pytest.approx(math.log(abs(np.linalg.det(jac))), abs=1e-5)
+                jac[:, j] = (yp.value[0] - ym.value[0]) / (2 * h)
+            assert logdet.value[0] == pytest.approx(math.log(abs(np.linalg.det(jac))), abs=1e-5)
 
     def test_statistical_injectivity(self):
         rng = np.random.default_rng(10)
@@ -180,12 +223,12 @@ class TestFlowDensity:
         spec = mz.ModelSpec(input_dim=d, head="flow", n_flow_layers=k)
         pset = mz.init_params(spec, 0)
         for i in range(k):
-            pset.get(f"flow{i}.z0")[:] = 0.0  # beta == 0 already at init
+            pset.arrays()[f"flow{i}.z0"][:] = 0.0  # beta == 0 already at init
         return spec, pset
 
     def test_identity_flow_at_origin(self):
         spec, pset = self._identity_flow(2)
-        assert mz.flow_logdensity(spec, pset, np.zeros(2)).value == pytest.approx(
+        assert mz.flow_logdensity(spec, pset, np.zeros((1, 2))).value == pytest.approx(
             -math.log(2 * math.pi), abs=1e-9
         )
 
@@ -199,7 +242,7 @@ class TestFlowDensity:
     def test_1d_density_integrates_to_one(self):
         spec = mz.ModelSpec(input_dim=1, head="flow", n_flow_layers=1)
         pset = mz.init_params(spec, 5)
-        pset.get("flow0.beta_hat")[...] = 1.5  # non-trivial transform
+        pset.arrays()["flow0.beta_hat"][...] = 1.5  # non-trivial transform
         grid = np.linspace(-20, 20, 20001)
         logp = mz.flow_logdensity(spec, pset, grid[:, None]).value
         integral = np.trapezoid(np.exp(logp), grid)
@@ -219,7 +262,7 @@ class TestClassifierEmbed:
     def test_zero_weight_net_constant_embedding(self):
         spec, pset = self._clf()
         pset.values[:] = 0.0
-        pset.get("layer1.b")[:] = np.array([1.0, -1.0, 0.5, 0.0, 2.0])
+        pset.arrays()["layer1.b"][:] = np.array([1.0, -1.0, 0.5, 0.0, 2.0])
         emb = mz.classifier_embed(spec, pset, np.random.default_rng(0).normal(size=(3, 4)))
         assert np.allclose(emb, np.maximum([1.0, -1.0, 0.5, 0.0, 2.0], 0.0))
         assert np.all(emb[0] == emb[1])
@@ -227,7 +270,7 @@ class TestClassifierEmbed:
     def test_energy_head_unsupported(self):
         spec = small_energy_spec()
         with pytest.raises(mz.ModelError):
-            mz.classifier_embed(spec, mz.init_params(spec, 0), np.zeros(3))
+            mz.classifier_embed(spec, mz.init_params(spec, 0), np.zeros((1, 3)))
 
     def test_embedding_feeds_energy_net(self):
         spec, pset = self._clf()

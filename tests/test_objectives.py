@@ -12,8 +12,7 @@ from ebmlab import training as tr
 
 def quadratic_energy(x):
     # E(x) = 0.5 |x|^2 per row
-    axis = 1 if x.value.ndim == 2 else None
-    return ad.mul(0.5, ad.reduce_sum(ad.mul(x, x), axis=axis))
+    return ad.mul(0.5, ad.reduce_sum(ad.mul(x, x), axis=1))
 
 
 class TestSsmVr:
@@ -38,6 +37,8 @@ class TestSsmVr:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(obj.ObjectiveError):
             obj.ssm_vr_loss(quadratic_energy, np.zeros((3, 2)), np.zeros((2, 2)))
+        with pytest.raises(obj.ObjectiveError):
+            obj.ssm_vr_loss(quadratic_energy, np.zeros(2), np.zeros(2))
 
     def test_against_finite_difference_oracle(self):
         # independent evaluation: finite differences of the score field
@@ -316,8 +317,8 @@ class TestVera:
             k=200, noise_std=0.5, eta_max=0.5
         )
         A = np.array([[1.0, 0.3], [-0.2, 0.8]])
-        gen_params.get("head.W")[:] = A.T  # row-vector convention: x = z @ A^T + b
-        gen_params.get("head.b")[:] = 0.0
+        gen_params.arrays()["head.W"][:] = A.T  # row-vector convention: x = z @ A^T + b
+        gen_params.arrays()["head.b"][:] = 0.0
         cov = A @ A.T + cfg.gen_noise_std**2 * np.eye(2)
         prec = np.linalg.inv(cov)
 

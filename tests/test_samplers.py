@@ -6,8 +6,7 @@ from ebmlab import samplers as sp
 
 
 def quadratic_energy(x):
-    axis = 1 if x.value.ndim == 2 else None
-    return ad.mul(0.5, ad.reduce_sum(ad.mul(x, x), axis=axis))
+    return ad.mul(0.5, ad.reduce_sum(ad.mul(x, x), axis=1))
 
 
 class TestSgldConfig:
@@ -148,16 +147,16 @@ class TestReplayBuffer:
 
 class TestLikelihoodAscent:
     def test_zero_steps(self):
-        x0 = np.array([2.0, -1.0])
+        x0 = np.array([[2.0, -1.0]])
         traj = sp.likelihood_ascent(quadratic_energy, x0, steps=0, lr=0.1)
-        assert traj.points.shape == (1, 2)
+        assert traj.points.shape == (1, 1, 2)
         assert np.array_equal(traj.points[0], x0)
         assert traj.logdensity[0] == pytest.approx(-2.5)
         assert not traj.diverged
 
     def test_quadratic_shrink_factor(self):
         # ascent on -0.5|x|^2 at lr 0.1 multiplies x by 0.9 each step
-        x0 = np.array([10.0])
+        x0 = np.array([[10.0]])
         traj = sp.likelihood_ascent(quadratic_energy, x0, steps=5, lr=0.1)
         assert np.allclose(traj.points.ravel(), 10.0 * 0.9 ** np.arange(6))
 
@@ -166,7 +165,7 @@ class TestLikelihoodAscent:
         ok = 0
         total = 0
         for _ in range(20):
-            x0 = rng.normal(size=3) * 4.0
+            x0 = rng.normal(size=(1, 3)) * 4.0
             traj = sp.likelihood_ascent(quadratic_energy, x0, steps=30, lr=0.05)
             diffs = np.diff(traj.logdensity)
             ok += int((diffs >= -1e-12).all())
@@ -177,11 +176,11 @@ class TestLikelihoodAscent:
         def unstable(x):
             return ad.neg(ad.reduce_sum(ad.exp(x)))  # logp = sum(exp) blows up
 
-        traj = sp.likelihood_ascent(unstable, np.array([5.0]), steps=10_000, lr=10.0)
+        traj = sp.likelihood_ascent(unstable, np.array([[5.0]]), steps=10_000, lr=10.0)
         assert traj.diverged
         assert len(traj.points) == len(traj.logdensity)
         assert np.all(np.isfinite(traj.logdensity))
 
     def test_bad_lr_rejected(self):
         with pytest.raises(sp.SamplerError):
-            sp.likelihood_ascent(quadratic_energy, np.zeros(2), steps=1, lr=0.0)
+            sp.likelihood_ascent(quadratic_energy, np.zeros((1, 2)), steps=1, lr=0.0)

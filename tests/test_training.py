@@ -332,6 +332,30 @@ class TestSuite:
         assert "removed-classes" in text
         assert "where" not in text and "data.csv" not in text
 
+    @pytest.mark.parametrize("manifest", [
+        {"runs": [{"name": "m", "config": {}}, {"name": "m", "config": {}}]},
+        {"analyses": [{"kind": "ascend", "model": "m"}, {"kind": "ascend", "model": "m"}]},
+        {"analyses": [{"kind": "norm_sweep", "model": "m", "name": "aggregate"}]},
+        {"analyses": [{"kind": "norm_sweep", "model": "m", "name": "m"}]},
+    ])
+    def test_duplicate_names_rejected_before_training(self, tmp_path, manifest):
+        runs = [{"name": "m", "config": toy_config(steps=5, eval_interval=5).to_dict()}]
+        manifest = {"runs": runs} | manifest
+        out = tmp_path / "out"
+        with pytest.raises(tr.ConfigError, match="unique"):
+            tr.run_experiment_suite(manifest, str(out))
+        assert not out.exists()
+
+    def test_ascend_on_flow_model(self, tmp_path):
+        bundle = tr.build_bundle(toy_config())
+        spec = mz.ModelSpec(input_dim=2, head="flow", n_flow_layers=2)
+        item = {"kind": "ascend", "n_points": 2, "steps": 3}
+        rows = tr.run_analysis(item, spec, mz.init_params(spec, 0), bundle, 0, str(tmp_path))
+        assert [(t, s) for t, _, s in rows] == [(t, f"point{i}") for i in range(2)
+                                                for t in range(4)]
+        assert all(np.isfinite(lp) for _, lp, _ in rows)
+        assert (tmp_path / "ascend.csv").exists()
+
     def test_smoothness_checks_model_input_dim(self, tmp_path):
         bundle = tr.build_bundle(toy_config())
         spec = mz.ModelSpec(input_dim=2, hidden=[8], head="energy")
@@ -474,6 +498,20 @@ class TestCli:
                 code = cli.main(["train", "--config", path, "--out", str(tmp_path / "o")])
             assert code == 1, config
             assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [
+        ("eval_interval", 0), ("sgld_steps", -1), ("batch_size", 0), ("buffer_capacity", 0),
+        ("data_noise_var", -1), ("steps", -3), ("lr", -0.001), ("sgld_step_size", 0.0),
+        ("reinit_prob", 1.5), ("patience", 0),
+    ])
+    def test_bad_numeric_field_exits_1(self, tmp_path, capsys, time_limit, field, value):
+        path = str(tmp_path / "c.json")
+        with open(path, "w") as fh:
+            json.dump(toy_config().to_dict() | {field: value}, fh)
+        with time_limit(20):
+            code = cli.main(["train", "--config", path, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert f"config error: {field} must be" in capsys.readouterr().err
 
     def test_ebm_on_csv_without_removed_classes_exits_1(self, tmp_path, capsys):
         config = toy_config(data={"kind": "csv", "path": write_toy_csv(tmp_path / "d.csv")})
