@@ -5,6 +5,16 @@ gradient expression (needed for Hessian-vector quadratic forms that stay
 differentiable w.r.t. parameters) works to any depth. Everything is
 float64; adding a primitive requires a derivative rule built from
 existing primitives plus a finite-difference test.
+
+This engine is the oracle for every derivative in ebmlab. One fast path
+sits beside it: the input gradient dE/dx of an MLP head (``energy`` or
+``logits``) that SGLD and likelihood ascent take at every step comes from
+``models.input_grad``, a closed-form numpy backward that does this
+engine's float operations in its order and is tested byte-equal to
+``grad``. Flows, the SSM double backward and all parameter gradients use
+the engine. A new activation or head either extends that closed form
+together with its equality test, or leaves ``make_energy_fn`` to fall
+back to the engine.
 """
 
 from __future__ import annotations
@@ -185,7 +195,8 @@ def mean(a, axis=None, keepdims=False) -> Node:
 def exp(a) -> Node:
     a = as_node(a)
     out = Node(np.exp(a.value), (a,))
-    out.vjp = lambda g: (mul(g, out),)
+    out_ref = weakref.ref(out)  # no out -> vjp -> out cycle; see logsumexp
+    out.vjp = lambda g: (mul(g, out_ref()),)
     return out
 
 
@@ -231,7 +242,13 @@ def leaky_relu(a, slope: float = 0.2) -> Node:
 def sigmoid(a) -> Node:
     a = as_node(a)
     out = Node(1.0 / (1.0 + np.exp(-a.value)), (a,))
-    out.vjp = lambda g: (mul(g, mul(out, add(1.0, neg(out)))),)
+    out_ref = weakref.ref(out)  # no out -> vjp -> out cycle; see logsumexp
+
+    def vjp(g):
+        s = out_ref()
+        return (mul(g, mul(s, add(1.0, neg(s)))),)
+
+    out.vjp = vjp
     return out
 
 

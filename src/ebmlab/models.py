@@ -152,7 +152,15 @@ def init_params(spec: ModelSpec, seed: int) -> ParameterSet:
 
 def param_nodes(pset: ParameterSet) -> dict[str, ad.Node]:
     """Fresh leaf nodes over the current parameter values."""
-    return {name: ad.leaf(arr.copy()) for name, arr in pset.arrays().items()}
+    return {name: ad.leaf(arr) for name, arr in _param_arrays(pset).items()}
+
+
+def _param_arrays(params) -> dict[str, np.ndarray]:
+    """Parameter values as the engine sees them: the values of a dict of
+    nodes, or the copies ``param_nodes`` makes of a ParameterSet."""
+    if isinstance(params, dict):
+        return {name: node.value for name, node in params.items()}
+    return {name: arr.copy() for name, arr in params.arrays().items()}
 
 
 def _activation(spec: ModelSpec, h: ad.Node) -> ad.Node:
@@ -163,11 +171,15 @@ def _activation(spec: ModelSpec, h: ad.Node) -> ad.Node:
     return ad.leaky_relu(h, spec.leaky_slope)
 
 
+def _check_batch(x: np.ndarray, dim: int):
+    if x.ndim != 2 or x.shape[1] != dim:
+        raise ModelError(f"expected an (n, {dim}) batch, got shape {x.shape}")
+
+
 def _as_batch(x, dim: int) -> ad.Node:
     """``x`` as a node holding an (n, dim) batch; any other shape is a ModelError."""
     x = ad.as_node(x)
-    if x.value.ndim != 2 or x.value.shape[1] != dim:
-        raise ModelError(f"expected an (n, {dim}) batch, got shape {x.value.shape}")
+    _check_batch(x.value, dim)
     return x
 
 
@@ -272,6 +284,67 @@ def energy(spec: ModelSpec, params, x) -> ad.Node:
     if spec.head == "flow":
         return ad.neg(flow_logdensity(spec, params, x))
     raise ModelError(f"no energy for head {spec.head!r}")
+
+
+# heads whose input gradient ``input_grad`` computes in closed form
+CLOSED_FORM_HEADS = ("energy", "logits")
+
+
+def _activation_np(spec: ModelSpec, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The activation's value at ``a`` and the factor its vjp multiplies the
+    adjoint by, computed as the ``ad.relu``/``ad.softplus``/``ad.leaky_relu``
+    primitives compute them."""
+    if spec.activation == "relu":
+        mask = (a > 0).astype(np.float64)
+        return a * mask, mask
+    if spec.activation == "softplus":
+        # the vjp's factor is the value of ad.sigmoid(a)
+        return np.maximum(a, 0.0) + np.log1p(np.exp(-np.abs(a))), 1.0 / (1.0 + np.exp(-a))
+    factor = np.where(a > 0, 1.0, spec.leaky_slope)
+    return a * factor, factor
+
+
+def input_grad(spec: ModelSpec, params, x) -> np.ndarray:
+    """dE/dx of the summed energy of an (n, d) batch, shape (n, d), for an
+    ``energy`` or ``logits`` head; builds no graph nodes.
+
+    A numpy forward and backward that does the engine's float operations
+    in the engine's order, so it equals
+    ``ad.grad(ad.reduce_sum(energy(spec, params, x)), [x])`` byte for byte
+    (non-finite rows included). Parameter adjoints are never formed.
+    ``params`` is a ParameterSet or a dict of parameter nodes.
+    """
+    if spec.head not in CLOSED_FORM_HEADS:
+        raise ModelError(f"no closed-form input gradient for head {spec.head!r}")
+    p = _param_arrays(params)
+    h = np.asarray(x, dtype=np.float64)
+    _check_batch(h, spec.input_dim)
+    # forward: keep the factor each activation's vjp will multiply by
+    factors = []
+    for i in range(len(spec.hidden)):
+        h, f = _activation_np(spec, h @ p[f"layer{i}.W"] + p[f"layer{i}.b"])
+        factors.append(f)
+        if spec.has_bottleneck:
+            d, f = _activation_np(spec, h @ p[f"layer{i}.bn_down.W"] + p[f"layer{i}.bn_down.b"])
+            factors.append(f)
+            h = d @ p[f"layer{i}.bn_up.W"] + p[f"layer{i}.bn_up.b"]
+    # adjoint of the head output under sum(E): ones for an energy head; for
+    # E = -logsumexp, -1 times the softmax exp(logits - lse) (ad.logsumexp's vjp)
+    if spec.head == "energy":
+        g = np.ones((h.shape[0], 1))  # inner dimension 1: g @ W.T is exact in any layout
+    else:
+        logits = h @ p["head.W"] + p["head.b"]
+        m = np.max(logits, axis=-1, keepdims=True)
+        lse = np.log(np.sum(np.exp(logits - m), axis=-1, keepdims=True)) + m
+        g = -1.0 * np.exp(logits + -lse)
+    g = g @ p["head.W"].T
+    # backward: ad.matmul's vjp is g @ W.T; ad.add passes g through unchanged
+    for i in reversed(range(len(spec.hidden))):
+        if spec.has_bottleneck:
+            g = (g @ p[f"layer{i}.bn_up.W"].T) * factors.pop()
+            g = g @ p[f"layer{i}.bn_down.W"].T
+        g = (g * factors.pop()) @ p[f"layer{i}.W"].T
+    return g
 
 
 def score_logdensity(spec: ModelSpec, params, x) -> np.ndarray:

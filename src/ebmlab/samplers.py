@@ -29,6 +29,11 @@ class SgldConfig:
 
 
 def _input_grad(energy_fn, x: np.ndarray) -> np.ndarray:
+    """dE/dx of the summed energy: the energy's own ``input_grad`` when it
+    has one (``objectives.make_energy_fn`` on an MLP head), else the engine."""
+    closed_form = getattr(energy_fn, "input_grad", None)
+    if closed_form is not None:
+        return closed_form(x)
     xn = ad.leaf(x)
     (g,) = ad.grad(ad.reduce_sum(energy_fn(xn)), [xn])
     return g.value
@@ -132,9 +137,6 @@ class ReplayBuffer:
             raise SamplerError("buffer index out of range")
         self._storage[indices] = samples
         self._size = max(self._size, int(indices.max()) + 1 if indices.size else 0)
-
-    def contents(self) -> np.ndarray:
-        return self._storage[: self._size].copy() if self._storage is not None else np.zeros((0, 0))
 
 
 @dataclass

@@ -90,14 +90,30 @@ class TestGrad:
 class TestLogsumexpGraph:
     def test_output_freed_without_garbage_collector(self):
         # no out -> vjp -> out cycle: scoring graphs go as soon as they are dropped
-        out = ad.logsumexp(ad.leaf(np.zeros((4, 3))), axis=1)
-        ref = weakref.ref(out)
-        gc.disable()
-        try:
-            del out
-            assert ref() is None
-        finally:
-            gc.enable()
+        for op in (lambda a: ad.logsumexp(a, axis=1), ad.exp, ad.sigmoid):
+            out = op(ad.leaf(np.zeros((4, 3))))
+            ref = weakref.ref(out)
+            gc.disable()
+            try:
+                del out
+                assert ref() is None
+            finally:
+                gc.enable()
+
+    def test_exp_and_sigmoid_gradients_of_any_order(self):
+        # the weak reference to the output still serves every backward pass
+        x0 = np.array([[0.3, -1.2, 2.0]])
+        for op, d1 in ((ad.exp, np.exp), (ad.sigmoid, lambda v: np.exp(-v) / (1 + np.exp(-v))**2)):
+            x = ad.leaf(x0)
+            (g,) = ad.grad(ad.reduce_sum(op(x)), [x])
+            assert np.allclose(g.value, d1(x0), rtol=1e-14)
+
+            def f(x):
+                (g,) = ad.grad(ad.reduce_sum(op(x)), [x])
+                return ad.reduce_sum(g)
+
+            err, _ = ad.check_gradient(f, x0, step=1e-5)
+            assert err < 1e-6
 
     def test_second_order_through_logsumexp(self):
         # d/dx of sum(softmax(x) * c) via the gradient graph of logsumexp

@@ -167,6 +167,84 @@ class TestEnergy:
             mz.radial_forward(np.zeros(3), 0.1, 0.1, np.zeros(shape))
 
 
+def engine_input_grad(spec, params, x):
+    xn = ad.leaf(x)
+    (g,) = ad.grad(ad.reduce_sum(mz.energy(spec, params, xn)), [xn])
+    return g.value
+
+
+def closed_form_spec(head, activation, bottleneck):
+    return mz.ModelSpec(input_dim=3, hidden=[16, 12, 9], activation=activation, head=head,
+                        n_classes=4 if head == "logits" else None,
+                        bottleneck_factor=bottleneck)
+
+
+def perturbed_params(spec, seed=3):
+    # nonzero biases and larger weights, so activations take both branches
+    pset = mz.init_params(spec, seed)
+    pset.values += np.random.default_rng(seed).normal(size=pset.size) * 0.3
+    return pset
+
+
+class TestInputGrad:
+    """``input_grad`` is the engine's input gradient, byte for byte."""
+
+    @pytest.mark.parametrize("n", [1, 64])
+    @pytest.mark.parametrize("bottleneck", [None, 0.5])
+    @pytest.mark.parametrize("activation", ["relu", "leaky_relu", "softplus"])
+    @pytest.mark.parametrize("head", ["energy", "logits"])
+    def test_equals_engine(self, head, activation, bottleneck, n):
+        spec = closed_form_spec(head, activation, bottleneck)
+        pset = perturbed_params(spec)
+        x = np.random.default_rng(n).normal(size=(n, 3)) * 3.0
+        expected = engine_input_grad(spec, pset, x)
+        assert expected.shape == (n, 3)
+        assert np.array_equal(mz.input_grad(spec, pset, x), expected)
+        nodes = mz.param_nodes(pset)
+        assert np.array_equal(mz.input_grad(spec, nodes, x), engine_input_grad(spec, nodes, x))
+
+    @pytest.mark.parametrize("activation", ["relu", "leaky_relu", "softplus"])
+    @pytest.mark.parametrize("head", ["energy", "logits"])
+    def test_nonfinite_rows_match_engine(self, head, activation):
+        spec = closed_form_spec(head, activation, 0.5)
+        pset = perturbed_params(spec)
+        x = np.random.default_rng(0).normal(size=(6, 3))
+        x[1, 0], x[2, 2], x[3, 1], x[4] = np.inf, -np.inf, np.nan, 1e300
+        with np.errstate(all="ignore"):
+            expected = engine_input_grad(spec, pset, x)
+            got = mz.input_grad(spec, pset, x)
+        assert np.array_equal(np.isnan(got), np.isnan(expected))
+        assert np.array_equal(got, expected, equal_nan=True)
+
+    def test_builds_no_nodes(self, monkeypatch):
+        spec = closed_form_spec("logits", "softplus", 0.5)
+        pset = perturbed_params(spec)
+        nodes = mz.param_nodes(pset)
+        created = []
+        init = ad.Node.__init__
+
+        def counting_init(self, *args, **kwargs):
+            created.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ad.Node, "__init__", counting_init)
+        mz.input_grad(spec, nodes, np.ones((4, 3)))
+        mz.input_grad(spec, pset, np.ones((4, 3)))
+        assert created == []
+
+    def test_flow_and_vector_heads_rejected(self):
+        for spec in (mz.ModelSpec(input_dim=3, head="flow", n_flow_layers=1),
+                     mz.ModelSpec(input_dim=3, hidden=[4], head="vector", n_outputs=2)):
+            with pytest.raises(mz.ModelError, match="closed-form"):
+                mz.input_grad(spec, mz.init_params(spec, 0), np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 4)])
+    def test_only_n_by_d_batches(self, shape):
+        spec = small_energy_spec()
+        with pytest.raises(mz.ModelError):
+            mz.input_grad(spec, mz.init_params(spec, 0), np.zeros(shape))
+
+
 class TestRadialFlow:
     def _layer(self, rng, d):
         z0 = rng.normal(size=d)

@@ -356,6 +356,27 @@ class TestSuite:
         assert all(np.isfinite(lp) for _, lp, _ in rows)
         assert (tmp_path / "ascend.csv").exists()
 
+    @pytest.mark.parametrize("spec", [
+        mz.ModelSpec(input_dim=2, hidden=[16, 16], head="energy"),
+        mz.ModelSpec(input_dim=2, hidden=[16, 16], head="logits", n_classes=2,
+                     activation="leaky_relu", bottleneck_factor=0.5),
+    ])
+    def test_ascend_csv_matches_engine(self, tmp_path, monkeypatch, spec):
+        # a plain lambda around the energy hides its closed-form input gradient
+        bundle = tr.build_bundle(toy_config())
+        item = {"kind": "ascend", "n_points": 3, "steps": 10, "lr": 0.1}
+        params = mz.init_params(spec, 0)
+        assert hasattr(tr.make_energy_fn(spec, params), "input_grad")
+        (tmp_path / "fast").mkdir()
+        (tmp_path / "engine").mkdir()
+        tr.run_analysis(item, spec, params, bundle, 0, str(tmp_path / "fast"))
+        make = tr.make_energy_fn
+        monkeypatch.setattr(tr, "make_energy_fn",
+                            lambda s, p: (lambda f: lambda x: f(x))(make(s, p)))
+        tr.run_analysis(item, spec, params, bundle, 0, str(tmp_path / "engine"))
+        fast = (tmp_path / "fast" / "ascend.csv").read_bytes()
+        assert fast == (tmp_path / "engine" / "ascend.csv").read_bytes()
+
     def test_smoothness_checks_model_input_dim(self, tmp_path):
         bundle = tr.build_bundle(toy_config())
         spec = mz.ModelSpec(input_dim=2, hidden=[8], head="energy")
