@@ -11,7 +11,7 @@ import os
 import sys
 
 from .data import DataError, LabeledTable, load_csv, make_constant, make_noise, make_oodomain, make_smoothness, make_two_moons, write_csv
-from .evaluate import write_series_csv
+from .evaluate import EvalReport, write_series_csv
 from .models import ModelError, load_checkpoint
 from .rng import stream
 from .training import (
@@ -19,7 +19,6 @@ from .training import (
     RunConfig,
     build_bundle,
     evaluation_report,
-    gamma_sweep,
     run_analysis,
     run_experiment_suite,
     save_run,
@@ -61,23 +60,39 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _suite_exit(summary: dict) -> int:
+    """Print a suite's outcome; any failed run or analysis exits 2."""
+    print(f"suite complete: {len(summary['runs'])} runs, {len(summary['errors'])} errors")
+    for name, err in summary["errors"].items():
+        print(f"  FAILED {name}: {err}")
+    return 2 if summary["errors"] else 0
+
+
 def cmd_sweep_gamma(args) -> int:
-    config = RunConfig.from_dict(_load_json(args.config))
-    grid = [float(g) for g in args.grid.split(",")]
-    seeds = list(range(args.seeds))
-    results = gamma_sweep(config, grid, seeds)
-    os.makedirs(args.out, exist_ok=True)
+    """One suite run per (gamma, seed), grid then seeds, every config built
+    before any trains; gamma_sweep.csv collects the finished runs' APs."""
+    base = RunConfig.from_dict(_load_json(args.config)).to_dict()
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
+    runs = []
+    for cell in args.grid.split(","):
+        try:
+            configs = [RunConfig.from_dict(base | {"gamma": float(cell), "seed": seed})
+                       for seed in range(args.seeds)]
+        except (ValueError, ConfigError) as exc:
+            raise ConfigError(f"--grid value {cell!r}: {exc}") from None
+        runs += [{"name": f"gamma{c.gamma:g}_seed{c.seed}", "config": c.to_dict()} for c in configs]
+    summary = run_experiment_suite({"runs": runs}, args.out)
     rows = []
-    for res in results:
-        tag = "-S" if res.config.gamma == 1.0 else ""
-        save_run(res, os.path.join(args.out, f"gamma{res.config.gamma:g}_seed{res.config.seed}"))
-        for r in res.report.results:
-            rows.append([res.config.gamma, r["auc_pr"],
-                         f"{res.config.objective}{tag}:{r['ood_set']}:seed{res.config.seed}"])
+    for name in [r["name"] for r in runs if r["name"] in summary["runs"]]:
+        report = EvalReport.load(os.path.join(args.out, name, "report.json"))
+        run = report.run  # the label is the name plus the suite's -S suffix for gamma 1
+        series = f"{run['objective']}{run['label'][len(name):]}"
+        rows += [[run["gamma"], r["auc_pr"], f"{series}:{r['ood_set']}:seed{run['seed']}"]
+                 for r in report.results]
     write_series_csv(os.path.join(args.out, "gamma_sweep.csv"), rows,
                      header=("gamma", "auc_pr", "series"))
-    print(f"{len(results)} runs -> {args.out}")
-    return 0
+    return _suite_exit(summary)
 
 
 def cmd_gen_data(args) -> int:
@@ -92,13 +107,11 @@ def cmd_gen_data(args) -> int:
         )
     elif args.kind == "two-moons":
         table = make_two_moons(args.n, args.noise_std, rng)
-    elif args.kind == "oodomain":
+    else:  # oodomain; argparse allows no other kind
         base = load_csv(args.input) if args.input else None
         if base is None:
             raise ConfigError("oodomain generation needs --input features")
         table = LabeledTable(make_oodomain(base.features, mode=args.mode), source="oodomain")
-    else:
-        raise ConfigError(f"unknown kind {args.kind!r}")
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"{args.kind}.csv")
     write_csv(path, table, provenance=f"kind={args.kind} seed={args.seed} n={table.n}")
@@ -127,12 +140,7 @@ def cmd_ascend(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    manifest = _load_json(args.manifest)
-    summary = run_experiment_suite(manifest, args.out)
-    print(f"suite complete: {len(summary['runs'])} runs, {len(summary['errors'])} errors")
-    for name, err in summary["errors"].items():
-        print(f"  FAILED {name}: {err}")
-    return 0
+    return _suite_exit(run_experiment_suite(_load_json(args.manifest), args.out))
 
 
 def build_parser() -> argparse.ArgumentParser:

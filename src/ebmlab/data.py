@@ -63,6 +63,7 @@ class SplitBundle:
     removed_classes: list[int] = field(default_factory=list)
 
     def parts(self) -> dict[str, LabeledTable]:
+        """The five splits by field name, in field order."""
         return {
             "id_train": self.id_train,
             "id_val": self.id_val,
@@ -309,16 +310,8 @@ def standardize(bundle: SplitBundle) -> SplitBundle:
     def tf(part: LabeledTable) -> LabeledTable:
         return LabeledTable((part.features - mean) / std, part.labels, part.class_names, part.source)
 
-    return SplitBundle(
-        id_train=tf(bundle.id_train),
-        id_val=tf(bundle.id_val),
-        id_test=tf(bundle.id_test),
-        ood_val=tf(bundle.ood_val),
-        ood_test=tf(bundle.ood_test),
-        mean=mean,
-        std=std,
-        removed_classes=list(bundle.removed_classes),
-    )
+    return SplitBundle(**{k: tf(part) for k, part in bundle.parts().items()},
+                       mean=mean, std=std, removed_classes=list(bundle.removed_classes))
 
 
 def embed_dataset(spec: ModelSpec, params, bundle: SplitBundle) -> SplitBundle:
@@ -327,11 +320,5 @@ def embed_dataset(spec: ModelSpec, params, bundle: SplitBundle) -> SplitBundle:
         emb = classifier_embed(spec, params, part.features)
         return LabeledTable(emb, part.labels, part.class_names, part.source + ":embedded")
 
-    return SplitBundle(
-        id_train=tf(bundle.id_train),
-        id_val=tf(bundle.id_val),
-        id_test=tf(bundle.id_test),
-        ood_val=tf(bundle.ood_val),
-        ood_test=tf(bundle.ood_test),
-        removed_classes=list(bundle.removed_classes),
-    )
+    return SplitBundle(**{k: tf(part) for k, part in bundle.parts().items()},
+                       removed_classes=list(bundle.removed_classes))

@@ -83,9 +83,6 @@ class ReplayBuffer:
         if self.capacity < 1:
             raise SamplerError("capacity must be >= 1")
 
-    def __len__(self) -> int:
-        return self._size
-
     def _ensure_storage(self, dim: int):
         if self._storage is None:
             self._storage = np.zeros((self.capacity, dim))

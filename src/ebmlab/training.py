@@ -1,5 +1,5 @@
 """One training loop for every objective, with warm-up and model selection,
-Adam, the gamma sweep, the experiment suite and its analyses."""
+Adam, the experiment suite and its analyses."""
 
 from __future__ import annotations
 
@@ -59,7 +59,6 @@ from .samplers import ReplayBuffer, SgldConfig, likelihood_ascent, sgld_chain
 
 OBJECTIVES = ("ssm", "cd", "vera", "nf", "ce")
 DEFAULT_LR = {"ssm": 1e-3, "cd": 1e-3, "vera": 3e-4, "nf": 1e-3, "ce": 1e-3}
-DEFAULT_GAMMA_GRID = (0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
 # numeric RunConfig fields and their least allowed value; lr and
 # sgld_step_size must be positive (lr may be None for the default)
 _MINIMUM = {"steps": 0, "warmup_steps": 0, "batch_size": 1, "weight_decay": 0,
@@ -124,8 +123,8 @@ class RunConfig:
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
             raise ConfigError(f"unknown objective {self.objective!r}")
-        if self.gamma < 0:
-            raise ConfigError("gamma must be nonnegative")
+        if not 0 <= self.gamma < math.inf:
+            raise ConfigError(f"gamma must be finite and nonnegative, got {self.gamma!r}")
         if self.objective in ("nf", "ce") and self.gamma != 0.0:
             raise ConfigError(f"gamma does not apply to objective {self.objective!r}")
         if not isinstance(self.data, dict) or "kind" not in self.data:
@@ -423,25 +422,9 @@ def save_run(result: TrainResult, out_dir: str):
     result.report.save(os.path.join(out_dir, "report.json"))
 
 
-def gamma_sweep(base_config: RunConfig, grid=DEFAULT_GAMMA_GRID, seeds=(0,)) -> list[TrainResult]:
-    """One trained model per (gamma, seed) on the shared base config."""
-    results = []
-    for gamma in grid:
-        for seed in seeds:
-            d = base_config.to_dict()
-            d["gamma"] = float(gamma)
-            d["seed"] = int(seed)
-            results.append(train(RunConfig.from_dict(d)))
-    return results
-
-
 def _run_label(name: str, config: RunConfig, embedded: bool) -> str:
-    label = name
-    if config.gamma == 1.0:
-        label += "-S"
-    if embedded:
-        label += "-E"
-    return label
+    """The run's name, suffixed -S when gamma == 1 and -E when trained on embeddings."""
+    return name + "-S" * (config.gamma == 1.0) + "-E" * embedded
 
 
 def run_experiment_suite(manifest: dict, out_root: str) -> dict:
@@ -449,11 +432,17 @@ def run_experiment_suite(manifest: dict, out_root: str) -> dict:
 
     Each run gets its own report directory; an aggregate CSV collects
     every AP plus the percent improvement over a declared baseline run.
-    A repeated name is a ConfigError before any training; a failing run
-    is recorded and skipped, and the suite continues.
+    Runs with one resolved data config share one bundle. A repeated name,
+    or an analysis that is invalid or names no run, is a ConfigError
+    before any training; a failing run or analysis is recorded in the
+    summary's errors, and the suite continues.
     """
     runs = manifest.get("runs", [])
     analyses = manifest.get("analyses", [])
+    for item in analyses:
+        check_analysis(item)
+        if item.get("model") not in [r["name"] for r in runs]:
+            raise ConfigError(f"analysis model {item.get('model')!r} names no run")
     # every name is an output file or directory beside the suite's aggregate.csv
     names = ["aggregate"] + [r["name"] for r in runs] + [a.get("name", a["kind"]) for a in analyses]
     repeated = sorted({n for n in names if names.count(n) > 1})
@@ -462,19 +451,23 @@ def run_experiment_suite(manifest: dict, out_root: str) -> dict:
     os.makedirs(out_root, exist_ok=True)
     results: dict[str, TrainResult] = {}
     errors: dict[str, str] = {}
+    bundles: dict[str, SplitBundle] = {}
 
     for item in runs:
         name = item["name"]
         try:
             config = RunConfig.from_dict(item["config"])
-            bundle = None
-            embedded = False
-            if "embed_from" in item:
+            embedded = "embed_from" in item
+            if embedded:
                 source = results.get(item["embed_from"])
                 if source is None:
                     raise ConfigError(f"embed_from run {item['embed_from']!r} unavailable")
                 bundle = embed_dataset(source.spec, source.params, source.bundle)
-                embedded = True
+            else:
+                key = repr(sorted(({"seed": config.seed} | config.data).items()))
+                if key not in bundles:
+                    bundles[key] = build_bundle(config)
+                bundle = bundles[key]
             result = train(config, bundle=bundle)
             result.report.run["label"] = _run_label(name, config, embedded)
             result.report.run["name"] = name
@@ -484,96 +477,107 @@ def run_experiment_suite(manifest: dict, out_root: str) -> dict:
             errors[name] = f"{type(exc).__name__}: {exc}"
 
     rows = []
-    for item in runs:
-        name = item["name"]
-        if name not in results:
-            continue
-        result = results[name]
-        base_name = item.get("baseline")
-        base_aps = {}
-        if base_name and base_name in results:
-            base_aps = {r["ood_set"]: r["auc_pr"] for r in results[base_name].report.results}
-        for r in result.report.results:
-            rel = ""
-            if r["ood_set"] in base_aps and base_aps[r["ood_set"]] > 0:
-                rel = 100.0 * (r["auc_pr"] - base_aps[r["ood_set"]]) / base_aps[r["ood_set"]]
-            rows.append([
-                name,
-                result.report.run.get("label", name),
-                result.config.objective,
-                result.config.gamma,
-                result.config.seed,
-                r["ood_set"],
-                r["group"],
-                r["auc_pr"],
-                base_name or "",
-                rel,
-            ])
-    agg_path = os.path.join(out_root, "aggregate.csv")
-    write_series_csv(
-        agg_path,
-        rows,
-        header=(
-            "name", "label", "objective", "gamma", "seed",
-            "ood_set", "group", "auc_pr", "baseline", "rel_improvement_pct",
-        ),
-    )
+    for item in (i for i in runs if i["name"] in results):
+        run, base_name = results[item["name"]].report.run, item.get("baseline")
+        base_aps = ({r["ood_set"]: r["auc_pr"] for r in results[base_name].report.results}
+                    if base_name in results else {})
+        for r in results[item["name"]].report.results:
+            base = base_aps.get(r["ood_set"], 0)
+            rel = 100.0 * (r["auc_pr"] - base) / base if base > 0 else ""
+            rows.append([run["name"], run["label"], run["objective"], run["gamma"], run["seed"],
+                         r["ood_set"], r["group"], r["auc_pr"], base_name or "", rel])
+    write_series_csv(os.path.join(out_root, "aggregate.csv"), rows, header=(
+        "name", "label", "objective", "gamma", "seed",
+        "ood_set", "group", "auc_pr", "baseline", "rel_improvement_pct",
+    ))
 
     for item in analyses:
-        name = item.get("name", item["kind"])
         try:
             model = results[item["model"]]
             run_analysis(item, model.spec, model.params, model.bundle, model.config.seed, out_root)
         except Exception as exc:
-            errors[name] = f"{type(exc).__name__}: {exc}"
+            errors[item.get("name", item["kind"])] = f"{type(exc).__name__}: {exc}"
 
-    summary = {
-        "runs": sorted(results),
-        "errors": errors,
-        "aggregate": os.path.basename(agg_path),
-    }
+    summary = {"runs": sorted(results), "errors": errors, "aggregate": "aggregate.csv"}
     _atomic_write_json(os.path.join(out_root, "suite_summary.json"), summary)
     return summary
+
+
+# each analysis kind's parameters and their defaults
+_ANALYSES = {
+    "norm_sweep": {"radii": (0, 1, 2, 5, 10, 20, 50), "directions": "heldout", "n_directions": 64},
+    "smoothness": {"side": 16, "n": 1000, "pool_sizes": (2, 3, 4, 16), "bins": 40},
+    "ascend": {"n_points": 16, "steps": 100, "lr": 0.01},
+}
+
+
+def check_analysis(item: dict) -> dict:
+    """An analysis item's parameters, with defaults filled in and radii as
+    floats. An unknown kind or key, or a value out of range, is a
+    ConfigError naming the field. A smoothness analysis's pool sizes are
+    checked where the images are made (``data.make_smoothness``)."""
+    kind = item.get("kind")
+    if kind not in _ANALYSES:
+        raise ConfigError(f"unknown analysis kind {kind!r}")
+    p = _ANALYSES[kind] | {k: v for k, v in item.items() if k not in ("kind", "name", "model")}
+    unknown = sorted(set(p) - set(_ANALYSES[kind]))
+    if unknown:
+        raise ConfigError(f"unknown {kind} analysis keys: {unknown}")
+
+    def require(field, ok, want):
+        if not ok:
+            raise ConfigError(f"{kind} analysis {field} must be {want}, got {p[field]!r}")
+
+    for field in sorted(set(p) & {"n_directions", "side", "n", "bins", "n_points", "steps"}):
+        least = 0 if field == "steps" else 1
+        require(field, isinstance(p[field], int) and p[field] >= least, f"an integer >= {least}")
+    if kind == "norm_sweep":
+        try:
+            radii = [float(r) for r in p["radii"]] if isinstance(p["radii"], (list, tuple)) else []
+        except (TypeError, ValueError):
+            radii = []
+        require("radii", radii and radii == sorted(radii) and radii[0] >= 0
+                and all(map(math.isfinite, radii)), "an ascending list of finite numbers >= 0")
+        require("directions", p["directions"] in ("heldout", "random"), "'heldout' or 'random'")
+        p["radii"] = radii
+    elif kind == "ascend":
+        require("lr", isinstance(p["lr"], (int, float)) and 0 < p["lr"] < math.inf,
+                "positive and finite")
+    return p
 
 
 def run_analysis(item: dict, spec: ModelSpec, params, bundle: SplitBundle, seed: int,
                  out_dir: str) -> list[list]:
     """Run one analysis of a trained model, write ``<name>.csv`` in
     ``out_dir`` and return its (x, value, series) rows."""
-    kind = item["kind"]
-    name = item.get("name", kind)
+    p, kind, name = check_analysis(item), item["kind"], item.get("name", item["kind"])
     if kind == "norm_sweep":
-        radii = [float(r) for r in item.get("radii", [0, 1, 2, 5, 10, 20, 50])]
         anchor = bundle.id_train.features.mean(axis=0)
-        mode = item.get("directions", "heldout")
-        n_directions = item.get("n_directions", 64)
+        mode, n_directions = p["directions"], p["n_directions"]
         if mode == "heldout":
             dirs = unit_directions_through(anchor, bundle.id_test.features[:n_directions])
         else:
             dirs = random_unit_directions(bundle.id_train.dim, n_directions, stream(seed, "eval"))
-        curve = norm_sweep(spec, params, anchor, dirs, radii)
-        rows = [[r, v, f"{name}:{mode}"] for r, v in zip(radii, curve)]
+        curve = norm_sweep(spec, params, anchor, dirs, p["radii"])
+        rows = [[r, v, f"{name}:{mode}"] for r, v in zip(p["radii"], curve)]
     elif kind == "smoothness":
-        side = item.get("side", 16)
+        side = p["side"]
         if spec.input_dim != side**2:
             raise ConfigError(f"smoothness images of side {side} have {side**2} pixels, "
                               f"but the model takes {spec.input_dim} inputs")
         rng = stream(seed, "eval")
-        sets = {f"pool{p}": make_smoothness(item.get("n", 1000), side, p, rng)
-                for p in item.get("pool_sizes", [2, 3, 4, 16])}
+        sets = {f"pool{k}": make_smoothness(p["n"], side, k, rng) for k in p["pool_sizes"]}
         scores = {k: score_logdensity(spec, params, v) for k, v in sets.items()}
         scores["id_test"] = score_logdensity(spec, params, bundle.id_test.features)
-        edges, counts = density_histogram(scores, bins=item.get("bins", 40))
+        edges, counts = density_histogram(scores, bins=p["bins"])
         centers = 0.5 * (edges[:-1] + edges[1:])
         rows = [[c, int(v), series] for series, cnt in sorted(counts.items())
                 for c, v in zip(centers, cnt)]
-    elif kind == "ascend":
+    else:
         energy = make_energy_fn(spec, params)
         rows = []
-        for i, x0 in enumerate(bundle.id_test.features[: item.get("n_points", 16)]):
-            traj = likelihood_ascent(energy, x0[None], item.get("steps", 100), item.get("lr", 0.01))
+        for i, x0 in enumerate(bundle.id_test.features[:p["n_points"]]):
+            traj = likelihood_ascent(energy, x0[None], p["steps"], p["lr"])
             rows.extend([t, lp, f"point{i}"] for t, lp in enumerate(traj.logdensity))
-    else:
-        raise ConfigError(f"unknown analysis kind {kind!r}")
     write_series_csv(os.path.join(out_dir, f"{name}.csv"), rows)
     return rows

@@ -239,13 +239,95 @@ class TestSaveRun:
         assert report.to_dict() == result.report.to_dict()
 
 
+def write_json(path, doc):
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    return str(path)
+
+
+def sweep(tmp_path, grid, seeds=1, **config):
+    """``ebmlab sweep-gamma`` on the toy config; returns (exit code, out dir)."""
+    cfg = write_json(tmp_path / "config.json",
+                     toy_config(steps=5, eval_interval=5, **config).to_dict())
+    out = tmp_path / "sweep"
+    return cli.main(["sweep-gamma", "--config", cfg, "--grid", grid, "--seeds", str(seeds),
+                     "--out", str(out)]), out
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
 class TestGammaSweep:
-    def test_grid_and_labels(self):
-        results = tr.gamma_sweep(toy_config(steps=5, eval_interval=5),
-                                 grid=(0.0, 1.0), seeds=(0, 1))
-        assert len(results) == 4
-        gammas = sorted(r.config.gamma for r in results)
-        assert gammas == [0.0, 0.0, 1.0, 1.0]
+    def test_grid_and_labels(self, tmp_path, capsys):
+        code, out = sweep(tmp_path, "0,1", seeds=2)
+        assert code == 0
+        runs = {f"gamma{g}_seed{s}": (float(g), s) for g in (0, 1) for s in (0, 1)}
+        names = sorted(runs)
+        assert sorted(p.name for p in out.iterdir() if p.is_dir()) == names
+        for name, (gamma, seed) in runs.items():
+            run = EvalReport.load(str(out / name / "report.json")).run
+            assert (run["gamma"], run["seed"]) == (gamma, seed)
+            assert run["label"] == name + ("-S" if gamma == 1.0 else "")
+        assert sorted(os.listdir(out)) == sorted(names + ["aggregate.csv", "gamma_sweep.csv",
+                                                          "suite_summary.json"])
+        assert "suite complete: 4 runs, 0 errors" in capsys.readouterr().out
+
+    def test_runs_match_train_and_save_run(self, tmp_path):
+        code, out = sweep(tmp_path, "0,1", seeds=2)
+        assert code == 0
+        expected = [["gamma", "auc_pr", "series"]]
+        for gamma in (0.0, 1.0):  # grid, then seeds
+            for seed in (0, 1):
+                name = f"gamma{gamma:g}_seed{seed}"
+                alone = tmp_path / "alone" / name
+                tr.save_run(tr.train(toy_config(steps=5, eval_interval=5, gamma=gamma,
+                                                seed=seed)), str(alone))
+                got = (out / name / "checkpoint.json").read_bytes()
+                assert got == (alone / "checkpoint.json").read_bytes()
+                report = EvalReport.load(str(alone / "report.json"))
+                tag = "cd-S" if gamma == 1.0 else "cd"
+                expected += [[repr(gamma), repr(r["auc_pr"]), f"{tag}:{r['ood_set']}:seed{seed}"]
+                             for r in report.results]
+        assert read_csv(out / "gamma_sweep.csv") == expected
+
+    def test_failed_run_keeps_the_others_and_exits_2(self, tmp_path, monkeypatch, capsys):
+        train = tr.train
+
+        def failing(config, bundle=None):
+            if (config.gamma, config.seed) == (1.0, 0):
+                raise RuntimeError("lost the data")
+            return train(config, bundle)
+
+        monkeypatch.setattr(tr, "train", failing)
+        code, out = sweep(tmp_path, "0,1", seeds=2)
+        assert code == 2
+        assert "FAILED gamma1_seed0: RuntimeError: lost the data" in capsys.readouterr().out
+        for name in ("gamma0_seed0", "gamma0_seed1", "gamma1_seed1"):
+            assert (out / name / "checkpoint.json").exists()
+        assert not (out / "gamma1_seed0").exists()
+        series = [row[2] for row in read_csv(out / "gamma_sweep.csv")[1:]]
+        assert {s.split(":")[-1] for s in series if s.startswith("cd-S")} == {"seed1"}
+
+    @pytest.mark.parametrize("grid,seeds,named,config", [
+        ("0,abc", 1, "--grid value 'abc'", {}),
+        ("", 1, "--grid value ''", {}),
+        ("0,-1", 1, "--grid value '-1'", {}),
+        ("0,nan", 1, "--grid value 'nan'", {}),
+        ("0,inf", 1, "--grid value 'inf'", {}),
+        ("0,1", 1, "--grid value '1'", {"objective": "nf"}),
+        ("1,1.0", 1, "unique", {}),
+        ("0,1", 0, "--seeds must be >= 1, got 0", {}),
+    ])
+    def test_bad_grid_or_seeds_exit_1_before_training(self, tmp_path, monkeypatch, capsys,
+                                                      grid, seeds, named, config):
+        trained = []
+        monkeypatch.setattr(tr, "train", lambda *a, **k: trained.append(a))
+        code, out = sweep(tmp_path, grid, seeds, **config)
+        assert code == 1
+        assert named in capsys.readouterr().err
+        assert trained == [] and not out.exists()
 
     def test_run_label_suffixes(self):
         cfg = toy_config(gamma=1.0)
@@ -428,6 +510,70 @@ class TestSuite:
         report = EvalReport.load(os.path.join(out, "cd-emb", "report.json"))
         assert report.run["label"] == "cd-emb-E"
 
+    def test_runs_sharing_data_build_it_once(self, tmp_path, monkeypatch):
+        built = []
+        build = tr.build_bundle
+        monkeypatch.setattr(tr, "build_bundle", lambda config: built.append(config) or build(config))
+        runs = [
+            {"name": "clf", "config": toy_config(objective="ce", steps=10, eval_interval=5).to_dict()},
+            {"name": "sup", "config": toy_config(steps=5, eval_interval=5, gamma=1.0).to_dict()},
+            {"name": "emb", "config": toy_config(steps=5, eval_interval=5, hidden=[8]).to_dict(),
+             "embed_from": "clf"},
+        ]
+        summary = tr.run_experiment_suite({"runs": runs}, str(tmp_path / "all"))
+        assert summary["errors"] == {} and len(built) == 1
+        # a run that changed the shared bundle would change the runs after it
+        for run in runs[:2]:
+            alone = tmp_path / run["name"]
+            tr.run_experiment_suite({"runs": [run]}, str(alone))
+            for f in ("checkpoint.json", "report.json"):
+                assert ((tmp_path / "all" / run["name"] / f).read_bytes()
+                        == (alone / run["name"] / f).read_bytes())
+
+    @pytest.mark.parametrize("data_seed,n_bundles", [(7, 1), (None, 2)])
+    def test_bundle_key_resolves_the_data_seed(self, tmp_path, monkeypatch, data_seed, n_bundles):
+        built = []
+        build = tr.build_bundle
+        monkeypatch.setattr(tr, "build_bundle", lambda config: built.append(config) or build(config))
+        data = {"kind": "two_moons", "n": 300} | ({"seed": data_seed} if data_seed else {})
+        runs = [{"name": f"s{seed}", "config": toy_config(steps=5, eval_interval=5, seed=seed,
+                                                          data=data).to_dict()}
+                for seed in (0, 1, 0)]
+        runs[2]["name"] = "again"
+        tr.run_experiment_suite({"runs": runs}, str(tmp_path / "out"))
+        assert len(built) == n_bundles
+
+    @pytest.mark.parametrize("analysis,named", [
+        ({"kind": "histogram"}, "unknown analysis kind 'histogram'"),
+        ({"kind": "norm_sweep", "model": "nobody"}, "model 'nobody' names no run"),
+        ({"kind": "norm_sweep", "directions": "heldot"}, "directions must be 'heldout' or"),
+        ({"kind": "norm_sweep", "n_direction": 8}, "unknown norm_sweep analysis keys: ['n_direction']"),
+        ({"kind": "norm_sweep", "radii": [5, 1]}, "radii must be an ascending list"),
+        ({"kind": "norm_sweep", "radii": [1, "x"]}, "radii must be"),
+        ({"kind": "norm_sweep", "radii": []}, "radii must be"),
+        ({"kind": "norm_sweep", "radii": [-1, 1]}, "radii must be"),
+        ({"kind": "norm_sweep", "n_directions": 0}, "n_directions must be an integer >= 1"),
+        ({"kind": "smoothness", "bins": 2.5}, "bins must be an integer >= 1"),
+        ({"kind": "ascend", "lr": 0}, "lr must be positive and finite"),
+        ({"kind": "ascend", "n_points": 0}, "n_points must be an integer >= 1"),
+        ({"kind": "ascend", "steps": -1}, "steps must be an integer >= 0"),
+    ])
+    def test_bad_analysis_rejected_before_training(self, tmp_path, monkeypatch, analysis, named):
+        monkeypatch.setattr(tr, "train", lambda *a, **k: pytest.fail("trained"))
+        manifest = self._manifest() | {"analyses": [{"model": "base"} | analysis]}
+        out = tmp_path / "out"
+        with pytest.raises(tr.ConfigError) as err:
+            tr.run_experiment_suite(manifest, str(out))
+        assert named in str(err.value)
+        assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def trained_checkpoint(tmp_path_factory):
+    out = tmp_path_factory.mktemp("trained")
+    tr.save_run(tr.train(toy_config(steps=5, eval_interval=5)), str(out))
+    return str(out / "checkpoint.json")
+
 
 class TestCli:
     def _write_config(self, tmp_path, **kw):
@@ -558,3 +704,45 @@ class TestCli:
         out = str(tmp_path / "suite")
         assert cli.main(["suite", "--manifest", path, "--out", out]) == 0
         assert "suite complete: 1 runs" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("failing", ["run", "analysis"])
+    def test_suite_failure_exits_2(self, tmp_path, capsys, failing):
+        cfg = toy_config(steps=5, eval_interval=5).to_dict()
+        manifest = {"runs": [{"name": "m", "config": cfg},
+                             {"name": "bad", "config": cfg | {"data": {"kind": "nope"}}}]}
+        if failing == "analysis":
+            manifest["runs"].pop()
+            manifest["analyses"] = [{"kind": "smoothness", "name": "bad", "model": "m", "side": 4}]
+        path = write_json(tmp_path / "manifest.json", manifest)
+        out = tmp_path / "suite"
+        assert cli.main(["suite", "--manifest", path, "--out", str(out)]) == 2
+        stdout = capsys.readouterr().out
+        assert "suite complete: 1 runs, 1 errors" in stdout and "FAILED bad: " in stdout
+        assert (out / "m" / "checkpoint.json").exists()
+
+    def test_suite_bad_analysis_exits_1(self, tmp_path, capsys):
+        cfg = toy_config(steps=5, eval_interval=5).to_dict()
+        path = write_json(tmp_path / "manifest.json", {
+            "runs": [{"name": "m", "config": cfg}],
+            "analyses": [{"kind": "norm_sweep", "model": "m", "directions": "heldot"}]})
+        assert cli.main(["suite", "--manifest", path, "--out", str(tmp_path / "suite")]) == 1
+        assert "norm_sweep analysis directions must be" in capsys.readouterr().err
+        assert not (tmp_path / "suite").exists()
+
+    @pytest.mark.parametrize("argv,named", [
+        (["diagnose-norm", "--radii", "5,1"], "radii must be"),
+        (["diagnose-norm", "--radii", "1,x"], "radii must be"),
+        (["diagnose-norm", "--radii", ""], "radii must be"),
+        (["diagnose-norm", "--n-directions", "0"], "n_directions must be an integer >= 1"),
+        (["ascend", "--lr", "0"], "lr must be positive"),
+        (["ascend", "--n-points", "0"], "n_points must be an integer >= 1"),
+        (["ascend", "--steps", "-1"], "steps must be an integer >= 0"),
+    ])
+    def test_bad_analysis_parameter_exits_1(self, trained_checkpoint, tmp_path, capsys,
+                                            argv, named):
+        out = tmp_path / "out"
+        code = cli.main(argv[:1] + ["--checkpoint", trained_checkpoint, "--out", str(out)]
+                        + argv[1:])
+        assert code == 1
+        assert named in capsys.readouterr().err
+        assert not any(out.glob("*.csv"))
