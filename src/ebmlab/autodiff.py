@@ -6,6 +6,10 @@ differentiable w.r.t. parameters) works to any depth. Everything is
 float64; adding a primitive requires a derivative rule built from
 existing primitives plus a finite-difference test.
 
+Graphs are built only through the named primitives below (``add``,
+``matmul``, ...); ``Node`` has no operator overloads, so every operation
+on a graph is a call that a tracer wrapping this module can see and count.
+
 This engine is the oracle for every derivative in ebmlab. One fast path
 sits beside it: the input gradient dE/dx of an MLP head (``energy`` or
 ``logits``) that SGLD and likelihood ascent take at every step comes from
@@ -43,39 +47,6 @@ class Node:
         self.value = np.asarray(value, dtype=np.float64)
         self.parents: tuple[Node, ...] = tuple(parents)
         self.vjp: Callable[[Node], tuple[Node, ...]] | None = vjp
-
-    @property
-    def shape(self):
-        return self.value.shape
-
-    # arithmetic sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __sub__(self, other):
-        return add(self, neg(as_node(other)))
-
-    def __rsub__(self, other):
-        return add(as_node(other), neg(self))
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return mul(self, power(as_node(other), -1.0))
-
-    def __rtruediv__(self, other):
-        return mul(as_node(other), power(self, -1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         return f"Node(shape={self.value.shape})"

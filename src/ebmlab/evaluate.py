@@ -20,17 +20,6 @@ class EvalError(Exception):
 
 
 @dataclass
-class ScoreSet:
-    scores: np.ndarray  # higher = more in-distribution (unnormalized log-density)
-    source: str = ""
-
-    def __post_init__(self):
-        self.scores = np.asarray(self.scores, dtype=np.float64)
-        if not np.all(np.isfinite(self.scores)):
-            raise EvalError(f"non-finite scores in {self.source!r}")
-
-
-@dataclass
 class EvalReport:
     run: dict
     results: list[dict]            # {ood_set, auc_pr, group}
@@ -89,8 +78,12 @@ def average_precision(labels, scores) -> float:
     return float(np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1])
 
 
-def score_dataset(spec: ModelSpec, params, features, source: str = "") -> ScoreSet:
-    return ScoreSet(score_logdensity(spec, params, features), source)
+def _finite_scores(spec: ModelSpec, params, features, source: str) -> np.ndarray:
+    """``score_logdensity`` of a set, which must be finite everywhere."""
+    scores = score_logdensity(spec, params, features)
+    if not np.all(np.isfinite(scores)):
+        raise EvalError(f"non-finite scores in {source!r}")
+    return scores
 
 
 def ood_report(
@@ -103,17 +96,17 @@ def ood_report(
 ) -> EvalReport:
     """One AP per OOD set against id_test, plus the selection AP on ood_val."""
     groups = groups or {}
-    id_scores = score_dataset(spec, params, bundle.id_test.features, "id_test").scores
+    id_scores = _finite_scores(spec, params, bundle.id_test.features, "id_test")
     results = []
     for name in sorted(ood_sets):
-        ood_scores = score_dataset(spec, params, ood_sets[name], name).scores
+        ood_scores = _finite_scores(spec, params, ood_sets[name], name)
         labels = np.concatenate([np.ones(len(id_scores)), np.zeros(len(ood_scores))])
         ap = average_precision(labels, np.concatenate([id_scores, ood_scores]))
         results.append({"ood_set": name, "auc_pr": ap, "group": groups.get(name, "natural")})
     selection = {}
     if bundle.ood_val.n > 0:
-        val_id = score_dataset(spec, params, bundle.id_val.features, "id_val").scores
-        val_ood = score_dataset(spec, params, bundle.ood_val.features, "ood_val").scores
+        val_id = _finite_scores(spec, params, bundle.id_val.features, "id_val")
+        val_ood = _finite_scores(spec, params, bundle.ood_val.features, "ood_val")
         labels = np.concatenate([np.ones(len(val_id)), np.zeros(len(val_ood))])
         selection = {
             "metric": "auc_pr(id_val vs ood_val)",

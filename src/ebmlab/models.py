@@ -207,26 +207,12 @@ def mlp_energy(spec: ModelSpec, params, x) -> ad.Node:
     return ad.reshape(out, (out.value.shape[0],))
 
 
-def mlp_logits(spec: ModelSpec, params, x) -> ad.Node:
-    if spec.head != "logits":
-        raise ModelError("mlp_logits requires a logits head")
-    out, _ = mlp_forward(spec, params, x)
-    return out
-
-
 def classifier_embed(spec: ModelSpec, params, x) -> np.ndarray:
     """Penultimate activations of a classifier, as plain arrays."""
     if spec.head != "logits":
         raise ModelError("classifier_embed requires a logits head")
     _, h = mlp_forward(spec, params, x)
     return h.value
-
-
-def radial_constrained(alpha_hat, beta_hat):
-    """Map unconstrained layer parameters to (alpha > 0, beta >= -alpha)."""
-    alpha = ad.softplus(ad.as_node(alpha_hat))
-    beta = ad.add(ad.neg(alpha), ad.softplus(ad.as_node(beta_hat)))
-    return alpha, beta
 
 
 def radial_forward(z0, alpha_hat, beta_hat, x) -> tuple[ad.Node, ad.Node]:
@@ -237,10 +223,12 @@ def radial_forward(z0, alpha_hat, beta_hat, x) -> tuple[ad.Node, ad.Node]:
     """
     z0 = ad.as_node(z0)
     x = _as_batch(x, z0.value.shape[0])
-    alpha, beta = radial_constrained(alpha_hat, beta_hat)
+    # unconstrained layer parameters -> alpha > 0, beta >= -alpha
+    alpha = ad.softplus(alpha_hat)
+    beta = ad.add(ad.neg(alpha), ad.softplus(beta_hat))
     diff = ad.add(x, ad.neg(z0))
     r = ad.sqrt(ad.add(ad.reduce_sum(ad.square(diff), axis=1, keepdims=True), 1e-24))
-    h = 1.0 / ad.add(alpha, r)
+    h = ad.power(ad.add(alpha, r), -1.0)
     bh = ad.mul(beta, h)
     y = ad.add(x, ad.mul(bh, diff))
     # beta*h'*r with h' = -h^2
@@ -280,7 +268,7 @@ def energy(spec: ModelSpec, params, x) -> ad.Node:
     if spec.head == "energy":
         return mlp_energy(spec, params, x)
     if spec.head == "logits":
-        return ad.neg(ad.logsumexp(mlp_logits(spec, params, x), axis=-1))
+        return ad.neg(ad.logsumexp(mlp_forward(spec, params, x)[0], axis=-1))
     if spec.head == "flow":
         return ad.neg(flow_logdensity(spec, params, x))
     raise ModelError(f"no energy for head {spec.head!r}")

@@ -138,8 +138,8 @@ def generator_spec(data_dim: int, cfg: VeraConfig) -> ModelSpec:
 def vera_step(
     spec: ModelSpec,
     params,
-    gen_spec: ModelSpec,
-    gen_params: ParameterSet,
+    generator: ModelSpec,
+    gen_pset: ParameterSet,
     x_data: np.ndarray,
     cfg: VeraConfig,
     eta: float,
@@ -163,8 +163,8 @@ def vera_step(
     xi = rng.normal(size=(n, k, cfg.latent_dim))
 
     # generator pass with parameter leaves (phi)
-    gen_leaves = param_nodes(gen_params)
-    g_z, _ = mlp_forward(gen_spec, gen_leaves, z)
+    gen_leaves = param_nodes(gen_pset)
+    g_z, _ = mlp_forward(generator, gen_leaves, z)
     x_gen = ad.add(g_z, ad.constant(cfg.gen_noise_std * eps))
     x_gen_val = x_gen.value
 
@@ -177,7 +177,7 @@ def vera_step(
     eta_leaf = ad.leaf(np.asarray(eta))
     zk = ad.add(ad.constant(z[:, None, :]), ad.mul(eta_leaf, ad.constant(xi)))
     zk_flat = ad.reshape(zk, (n * k, cfg.latent_dim))
-    g_zk, _ = mlp_forward(gen_spec, gen_leaves, zk_flat)
+    g_zk, _ = mlp_forward(generator, gen_leaves, zk_flat)
 
     var_x = cfg.gen_noise_std**2
     x_rep = np.repeat(x_gen_val, k, axis=0)

@@ -138,29 +138,24 @@ class ReplayBuffer:
 
 @dataclass
 class AscentTrajectory:
-    points: np.ndarray       # (T+1, n, d) visited batches
     logdensity: np.ndarray   # (T+1,) unnormalized log-density summed over each batch
-    diverged: bool = False
 
 
 def likelihood_ascent(energy_fn, x, steps: int, lr: float) -> AscentTrajectory:
     """Gradient ascent on log p~ = -E of an (n, d) batch in input space;
-    records the path."""
+    records the log-density of each visited batch, and stops before the
+    first step whose gradient or log-density is not finite."""
     if lr <= 0:
         raise SamplerError("learning rate must be positive")
     x = np.array(x, dtype=np.float64)
-    points, logps = [x.copy()], [-energy_fn(ad.constant(x)).value.sum()]
-    diverged = False
+    logps = [-energy_fn(ad.constant(x)).value.sum()]
     for _ in range(steps):
         g = _input_grad(energy_fn, x)
         if not np.all(np.isfinite(g)):
-            diverged = True
             break
         x = x - lr * g  # ascent on -E
         logp = -energy_fn(ad.constant(x)).value.sum()
         if not np.isfinite(logp):
-            diverged = True
             break
-        points.append(x.copy())
         logps.append(logp)
-    return AscentTrajectory(np.asarray(points), np.asarray(logps), diverged)
+    return AscentTrajectory(np.asarray(logps))

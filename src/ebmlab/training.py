@@ -4,6 +4,7 @@ Adam, the experiment suite and its analyses."""
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, field, asdict
 
@@ -38,7 +39,7 @@ from .models import (
     ParameterSet,
     _atomic_write_json,
     init_params,
-    mlp_logits,
+    mlp_forward,
     param_nodes,
     save_checkpoint,
 )
@@ -59,11 +60,23 @@ from .samplers import ReplayBuffer, SgldConfig, likelihood_ascent, sgld_chain
 
 OBJECTIVES = ("ssm", "cd", "vera", "nf", "ce")
 DEFAULT_LR = {"ssm": 1e-3, "cd": 1e-3, "vera": 3e-4, "nf": 1e-3, "ce": 1e-3}
-# numeric RunConfig fields and their least allowed value; lr and
-# sgld_step_size must be positive (lr may be None for the default)
-_MINIMUM = {"steps": 0, "warmup_steps": 0, "batch_size": 1, "weight_decay": 0,
+# numeric RunConfig fields and their least allowed value, each an integer
+# if named in _INTEGER and a finite number otherwise; lr and sgld_step_size
+# must be positive and finite (lr may be None for the default)
+_MINIMUM = {"seed": 0, "steps": 0, "warmup_steps": 0, "batch_size": 1, "weight_decay": 0,
             "eval_interval": 1, "patience": 1, "n_flow_layers": 1, "sgld_steps": 0,
             "sgld_noise_std": 0, "buffer_capacity": 1, "reinit_prob": 0, "data_noise_var": 0}
+_INTEGER = {"seed", "steps", "warmup_steps", "batch_size", "eval_interval", "patience",
+            "n_flow_layers", "sgld_steps", "buffer_capacity"}
+
+
+def _is_int(v) -> bool:
+    """An integer that is not a bool (JSON ``true`` must not count as 1)."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 class ConfigError(Exception):
@@ -123,18 +136,24 @@ class RunConfig:
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
             raise ConfigError(f"unknown objective {self.objective!r}")
-        if not 0 <= self.gamma < math.inf:
+        if not (_is_real(self.gamma) and 0 <= self.gamma < math.inf):
             raise ConfigError(f"gamma must be finite and nonnegative, got {self.gamma!r}")
         if self.objective in ("nf", "ce") and self.gamma != 0.0:
             raise ConfigError(f"gamma does not apply to objective {self.objective!r}")
         if not isinstance(self.data, dict) or "kind" not in self.data:
             raise ConfigError("data config must be a dict with a 'kind'")
         for name, least in _MINIMUM.items():
-            if not getattr(self, name) >= least:
-                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
+            v, integer = getattr(self, name), name in _INTEGER
+            if not ((_is_int if integer else _is_real)(v) and least <= v < math.inf):
+                kind = "an integer" if integer else "a finite number"
+                raise ConfigError(f"{name} must be {kind} >= {least}, got {v!r}")
         for name in ("lr", "sgld_step_size"):
-            if getattr(self, name) is not None and not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)!r}")
+            v = getattr(self, name)
+            if v is not None and not (_is_real(v) and 0 < v < math.inf):
+                raise ConfigError(f"{name} must be positive and finite, got {v!r}")
+        if not (isinstance(self.hidden, (list, tuple))
+                and all(_is_int(h) and h >= 1 for h in self.hidden)):
+            raise ConfigError(f"hidden must be a list of integers >= 1, got {self.hidden!r}")
         if self.reinit_prob > 1:
             raise ConfigError(f"reinit_prob must be <= 1, got {self.reinit_prob!r}")
         try:
@@ -177,8 +196,11 @@ def build_bundle(config: RunConfig) -> SplitBundle:
             seed=seed,
         )
     elif kind == "two_moons":
+        n = d.pop("n", 2000)
+        if not (_is_int(n) and n >= 1):
+            raise ConfigError(f"data n must be an integer >= 1, got {n!r}")
         bundle = two_moons_split(
-            d.pop("n", 2000),
+            n,
             d.pop("noise_std", 0.1),
             margin=d.pop("ood_margin", 1.5),
             exclusion=d.pop("ood_exclusion_radius", 0.3),
@@ -188,6 +210,9 @@ def build_bundle(config: RunConfig) -> SplitBundle:
         raise ConfigError(f"unknown data kind {kind!r}")
     if d:
         raise ConfigError(f"unknown data keys: {sorted(d)}")
+    for part in ("id_train", "id_val", "id_test"):
+        if bundle.parts()[part].n == 0:
+            raise ConfigError(f"the {kind} split leaves {part} with no rows; use more data")
     return standardize(bundle)
 
 
@@ -238,8 +263,6 @@ class TrainResult:
     report: EvalReport
     bundle: SplitBundle
     history: dict
-    gen_spec: ModelSpec | None = None
-    gen_params: ParameterSet | None = None
 
 
 def _param_grads(loss: ad.Node, leaves: dict[str, ad.Node], pset: ParameterSet) -> np.ndarray:
@@ -253,14 +276,13 @@ def _objective(config: RunConfig, spec: ModelSpec, pset: ParameterSet,
     """Per-run state of the configured objective.
 
     Returns ``loss(leaves, xb, yb)``, which builds the objective's loss
-    node on the parameter leaves, a hook run after each parameter update
-    (VERA's generator step and eta update, else None), and VERA's
-    generator as (spec, params), else None.
+    node on the parameter leaves, and a hook run after each parameter
+    update (VERA's generator step and eta update, else None).
     """
     if config.objective == "ssm":
         proj_rng = stream(config.seed, "projection")
         return (lambda leaves, xb, yb: ssm_vr_loss(
-            make_energy_fn(spec, leaves), xb, rademacher(proj_rng, xb.shape))), None, None
+            make_energy_fn(spec, leaves), xb, rademacher(proj_rng, xb.shape))), None
     if config.objective == "cd":
         lo, hi = x_train.min(axis=0), x_train.max(axis=0)
         buffer = ReplayBuffer(
@@ -283,32 +305,32 @@ def _objective(config: RunConfig, spec: ModelSpec, pset: ParameterSet,
             xb_noisy = xb + math.sqrt(config.data_noise_var) * data_rng.normal(size=xb.shape)
             return cd_loss(make_energy_fn(spec, leaves), xb_noisy, samples)
 
-        return cd_step_loss, None, None
+        return cd_step_loss, None
     if config.objective == "vera":
         vera_cfg = VeraConfig(**config.vera)
-        gen_spec = generator_spec(x_train.shape[1], vera_cfg)
-        gen_params = init_params(gen_spec, config.seed + 1)
-        gen_adam = Adam(gen_params.size, betas=vera_cfg.gen_betas)
+        generator = generator_spec(x_train.shape[1], vera_cfg)
+        gen_pset = init_params(generator, config.seed + 1)
+        gen_adam = Adam(gen_pset.size, betas=vera_cfg.gen_betas)
         vera_rng = stream(config.seed, "vera")
         eta, vs = vera_cfg.eta_init, None
 
         def vera_step_loss(leaves, xb, yb):
             nonlocal vs
-            vs = vera_step(spec, leaves, gen_spec, gen_params, xb, vera_cfg, eta, vera_rng)
+            vs = vera_step(spec, leaves, generator, gen_pset, xb, vera_cfg, eta, vera_rng)
             return vs.ebm_loss
 
         def generator_update(step):
             nonlocal eta
-            g_gen = _param_grads(vs.gen_loss, vs.gen_leaves, gen_params)
-            gen_params.values -= gen_adam.step(
+            g_gen = _param_grads(vs.gen_loss, vs.gen_leaves, gen_pset)
+            gen_pset.values -= gen_adam.step(
                 g_gen, warmup_lr(vera_cfg.gen_lr, step, config.warmup_steps)
             )
             eta = vs.eta
 
-        return vera_step_loss, generator_update, (gen_spec, gen_params)
+        return vera_step_loss, generator_update
     if config.objective == "nf":
-        return (lambda leaves, xb, yb: flow_nll(spec, leaves, xb)), None, None
-    return (lambda leaves, xb, yb: ce_loss(mlp_logits(spec, leaves, xb), yb)), None, None
+        return (lambda leaves, xb, yb: flow_nll(spec, leaves, xb)), None
+    return (lambda leaves, xb, yb: ce_loss(mlp_forward(spec, leaves, xb)[0], yb)), None
 
 
 def train(config: RunConfig, bundle: SplitBundle | None = None) -> TrainResult:
@@ -336,7 +358,7 @@ def train(config: RunConfig, bundle: SplitBundle | None = None) -> TrainResult:
     x_train = bundle.id_train.features
     y_train = bundle.id_train.labels
     n_train = x_train.shape[0]
-    step_loss, after_update, generator = _objective(config, spec, pset, x_train, data_rng)
+    step_loss, after_update = _objective(config, spec, pset, x_train, data_rng)
 
     adam = Adam(pset.size)
     history = {"loss": [], "selection": [], "stopped_at": None, "diverged": False}
@@ -349,7 +371,7 @@ def train(config: RunConfig, bundle: SplitBundle | None = None) -> TrainResult:
             return selection_score(spec, pset, bundle)
         if selection_mode == "val_ll":
             return float(score_logdensity(spec, pset, bundle.id_val.features).mean())
-        logits = mlp_logits(spec, pset, bundle.id_val.features).value
+        logits = mlp_forward(spec, pset, bundle.id_val.features)[0].value
         return float((logits.argmax(axis=1) == bundle.id_val.labels).mean())
 
     for step in range(1, config.steps + 1):
@@ -359,7 +381,7 @@ def train(config: RunConfig, bundle: SplitBundle | None = None) -> TrainResult:
         leaves = param_nodes(pset)
         loss = step_loss(leaves, xb, yb)
         if config.gamma > 0:
-            loss = jem_loss(loss, mlp_logits(spec, leaves, xb), yb, config.gamma)
+            loss = jem_loss(loss, mlp_forward(spec, leaves, xb)[0], yb, config.gamma)
         loss_val = float(loss.value)
         if not np.isfinite(loss_val):
             history["diverged"] = True
@@ -389,7 +411,6 @@ def train(config: RunConfig, bundle: SplitBundle | None = None) -> TrainResult:
         best = pset.copy()
         best_score = evaluate_selection() if config.steps > 0 else None
 
-    gen_spec, gen_params = generator or (None, None)
     return TrainResult(
         config=config,
         spec=spec,
@@ -397,8 +418,6 @@ def train(config: RunConfig, bundle: SplitBundle | None = None) -> TrainResult:
         report=evaluation_report(spec, best, bundle, config, selection_score=best_score),
         bundle=bundle,
         history=history,
-        gen_spec=gen_spec,
-        gen_params=gen_params,
     )
 
 
@@ -433,9 +452,10 @@ def run_experiment_suite(manifest: dict, out_root: str) -> dict:
     Each run gets its own report directory; an aggregate CSV collects
     every AP plus the percent improvement over a declared baseline run.
     Runs with one resolved data config share one bundle. A repeated name,
-    or an analysis that is invalid or names no run, is a ConfigError
-    before any training; a failing run or analysis is recorded in the
-    summary's errors, and the suite continues.
+    a run config ``RunConfig`` rejects, an ``embed_from`` that names no
+    earlier run, or an analysis that is invalid or names no run, is a
+    ConfigError before any training; a failing run or analysis is
+    recorded in the summary's errors, and the suite continues.
     """
     runs = manifest.get("runs", [])
     analyses = manifest.get("analyses", [])
@@ -448,15 +468,23 @@ def run_experiment_suite(manifest: dict, out_root: str) -> dict:
     repeated = sorted({n for n in names if names.count(n) > 1})
     if repeated:
         raise ConfigError(f"run and analysis names must be unique and not 'aggregate': {repeated}")
+    configs = {}
+    for item in runs:
+        if "embed_from" in item and item["embed_from"] not in configs:
+            raise ConfigError(f"run {item['name']!r}: embed_from {item['embed_from']!r} "
+                              "names no earlier run")
+        try:
+            configs[item["name"]] = RunConfig.from_dict(item["config"])
+        except ConfigError as exc:
+            raise ConfigError(f"run {item['name']!r}: {exc}") from None
     os.makedirs(out_root, exist_ok=True)
     results: dict[str, TrainResult] = {}
     errors: dict[str, str] = {}
     bundles: dict[str, SplitBundle] = {}
 
     for item in runs:
-        name = item["name"]
+        name, config = item["name"], configs[item["name"]]
         try:
-            config = RunConfig.from_dict(item["config"])
             embedded = "embed_from" in item
             if embedded:
                 source = results.get(item["embed_from"])
@@ -506,7 +534,7 @@ def run_experiment_suite(manifest: dict, out_root: str) -> dict:
 # each analysis kind's parameters and their defaults
 _ANALYSES = {
     "norm_sweep": {"radii": (0, 1, 2, 5, 10, 20, 50), "directions": "heldout", "n_directions": 64},
-    "smoothness": {"side": 16, "n": 1000, "pool_sizes": (2, 3, 4, 16), "bins": 40},
+    "smoothness": {"side": 16, "n": 1000, "pool_sizes": (2, 4, 8, 16), "bins": 40},
     "ascend": {"n_points": 16, "steps": 100, "lr": 0.01},
 }
 
@@ -514,8 +542,8 @@ _ANALYSES = {
 def check_analysis(item: dict) -> dict:
     """An analysis item's parameters, with defaults filled in and radii as
     floats. An unknown kind or key, or a value out of range, is a
-    ConfigError naming the field. A smoothness analysis's pool sizes are
-    checked where the images are made (``data.make_smoothness``)."""
+    ConfigError naming the field. Whether a smoothness analysis's ``side``
+    fits the model is checked when the analysis runs."""
     kind = item.get("kind")
     if kind not in _ANALYSES:
         raise ConfigError(f"unknown analysis kind {kind!r}")
@@ -530,7 +558,7 @@ def check_analysis(item: dict) -> dict:
 
     for field in sorted(set(p) & {"n_directions", "side", "n", "bins", "n_points", "steps"}):
         least = 0 if field == "steps" else 1
-        require(field, isinstance(p[field], int) and p[field] >= least, f"an integer >= {least}")
+        require(field, _is_int(p[field]) and p[field] >= least, f"an integer >= {least}")
     if kind == "norm_sweep":
         try:
             radii = [float(r) for r in p["radii"]] if isinstance(p["radii"], (list, tuple)) else []
@@ -540,9 +568,13 @@ def check_analysis(item: dict) -> dict:
                 and all(map(math.isfinite, radii)), "an ascending list of finite numbers >= 0")
         require("directions", p["directions"] in ("heldout", "random"), "'heldout' or 'random'")
         p["radii"] = radii
-    elif kind == "ascend":
-        require("lr", isinstance(p["lr"], (int, float)) and 0 < p["lr"] < math.inf,
-                "positive and finite")
+    elif kind == "smoothness":
+        pools = p["pool_sizes"]
+        require("pool_sizes", isinstance(pools, (list, tuple)) and pools
+                and all(_is_int(k) and k >= 1 and p["side"] % k == 0 for k in pools),
+                f"a non-empty list of integers >= 1 that divide side {p['side']}")
+    else:
+        require("lr", _is_real(p["lr"]) and 0 < p["lr"] < math.inf, "positive and finite")
     return p
 
 

@@ -118,19 +118,21 @@ class TestScoreDataset:
         spec = mz.ModelSpec(input_dim=2, hidden=[4], head="energy")
         pset = mz.init_params(spec, 0)
         pset.values[:] = 0.0
-        s = ev.score_dataset(spec, pset, np.random.default_rng(0).normal(size=(5, 2)))
-        assert np.array_equal(s.scores, np.zeros(5))
+        s = mz.score_logdensity(spec, pset, np.random.default_rng(0).normal(size=(5, 2)))
+        assert np.array_equal(s, np.zeros(5))
 
     def test_logits_head_uniform(self):
         spec = mz.ModelSpec(input_dim=2, hidden=[3], head="logits", n_classes=4)
         pset = mz.init_params(spec, 0)
         pset.values[:] = 0.0
-        s = ev.score_dataset(spec, pset, np.zeros((3, 2)))
-        assert np.allclose(s.scores, math.log(4.0))
+        s = mz.score_logdensity(spec, pset, np.zeros((3, 2)))
+        assert np.allclose(s, math.log(4.0))
 
     def test_nonfinite_scores_rejected(self):
-        with pytest.raises(ev.EvalError):
-            ev.ScoreSet(np.array([1.0, np.inf]), source="bad")
+        spec = mz.ModelSpec(input_dim=2, hidden=[4], head="energy")
+        bad = np.array([[np.inf, 0.0], [0.0, 1.0]])
+        with pytest.raises(ev.EvalError, match="non-finite scores in 'bad'"):
+            ev.ood_report(spec, mz.init_params(spec, 0), separable_bundle(), {"bad": bad})
 
 
 def separable_bundle(seed=0):

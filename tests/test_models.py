@@ -130,7 +130,7 @@ class TestEnergy:
         spec = mz.ModelSpec(input_dim=3, hidden=[6], head="logits", n_classes=4)
         pset = mz.init_params(spec, 3)
         x = np.random.default_rng(5).normal(size=(7, 3)) * 3.0
-        logits = mz.mlp_logits(spec, pset, x).value
+        logits = mz.mlp_forward(spec, pset, x)[0].value
         m = np.max(logits, axis=-1, keepdims=True)
         expected = np.squeeze(np.log(np.sum(np.exp(logits - m), axis=-1, keepdims=True)) + m, -1)
         assert mz.score_logdensity(spec, pset, x).tobytes() == expected.tobytes()
@@ -141,7 +141,7 @@ class TestEnergy:
             (mz.ModelSpec(input_dim=2, hidden=[4]),
              lambda s, p: mz.mlp_energy(s, p, x).value),
             (mz.ModelSpec(input_dim=2, hidden=[4], head="logits", n_classes=3),
-             lambda s, p: -ad.logsumexp(mz.mlp_logits(s, p, x), axis=1).value),
+             lambda s, p: -ad.logsumexp(mz.mlp_forward(s, p, x)[0], axis=1).value),
             (mz.ModelSpec(input_dim=2, head="flow", n_flow_layers=2),
              lambda s, p: -mz.flow_logdensity(s, p, x).value),
         ]
@@ -264,7 +264,8 @@ class TestRadialFlow:
         rng = np.random.default_rng(4)
         d = 4
         z0, ah, bh = self._layer(rng, d)
-        alpha, beta = (n.value for n in mz.radial_constrained(ah, bh))
+        alpha = np.logaddexp(0.0, ah)  # softplus: alpha > 0, beta >= -alpha
+        beta = np.logaddexp(0.0, bh) - alpha
         y, logdet = mz.radial_forward(z0, ah, bh, z0[None].copy())
         assert np.allclose(y.value, z0[None])
         expected = (d - 1) * math.log(1 + beta / alpha) + math.log(1 + beta / alpha)
@@ -369,8 +370,8 @@ class TestCheckpoint:
         assert meta == {"note": "t"}
         assert np.array_equal(pset.values, pset2.values)
         x = np.random.default_rng(0).normal(size=(4, 3))
-        a = mz.mlp_logits(spec, pset, x).value
-        b = mz.mlp_logits(spec2, pset2, x).value
+        a = mz.mlp_forward(spec, pset, x)[0].value
+        b = mz.mlp_forward(spec2, pset2, x)[0].value
         assert a.tobytes() == b.tobytes()
 
     def test_version_mismatch_rejected(self, tmp_path):

@@ -267,7 +267,7 @@ class TestJemLoss:
         pset = mz.init_params(spec, 5)
         x = np.random.default_rng(3).normal(size=(4, 2))
         e = obj.make_energy_fn(spec, pset)(ad.constant(x)).value
-        logits = mz.mlp_logits(spec, pset, x).value
+        logits = mz.mlp_forward(spec, pset, x)[0].value
         m = logits.max(axis=1)
         assert np.allclose(e, -(m + np.log(np.exp(logits - m[:, None]).sum(axis=1))), atol=1e-12)
 

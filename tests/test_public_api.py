@@ -1,5 +1,5 @@
-"""Every public function and method has a caller in the package or the
-benchmarks, so no public API exists only for tests."""
+"""Every public function, method and dataclass field has a reader in the
+package or the benchmarks, so no public API exists only for tests."""
 
 import ast
 import collections
@@ -8,6 +8,9 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 # documented public API with no caller inside the repository
 ALLOWED = {"autodiff.check_gradient"}
+# dataclass fields read only by tests: the closed-form checks of VERA's
+# score estimator in tests/test_objectives.py
+ALLOWED_FIELDS = {"objectives.VeraStep.x_gen", "objectives.VeraStep.entropy_grad_wrt_x"}
 
 
 def _trees(*dirs):
@@ -38,9 +41,15 @@ def _public_definitions(tree):
                     yield f"{node.name}.{item.name}", item
 
 
-def test_every_public_function_and_method_has_a_caller():
+def _parsed():
+    """(path, tree) of every module in the package and the benchmarks, and
+    the references counted over all of them."""
     trees = list(_trees("src/ebmlab", "benchmarks"))
-    refs = sum((_references(tree) for _, tree in trees), collections.Counter())
+    return trees, sum((_references(tree) for _, tree in trees), collections.Counter())
+
+
+def test_every_public_function_and_method_has_a_caller():
+    trees, refs = _parsed()
     unused = []
     for path, tree in trees:
         if "src" not in path.relative_to(ROOT).parts:
@@ -55,3 +64,33 @@ def test_every_public_function_and_method_has_a_caller():
             if sum(refs[k] - own[k] for k in keys) <= 0:
                 unused.append(f"{path.stem}.{qualname}")
     assert unused == []
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)
+
+
+def _public_fields(tree):
+    """(qualified name, field name) of each public field of a module-level
+    ``@dataclass``."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            for item in node.body:
+                if (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                        and not item.target.id.startswith("_")):
+                    yield f"{node.name}.{item.target.id}", item.target.id
+
+
+def test_every_public_dataclass_field_is_read():
+    # a field is read as an attribute (``result.history``); keyword
+    # construction and ``asdict`` do not count as reads
+    trees, refs = _parsed()
+    unread = []
+    for path, tree in trees:
+        if "src" not in path.relative_to(ROOT).parts:
+            continue
+        for qualname, name in _public_fields(tree):
+            if refs[("attr", name)] == 0 and f"{path.stem}.{qualname}" not in ALLOWED_FIELDS:
+                unread.append(f"{path.stem}.{qualname}")
+    assert unread == []

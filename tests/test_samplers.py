@@ -103,7 +103,7 @@ class TestClosedFormInputGradient:
         assert np.all(np.isfinite(out))
         assert energy(ad.constant(out)).value.sum() < energy(ad.constant(x0)).value.sum()
         traj = sp.likelihood_ascent(energy, x0, steps=3, lr=0.05)
-        assert not traj.diverged and np.all(np.diff(traj.logdensity) > 0)
+        assert len(traj.logdensity) == 4 and np.all(np.diff(traj.logdensity) > 0)
 
 
 def box_sampler(rng, n):
@@ -185,16 +185,14 @@ class TestLikelihoodAscent:
     def test_zero_steps(self):
         x0 = np.array([[2.0, -1.0]])
         traj = sp.likelihood_ascent(quadratic_energy, x0, steps=0, lr=0.1)
-        assert traj.points.shape == (1, 1, 2)
-        assert np.array_equal(traj.points[0], x0)
+        assert traj.logdensity.shape == (1,)
         assert traj.logdensity[0] == pytest.approx(-2.5)
-        assert not traj.diverged
 
     def test_quadratic_shrink_factor(self):
         # ascent on -0.5|x|^2 at lr 0.1 multiplies x by 0.9 each step
         x0 = np.array([[10.0]])
         traj = sp.likelihood_ascent(quadratic_energy, x0, steps=5, lr=0.1)
-        assert np.allclose(traj.points.ravel(), 10.0 * 0.9 ** np.arange(6))
+        assert np.allclose(traj.logdensity, -0.5 * (10.0 * 0.9 ** np.arange(6)) ** 2)
 
     def test_logdensity_nondecreasing_for_small_lr(self):
         rng = np.random.default_rng(8)
@@ -213,8 +211,7 @@ class TestLikelihoodAscent:
             return ad.neg(ad.reduce_sum(ad.exp(x)))  # logp = sum(exp) blows up
 
         traj = sp.likelihood_ascent(unstable, np.array([[5.0]]), steps=10_000, lr=10.0)
-        assert traj.diverged
-        assert len(traj.points) == len(traj.logdensity)
+        assert 1 <= len(traj.logdensity) < 10_001  # stopped early
         assert np.all(np.isfinite(traj.logdensity))
 
     def test_bad_lr_rejected(self):

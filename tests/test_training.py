@@ -8,7 +8,7 @@ import pytest
 from ebmlab import cli
 from ebmlab import models as mz
 from ebmlab import training as tr
-from ebmlab.data import DataError, LabeledTable, write_csv
+from ebmlab.data import DataError, LabeledTable, SplitBundle, write_csv
 from ebmlab.evaluate import EvalReport
 
 
@@ -131,6 +131,28 @@ class TestBuildBundle:
         with time_limit(20), pytest.raises(DataError, match="ood_exclusion_radius"):
             tr.build_bundle(cfg)
 
+    @pytest.mark.parametrize("n,named", [
+        (3, "two_moons split leaves id_val with no rows"),
+        (1, "two_moons split leaves id_val with no rows"),
+        (0, "data n must be an integer >= 1, got 0"),
+        (2.5, "data n must be an integer >= 1, got 2.5"),
+    ])
+    def test_empty_split_part_rejected(self, n, named):
+        with pytest.raises(tr.ConfigError) as err:
+            tr.build_bundle(toy_config(data={"kind": "two_moons", "n": n}))
+        assert named in str(err.value)
+
+    def test_empty_csv_split_part_rejected(self, tmp_path, capsys):
+        # 5 kept rows split 70/10/20 leave id_val empty
+        path = str(tmp_path / "d.csv")
+        write_csv(path, LabeledTable(np.arange(16.0).reshape(8, 2), [0, 0, 0, 1, 1, 2, 2, 2]))
+        config = toy_config(data={"kind": "csv", "path": path, "removed_classes": [2]})
+        with pytest.raises(tr.ConfigError, match="csv split leaves id_val with no rows"):
+            tr.build_bundle(config)
+        cfg_path = write_json(tmp_path / "c.json", config.to_dict())
+        assert cli.main(["train", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
+        assert "id_val with no rows" in capsys.readouterr().err
+
     def test_csv_bundle(self, tmp_path):
         rng = np.random.default_rng(0)
         table = LabeledTable(rng.normal(size=(100, 3)), rng.integers(0, 3, size=100))
@@ -218,8 +240,8 @@ class TestTrain:
     def test_vera_runs(self):
         result = tr.train(toy_config(objective="vera", steps=5,
                                      vera={"n_posterior_samples": 3, "latent_dim": 4}))
-        assert result.gen_params is not None
-        assert np.all(np.isfinite(result.gen_params.values))
+        assert len(result.history["loss"]) == 5 and not result.history["diverged"]
+        assert np.all(np.isfinite(result.params.values))
 
     def test_jem_gamma_one(self):
         result = tr.train(toy_config(gamma=1.0, steps=10))
@@ -543,6 +565,37 @@ class TestSuite:
         tr.run_experiment_suite({"runs": runs}, str(tmp_path / "out"))
         assert len(built) == n_bundles
 
+    @pytest.mark.parametrize("runs,named", [
+        ([{"name": "ok", "config": {}}, {"name": "bad", "config": {"steps": -1}}],
+         "run 'bad': steps must be an integer >= 0, got -1"),
+        ([{"name": "ok", "config": {}}, {"name": "bad", "config": {"hidden": "64"}}],
+         "run 'bad': hidden must be a list of integers >= 1"),
+        ([{"name": "ok", "config": {}}, {"name": "bad", "config": {"learning_rate": 1}}],
+         "run 'bad': unknown config keys: ['learning_rate']"),
+        ([{"name": "ok", "config": {}}, {"name": "emb", "config": {}, "embed_from": "nobody"}],
+         "run 'emb': embed_from 'nobody' names no earlier run"),
+        ([{"name": "emb", "config": {}, "embed_from": "ok"}, {"name": "ok", "config": {}}],
+         "run 'emb': embed_from 'ok' names no earlier run"),
+    ])
+    def test_bad_run_rejected_before_training(self, tmp_path, monkeypatch, runs, named):
+        monkeypatch.setattr(tr, "train", lambda *a, **k: pytest.fail("trained"))
+        base = toy_config(steps=5, eval_interval=5).to_dict()
+        runs = [run | {"config": base | run["config"]} for run in runs]
+        out = tmp_path / "out"
+        with pytest.raises(tr.ConfigError) as err:
+            tr.run_experiment_suite({"runs": runs}, str(out))
+        assert named in str(err.value)
+        assert not out.exists()
+
+    def test_default_smoothness_analysis_runs(self, tmp_path):
+        part = LabeledTable(np.random.default_rng(0).uniform(size=(10, 256)))
+        bundle = SplitBundle(part, part, part, part, part)
+        spec = mz.ModelSpec(input_dim=256, hidden=[4], head="energy")
+        rows = tr.run_analysis({"kind": "smoothness", "n": 20}, spec, mz.init_params(spec, 0),
+                               bundle, 0, str(tmp_path))
+        assert {series for _, _, series in rows} == {"pool2", "pool4", "pool8", "pool16",
+                                                      "id_test"}
+
     @pytest.mark.parametrize("analysis,named", [
         ({"kind": "histogram"}, "unknown analysis kind 'histogram'"),
         ({"kind": "norm_sweep", "model": "nobody"}, "model 'nobody' names no run"),
@@ -557,6 +610,17 @@ class TestSuite:
         ({"kind": "ascend", "lr": 0}, "lr must be positive and finite"),
         ({"kind": "ascend", "n_points": 0}, "n_points must be an integer >= 1"),
         ({"kind": "ascend", "steps": -1}, "steps must be an integer >= 0"),
+        ({"kind": "ascend", "n_points": True}, "n_points must be an integer >= 1, got True"),
+        ({"kind": "ascend", "lr": True}, "lr must be positive and finite, got True"),
+        ({"kind": "smoothness", "side": True}, "side must be an integer >= 1"),
+        ({"kind": "smoothness", "pool_sizes": [2, 3]}, "pool_sizes must be a non-empty list "
+                                                       "of integers >= 1 that divide side 16"),
+        ({"kind": "smoothness", "side": 4, "pool_sizes": [8]}, "divide side 4, got [8]"),
+        ({"kind": "smoothness", "pool_sizes": []}, "pool_sizes must be a non-empty list"),
+        ({"kind": "smoothness", "pool_sizes": [0]}, "pool_sizes must be"),
+        ({"kind": "smoothness", "pool_sizes": 2}, "pool_sizes must be"),
+        ({"kind": "smoothness", "pool_sizes": [2.0]}, "pool_sizes must be"),
+        ({"kind": "smoothness", "pool_sizes": [True]}, "pool_sizes must be"),
     ])
     def test_bad_analysis_rejected_before_training(self, tmp_path, monkeypatch, analysis, named):
         monkeypatch.setattr(tr, "train", lambda *a, **k: pytest.fail("trained"))
@@ -670,6 +734,9 @@ class TestCli:
         ("eval_interval", 0), ("sgld_steps", -1), ("batch_size", 0), ("buffer_capacity", 0),
         ("data_noise_var", -1), ("steps", -3), ("lr", -0.001), ("sgld_step_size", 0.0),
         ("reinit_prob", 1.5), ("patience", 0),
+        ("steps", 1.5), ("steps", True), ("batch_size", 2.5), ("hidden", "64"), ("hidden", 5),
+        ("hidden", [16, 0]), ("hidden", [16.0]), ("seed", -1), ("seed", 0.5),
+        ("lr", float("inf")), ("sgld_step_size", float("inf")), ("weight_decay", True),
     ])
     def test_bad_numeric_field_exits_1(self, tmp_path, capsys, time_limit, field, value):
         path = str(tmp_path / "c.json")
@@ -712,7 +779,9 @@ class TestCli:
                              {"name": "bad", "config": cfg | {"data": {"kind": "nope"}}}]}
         if failing == "analysis":
             manifest["runs"].pop()
-            manifest["analyses"] = [{"kind": "smoothness", "name": "bad", "model": "m", "side": 4}]
+            # valid on its own; 4 x 4 images do not fit the 2-input model
+            manifest["analyses"] = [{"kind": "smoothness", "name": "bad", "model": "m", "side": 4,
+                                     "pool_sizes": [2]}]
         path = write_json(tmp_path / "manifest.json", manifest)
         out = tmp_path / "suite"
         assert cli.main(["suite", "--manifest", path, "--out", str(out)]) == 2
