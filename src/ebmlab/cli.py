@@ -15,9 +15,12 @@ from .evaluate import EvalReport, write_series_csv
 from .models import ModelError, load_checkpoint
 from .rng import stream
 from .training import (
+    ANALYSES,
+    GEN_DATA_FLAGS,
     ConfigError,
     RunConfig,
     build_bundle,
+    check_fields,
     evaluation_report,
     run_analysis,
     run_experiment_suite,
@@ -96,22 +99,23 @@ def cmd_sweep_gamma(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
+    check_fields(GEN_DATA_FLAGS, {flag: getattr(args, flag[2:].replace("-", "_"))
+                                  for flag in GEN_DATA_FLAGS}, "gen-data")
     rng = stream(args.seed, "data")
     if args.kind == "noise":
         table = LabeledTable(make_noise(args.n, args.dim, rng), source="noise")
     elif args.kind == "constant":
         table = LabeledTable(make_constant(args.n, args.dim, rng), source="constant")
     elif args.kind == "smoothness":
-        table = LabeledTable(
-            make_smoothness(args.n, args.side, args.pool_size, rng), source="smoothness"
-        )
+        table = LabeledTable(make_smoothness(args.n, args.side, args.pool_size, rng),
+                             source="smoothness")
     elif args.kind == "two-moons":
         table = make_two_moons(args.n, args.noise_std, rng)
     else:  # oodomain; argparse allows no other kind
-        base = load_csv(args.input) if args.input else None
-        if base is None:
+        if not args.input:
             raise ConfigError("oodomain generation needs --input features")
-        table = LabeledTable(make_oodomain(base.features, mode=args.mode), source="oodomain")
+        table = LabeledTable(make_oodomain(load_csv(args.input).features, mode=args.mode),
+                             source="oodomain")
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"{args.kind}.csv")
     write_csv(path, table, provenance=f"kind={args.kind} seed={args.seed} n={table.n}")
@@ -120,8 +124,12 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_diagnose_norm(args) -> int:
+    try:
+        radii = [float(r) for r in args.radii.split(",")]
+    except ValueError:
+        raise ConfigError(f"--radii must be comma-separated numbers, got {args.radii!r}") from None
     spec, params, config, bundle = _load_run(args.checkpoint)
-    item = {"kind": "norm_sweep", "name": "norm_sweep", "radii": args.radii.split(","),
+    item = {"kind": "norm_sweep", "name": "norm_sweep", "radii": radii,
             "n_directions": args.n_directions}
     os.makedirs(args.out, exist_ok=True)
     for r, v, _ in run_analysis(item, spec, params, bundle, config.seed, args.out):
@@ -131,8 +139,7 @@ def cmd_diagnose_norm(args) -> int:
 
 def cmd_ascend(args) -> int:
     spec, params, config, bundle = _load_run(args.checkpoint)
-    item = {"kind": "ascend", "name": "ascent", "steps": args.steps, "lr": args.lr,
-            "n_points": args.n_points}
+    item = {"kind": "ascend", "name": "ascent"} | {k: getattr(args, k) for k in ANALYSES["ascend"]}
     os.makedirs(args.out, exist_ok=True)
     run_analysis(item, spec, params, bundle, config.seed, args.out)
     print(f"wrote trajectories -> {os.path.join(args.out, 'ascent.csv')}")
@@ -170,29 +177,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="emit a synthetic dataset as CSV")
     p.add_argument("--kind", required=True,
                    choices=["noise", "constant", "oodomain", "smoothness", "two-moons"])
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--side", type=int, default=16)
-    p.add_argument("--pool-size", type=int, default=2, dest="pool_size")
-    p.add_argument("--noise-std", type=float, default=0.1, dest="noise_std")
+    for flag, (default, _, _) in GEN_DATA_FLAGS.items():
+        p.add_argument(flag, type=type(default), default=default)
     p.add_argument("--mode", default="tabular", choices=["tabular", "image"])
     p.add_argument("--input", default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_gen_data)
 
     p = sub.add_parser("diagnose-norm", help="mean log-density at increasing radii")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--radii", default="0,1,2,5,10,20,50")
-    p.add_argument("--n-directions", type=int, default=64, dest="n_directions")
+    p.add_argument("--radii", default=",".join(map(str, ANALYSES["norm_sweep"]["radii"][0])))
+    p.add_argument("--n-directions", type=int, default=ANALYSES["norm_sweep"]["n_directions"][0])
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_diagnose_norm)
 
     p = sub.add_parser("ascend", help="likelihood ascent on held-out inputs")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--n-points", type=int, default=16, dest="n_points")
+    for key, (default, _, _) in ANALYSES["ascend"].items():
+        p.add_argument("--" + key.replace("_", "-"), type=type(default), default=default)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_ascend)
 

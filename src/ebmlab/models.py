@@ -19,6 +19,7 @@ from . import autodiff as ad
 from .rng import stream
 
 CHECKPOINT_SCHEMA_VERSION = 1
+ACTIVATIONS = ("relu", "leaky_relu", "softplus")
 
 # softplus(x) = 1 at this x; radial layers start as the identity map
 _SOFTPLUS_INV_1 = math.log(math.e - 1.0)
@@ -53,7 +54,7 @@ class ModelSpec:
             raise ModelError("vector head requires n_outputs >= 1")
         if self.head == "flow" and self.n_flow_layers < 1:
             raise ModelError("flow needs at least one layer")
-        if self.activation not in ("relu", "leaky_relu", "softplus"):
+        if self.activation not in ACTIVATIONS:
             raise ModelError(f"unknown activation {self.activation!r}")
         if self.bottleneck_factor is not None and not (0.0 < self.bottleneck_factor <= 1.0):
             raise ModelError("bottleneck_factor must be in (0, 1]")

@@ -20,6 +20,7 @@ class ObjectiveError(Exception):
 
 @dataclass
 class VeraConfig:
+    """VERA's settings; ``training.RunConfig`` checks a run's ``vera`` block."""
     entropy_weight: float = 1e-4
     eta_init: float = 0.1
     eta_min: float = 0.01
@@ -30,16 +31,6 @@ class VeraConfig:
     latent_dim: int = 16
     gen_lr: float = 6e-4
     gen_betas: tuple[float, float] = (0.0, 0.9)
-
-    def __post_init__(self):
-        if self.entropy_weight < 0:
-            raise ObjectiveError("entropy weight must be nonnegative")
-        for name in ("eta_init", "eta_min", "eta_max", "eta_lr", "gen_noise_std",
-                     "n_posterior_samples", "latent_dim", "gen_lr"):
-            if not getattr(self, name) > 0:
-                raise ObjectiveError(f"{name} must be positive")
-        if self.eta_min > self.eta_max:
-            raise ObjectiveError("eta_min must not exceed eta_max")
 
 
 def make_energy_fn(spec: ModelSpec, params):

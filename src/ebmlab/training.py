@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .evaluate import (
     write_series_csv,
 )
 from .models import (
+    ACTIVATIONS,
     ModelSpec,
     ParameterSet,
     _atomic_write_json,
@@ -60,23 +61,6 @@ from .samplers import ReplayBuffer, SgldConfig, likelihood_ascent, sgld_chain
 
 OBJECTIVES = ("ssm", "cd", "vera", "nf", "ce")
 DEFAULT_LR = {"ssm": 1e-3, "cd": 1e-3, "vera": 3e-4, "nf": 1e-3, "ce": 1e-3}
-# numeric RunConfig fields and their least allowed value, each an integer
-# if named in _INTEGER and a finite number otherwise; lr and sgld_step_size
-# must be positive and finite (lr may be None for the default)
-_MINIMUM = {"seed": 0, "steps": 0, "warmup_steps": 0, "batch_size": 1, "weight_decay": 0,
-            "eval_interval": 1, "patience": 1, "n_flow_layers": 1, "sgld_steps": 0,
-            "sgld_noise_std": 0, "buffer_capacity": 1, "reinit_prob": 0, "data_noise_var": 0}
-_INTEGER = {"seed", "steps", "warmup_steps", "batch_size", "eval_interval", "patience",
-            "n_flow_layers", "sgld_steps", "buffer_capacity"}
-
-
-def _is_int(v) -> bool:
-    """An integer that is not a bool (JSON ``true`` must not count as 1)."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-def _is_real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 class ConfigError(Exception):
@@ -110,6 +94,9 @@ class Adam:
 
 @dataclass
 class RunConfig:
+    """One run's settings. Building one checks them, and the ``data`` and
+    ``vera`` blocks, against the rule tables below; the blocks are kept as
+    written, without their defaults."""
     objective: str
     data: dict
     gamma: float = 0.0
@@ -134,32 +121,9 @@ class RunConfig:
     vera: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.objective not in OBJECTIVES:
-            raise ConfigError(f"unknown objective {self.objective!r}")
-        if not (_is_real(self.gamma) and 0 <= self.gamma < math.inf):
-            raise ConfigError(f"gamma must be finite and nonnegative, got {self.gamma!r}")
-        if self.objective in ("nf", "ce") and self.gamma != 0.0:
-            raise ConfigError(f"gamma does not apply to objective {self.objective!r}")
-        if not isinstance(self.data, dict) or "kind" not in self.data:
-            raise ConfigError("data config must be a dict with a 'kind'")
-        for name, least in _MINIMUM.items():
-            v, integer = getattr(self, name), name in _INTEGER
-            if not ((_is_int if integer else _is_real)(v) and least <= v < math.inf):
-                kind = "an integer" if integer else "a finite number"
-                raise ConfigError(f"{name} must be {kind} >= {least}, got {v!r}")
-        for name in ("lr", "sgld_step_size"):
-            v = getattr(self, name)
-            if v is not None and not (_is_real(v) and 0 < v < math.inf):
-                raise ConfigError(f"{name} must be positive and finite, got {v!r}")
-        if not (isinstance(self.hidden, (list, tuple))
-                and all(_is_int(h) and h >= 1 for h in self.hidden)):
-            raise ConfigError(f"hidden must be a list of integers >= 1, got {self.hidden!r}")
-        if self.reinit_prob > 1:
-            raise ConfigError(f"reinit_prob must be <= 1, got {self.reinit_prob!r}")
-        try:
-            VeraConfig(**self.vera)
-        except (TypeError, ObjectiveError) as exc:
-            raise ConfigError(f"vera config: {exc}") from exc
+        check_fields(_RUN, vars(self))
+        check_fields(_VERA, self.vera, "vera")
+        _data_fields(self)
 
     @property
     def base_lr(self) -> float:
@@ -167,49 +131,169 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        allowed = set(cls.__dataclass_fields__)
-        unknown = set(d) - allowed
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        try:
-            return cls(**d)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+        check_fields(_RUN, d)  # an unknown or missing key, named
+        return cls(**d)
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
+def check_fields(rules: dict, given: dict, block: str = "") -> dict:
+    """``given`` with each missing field's default filled in, every field
+    checked against ``rules``. An unknown or missing key, or a value its
+    rule refuses, is a ConfigError naming ``block`` and the field.
+
+    A rule table maps each field of a config block to (default, ok, want),
+    where a ``dataclasses.MISSING`` default marks a required field. ``ok(value,
+    fields)`` says whether the value is allowed, ``fields`` being the
+    block's values with defaults filled in, and ``want`` says what ok wants,
+    with ``{field}`` placeholders filled from them. Fields are checked in
+    table order, so a rule may rely on the fields above it.
+    """
+    unknown = sorted(set(given) - set(rules))
+    if unknown:
+        raise ConfigError(f"unknown {block or 'config'} keys: {unknown}")
+    p = {name: given.get(name, default) for name, (default, _, _) in rules.items()}
+    prefix = f"{block} " if block else ""
+    for name, (_, ok, want) in rules.items():
+        if p[name] is MISSING:
+            raise ConfigError(f"{prefix}{name} is required")
+        if not ok(p[name], p):
+            raise ConfigError(f"{prefix}{name} must be {want.format(**p)}, got {p[name]!r}")
+    return p
+
+
+def _is_int(v, least=-math.inf) -> bool:
+    """An integer >= least that is not a bool (JSON ``true`` must not count as 1)."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= least
+
+
+def _is_finite(v, least=0, most=math.inf) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and least <= v <= most \
+        and math.isfinite(v)
+
+
+def _is_list(v, item) -> bool:
+    return isinstance(v, (list, tuple)) and all(map(item, v))
+
+
+# rules as (ok, want), to follow a default in a rule table
+def _int(least):
+    return lambda v, p: _is_int(v, least), f"an integer >= {least}"
+
+
+def _num(least, most=math.inf):
+    return (lambda v, p: _is_finite(v, least, most),
+            f"a finite number >= {least}" + (f" and <= {most}" if most < math.inf else ""))
+
+
+def _choice(options):
+    return lambda v, p: v in options, " or ".join(map(repr, options))
+
+
+_POSITIVE = (lambda v, p: _is_finite(v) and v > 0, "positive and finite")
+_DICT = (lambda v, p: isinstance(v, dict), "a dict")
+_STR = (lambda v, p: isinstance(v, str), "a string")
+
+
+def _with_defaults(cls, rules: dict) -> dict:
+    """The rule table of dataclass ``cls``: each of ``rules`` (field -> (ok,
+    want)) with the field's default in front."""
+    defaults = {f.name: f.default if f.default_factory is MISSING else f.default_factory()
+                for f in fields(cls)}
+    return {name: (defaults[name], *rule) for name, rule in rules.items()}
+
+
+_RUN = _with_defaults(RunConfig, {
+    "objective": _choice(OBJECTIVES), "data": _DICT,
+    "gamma": (lambda v, p: _is_finite(v) and (v == 0 or p["objective"] not in ("nf", "ce")),
+              "a finite number >= 0, and 0 for objectives 'nf' and 'ce'"),
+    "seed": _int(0), "steps": _int(0), "warmup_steps": _int(0), "batch_size": _int(1),
+    "lr": (lambda v, p: v is None or _is_finite(v) and v > 0, "null or positive and finite"),
+    "weight_decay": _num(0), "eval_interval": _int(1), "patience": _int(1),
+    "hidden": (lambda v, p: _is_list(v, lambda h: _is_int(h, 1)), "a list of integers >= 1"),
+    "activation": _choice(ACTIVATIONS),
+    "bottleneck_factor": (lambda v, p: v is None or _is_finite(v, 0, 1) and v > 0,
+                          "null or a number in (0, 1]"),
+    "n_flow_layers": _int(1), "sgld_steps": _int(0), "sgld_step_size": _POSITIVE,
+    "sgld_noise_std": _num(0), "buffer_capacity": _int(1), "reinit_prob": _num(0, 1),
+    "data_noise_var": _num(0), "vera": _DICT,
+})
+_VERA = _with_defaults(VeraConfig, {
+    "entropy_weight": _num(0), "eta_init": _POSITIVE, "eta_min": _POSITIVE,
+    "eta_max": (lambda v, p: _is_finite(v, p["eta_min"]), "a finite number >= eta_min {eta_min}"),
+    "eta_lr": _POSITIVE, "gen_noise_std": _POSITIVE, "n_posterior_samples": _int(1),
+    "latent_dim": _int(1), "gen_lr": _POSITIVE,
+    "gen_betas": (lambda v, p: _is_list(v, lambda b: _is_finite(b, 0, 1) and b < 1)
+                  and len(v) == 2, "two numbers in [0, 1)"),
+})
+# each data kind's keys; ``seed`` defaults to the run's seed
+_DATA = {
+    "two_moons": {"seed": (MISSING, *_int(0)), "n": (2000, *_int(1)),
+                  "noise_std": (0.1, *_num(0)), "ood_margin": (1.5, *_num(0)),
+                  "ood_exclusion_radius": (0.3, *_num(0))},
+    "csv": {
+        "seed": (MISSING, *_int(0)), "path": (MISSING, *_STR), "label_column": ("label", *_STR),
+        "removed_classes": ((), lambda v, p: _is_list(v, lambda c: _is_int(c, 0)),
+                            "a list of integers >= 0"),
+        "ood_val_frac": (0.1, *_num(0, 1)),
+        "id_fracs": ((0.7, 0.1, 0.2), lambda v, p: _is_list(v, _is_finite) and len(v) == 3
+                     and abs(sum(v) - 1) <= 1e-9, "three finite numbers >= 0 that sum to 1"),
+    },
+}
+# each analysis kind's parameters
+ANALYSES = {
+    "norm_sweep": {
+        "radii": ((0, 1, 2, 5, 10, 20, 50), lambda v, p: _is_list(v, _is_finite) and bool(v)
+                  and list(v) == sorted(v), "an ascending list of finite numbers >= 0, not empty"),
+        "directions": ("heldout", *_choice(("heldout", "random"))), "n_directions": (64, *_int(1)),
+    },
+    "smoothness": {
+        "side": (16, *_int(1)), "n": (1000, *_int(1)),
+        "pool_sizes": ((2, 4, 8, 16), lambda v, p: bool(v) and _is_list(
+            v, lambda k: _is_int(k, 1) and p["side"] % k == 0),
+            "a non-empty list of integers >= 1 that divide side {side}"),
+        "bins": (40, *_int(1)),
+    },
+    "ascend": {"n_points": (16, *_int(1)), "steps": (100, *_int(0)), "lr": (0.01, *_POSITIVE)},
+}
+# the numeric flags of ``ebmlab gen-data``, with their defaults
+GEN_DATA_FLAGS = {"--n": (1000, *_int(1)), "--dim": (2, *_int(1)), "--side": (16, *_int(1)),
+                  "--pool-size": (2, *_int(1)), "--noise-std": (0.1, *_num(0)),
+                  "--seed": (0, *_int(0))}
+
+
+def _data_fields(config: RunConfig) -> dict:
+    """The run's data block, checked, with the run's seed and every default
+    filled in."""
+    d = {"seed": config.seed} | config.data
+    kind = d.pop("kind", None)
+    if kind not in _DATA:
+        raise ConfigError(f"unknown data kind {kind!r}")
+    return check_fields(_DATA[kind], d, "data")
+
+
+def check_analysis(item: dict) -> dict:
+    """An analysis item's parameters, checked, with defaults filled in.
+    Whether a smoothness analysis's ``side`` fits the model is checked when
+    the analysis runs."""
+    kind = item.get("kind")
+    if kind not in ANALYSES:
+        raise ConfigError(f"unknown analysis kind {kind!r}")
+    params = {k: v for k, v in item.items() if k not in ("kind", "name", "model")}
+    return check_fields(ANALYSES[kind], params, f"{kind} analysis")
+
+
 def build_bundle(config: RunConfig) -> SplitBundle:
     """Standardized split bundle from the run's data config."""
-    d = dict(config.data)
-    kind = d.pop("kind")
-    seed = d.pop("seed", config.seed)
+    p, kind = _data_fields(config), config.data["kind"]
     if kind == "csv":
-        table = load_csv(d.pop("path"), d.pop("label_column", "label"))
-        removed = d.pop("removed_classes", [])
-        bundle = class_removal_split(
-            table,
-            removed,
-            val_frac=d.pop("ood_val_frac", 0.1),
-            id_fracs=tuple(d.pop("id_fracs", (0.7, 0.1, 0.2))),
-            seed=seed,
-        )
-    elif kind == "two_moons":
-        n = d.pop("n", 2000)
-        if not (_is_int(n) and n >= 1):
-            raise ConfigError(f"data n must be an integer >= 1, got {n!r}")
-        bundle = two_moons_split(
-            n,
-            d.pop("noise_std", 0.1),
-            margin=d.pop("ood_margin", 1.5),
-            exclusion=d.pop("ood_exclusion_radius", 0.3),
-            seed=seed,
-        )
+        bundle = class_removal_split(load_csv(p["path"], p["label_column"]),
+                                     p["removed_classes"], val_frac=p["ood_val_frac"],
+                                     id_fracs=p["id_fracs"], seed=p["seed"])
     else:
-        raise ConfigError(f"unknown data kind {kind!r}")
-    if d:
-        raise ConfigError(f"unknown data keys: {sorted(d)}")
+        bundle = two_moons_split(p["n"], p["noise_std"], margin=p["ood_margin"],
+                                 exclusion=p["ood_exclusion_radius"], seed=p["seed"])
     for part in ("id_train", "id_val", "id_test"):
         if bundle.parts()[part].n == 0:
             raise ConfigError(f"the {kind} split leaves {part} with no rows; use more data")
@@ -220,21 +304,13 @@ def build_model_spec(config: RunConfig, bundle: SplitBundle) -> ModelSpec:
     dim = bundle.id_train.dim
     if config.objective == "nf":
         return ModelSpec(input_dim=dim, head="flow", n_flow_layers=config.n_flow_layers)
-    n_classes = None
-    head = "energy"
+    n_classes, head = None, "energy"
     if config.objective == "ce" or config.gamma > 0:
         if bundle.id_train.labels is None:
             raise ConfigError("supervised training requires labels")
-        n_classes = int(bundle.id_train.labels.max()) + 1
-        head = "logits"
-    return ModelSpec(
-        input_dim=dim,
-        hidden=list(config.hidden),
-        activation=config.activation,
-        head=head,
-        n_classes=n_classes,
-        bottleneck_factor=config.bottleneck_factor,
-    )
+        n_classes, head = int(bundle.id_train.labels.max()) + 1, "logits"
+    return ModelSpec(input_dim=dim, hidden=list(config.hidden), activation=config.activation,
+                     head=head, n_classes=n_classes, bottleneck_factor=config.bottleneck_factor)
 
 
 def standard_ood_sets(bundle: SplitBundle, seed: int) -> tuple[dict, dict]:
@@ -242,12 +318,9 @@ def standard_ood_sets(bundle: SplitBundle, seed: int) -> tuple[dict, dict]:
     rng = stream(seed, "eval")
     n = bundle.id_test.n
     dim = bundle.id_test.dim
-    sets = {
-        "noise": make_noise(n, dim, rng),
-        "constant": make_constant(n, dim, rng),
-        "oodomain": make_oodomain(bundle.id_test.features),
-    }
-    groups = {"noise": "non-natural", "constant": "non-natural", "oodomain": "non-natural"}
+    sets = {"noise": make_noise(n, dim, rng), "constant": make_constant(n, dim, rng),
+            "oodomain": make_oodomain(bundle.id_test.features)}
+    groups = dict.fromkeys(sets, "non-natural")
     if bundle.ood_test.n > 0:
         name = bundle.ood_test.source or "removed-classes"
         sets[name] = bundle.ood_test.features
@@ -273,28 +346,17 @@ def _param_grads(loss: ad.Node, leaves: dict[str, ad.Node], pset: ParameterSet) 
 
 def _objective(config: RunConfig, spec: ModelSpec, pset: ParameterSet,
                x_train: np.ndarray, data_rng: np.random.Generator):
-    """Per-run state of the configured objective.
-
-    Returns ``loss(leaves, xb, yb)``, which builds the objective's loss
-    node on the parameter leaves, and a hook run after each parameter
-    update (VERA's generator step and eta update, else None).
-    """
+    """Per-run state of the configured objective, as ``loss(leaves, xb,
+    yb)``, which builds the objective's loss node on the parameter leaves."""
     if config.objective == "ssm":
         proj_rng = stream(config.seed, "projection")
-        return (lambda leaves, xb, yb: ssm_vr_loss(
-            make_energy_fn(spec, leaves), xb, rademacher(proj_rng, xb.shape))), None
+        return lambda leaves, xb, yb: ssm_vr_loss(
+            make_energy_fn(spec, leaves), xb, rademacher(proj_rng, xb.shape))
     if config.objective == "cd":
         lo, hi = x_train.min(axis=0), x_train.max(axis=0)
-        buffer = ReplayBuffer(
-            capacity=config.buffer_capacity,
-            reinit_prob=config.reinit_prob,
-            reinit_sampler=lambda rng, k: rng.uniform(lo, hi, size=(k, x_train.shape[1])),
-        )
-        sgld_cfg = SgldConfig(
-            steps=config.sgld_steps,
-            step_size=config.sgld_step_size,
-            noise_std=config.sgld_noise_std,
-        )
+        buffer = ReplayBuffer(config.buffer_capacity, config.reinit_prob,
+                              lambda rng, k: rng.uniform(lo, hi, size=(k, x_train.shape[1])))
+        sgld_cfg = SgldConfig(config.sgld_steps, config.sgld_step_size, config.sgld_noise_std)
         sgld_rng = stream(config.seed, "sgld")
         buf_rng = stream(config.seed, "buffer")
 
@@ -305,32 +367,31 @@ def _objective(config: RunConfig, spec: ModelSpec, pset: ParameterSet,
             xb_noisy = xb + math.sqrt(config.data_noise_var) * data_rng.normal(size=xb.shape)
             return cd_loss(make_energy_fn(spec, leaves), xb_noisy, samples)
 
-        return cd_step_loss, None
+        return cd_step_loss
     if config.objective == "vera":
         vera_cfg = VeraConfig(**config.vera)
         generator = generator_spec(x_train.shape[1], vera_cfg)
         gen_pset = init_params(generator, config.seed + 1)
         gen_adam = Adam(gen_pset.size, betas=vera_cfg.gen_betas)
         vera_rng = stream(config.seed, "vera")
-        eta, vs = vera_cfg.eta_init, None
+        eta = vera_cfg.eta_init
 
         def vera_step_loss(leaves, xb, yb):
-            nonlocal vs
+            # the generator steps first: its loss reads the EBM through
+            # ``leaves``, which hold the parameters before the EBM update
+            nonlocal eta
             vs = vera_step(spec, leaves, generator, gen_pset, xb, vera_cfg, eta, vera_rng)
+            g_gen = _param_grads(vs.gen_loss, vs.gen_leaves, gen_pset)
+            step = gen_adam.t + 1  # the loop's step: one generator update per step
+            gen_pset.values -= gen_adam.step(
+                g_gen, warmup_lr(vera_cfg.gen_lr, step, config.warmup_steps))
+            eta = vs.eta
             return vs.ebm_loss
 
-        def generator_update(step):
-            nonlocal eta
-            g_gen = _param_grads(vs.gen_loss, vs.gen_leaves, gen_pset)
-            gen_pset.values -= gen_adam.step(
-                g_gen, warmup_lr(vera_cfg.gen_lr, step, config.warmup_steps)
-            )
-            eta = vs.eta
-
-        return vera_step_loss, generator_update
+        return vera_step_loss
     if config.objective == "nf":
-        return (lambda leaves, xb, yb: flow_nll(spec, leaves, xb)), None
-    return (lambda leaves, xb, yb: ce_loss(mlp_forward(spec, leaves, xb)[0], yb)), None
+        return lambda leaves, xb, yb: flow_nll(spec, leaves, xb)
+    return lambda leaves, xb, yb: ce_loss(mlp_forward(spec, leaves, xb)[0], yb)
 
 
 def train(config: RunConfig, bundle: SplitBundle | None = None) -> TrainResult:
@@ -345,9 +406,8 @@ def train(config: RunConfig, bundle: SplitBundle | None = None) -> TrainResult:
     """
     if bundle is None:
         bundle = build_bundle(config)
-    selection_mode = "ood_ap" if config.objective in ("ssm", "cd", "vera") else (
-        "val_ll" if config.objective == "nf" else "val_acc"
-    )
+    selection_mode = ("ood_ap" if config.objective in ("ssm", "cd", "vera")
+                      else "val_ll" if config.objective == "nf" else "val_acc")
     if selection_mode == "ood_ap" and bundle.ood_val.n == 0:
         raise ConfigError(f"objective {config.objective!r} selects on OOD validation AP, but the "
                           "split has no OOD validation rows: list classes in data.removed_classes "
@@ -358,7 +418,7 @@ def train(config: RunConfig, bundle: SplitBundle | None = None) -> TrainResult:
     x_train = bundle.id_train.features
     y_train = bundle.id_train.labels
     n_train = x_train.shape[0]
-    step_loss, after_update = _objective(config, spec, pset, x_train, data_rng)
+    step_loss = _objective(config, spec, pset, x_train, data_rng)
 
     adam = Adam(pset.size)
     history = {"loss": [], "selection": [], "stopped_at": None, "diverged": False}
@@ -390,8 +450,6 @@ def train(config: RunConfig, bundle: SplitBundle | None = None) -> TrainResult:
         if config.objective == "ce" and config.weight_decay > 0:
             grad_flat = grad_flat + config.weight_decay * pset.values
         pset.values -= adam.step(grad_flat, warmup_lr(config.base_lr, step, config.warmup_steps))
-        if after_update is not None:
-            after_update(step)
         history["loss"].append(loss_val)
 
         if step % config.eval_interval == 0 or step == config.steps:
@@ -411,14 +469,8 @@ def train(config: RunConfig, bundle: SplitBundle | None = None) -> TrainResult:
         best = pset.copy()
         best_score = evaluate_selection() if config.steps > 0 else None
 
-    return TrainResult(
-        config=config,
-        spec=spec,
-        params=best,
-        report=evaluation_report(spec, best, bundle, config, selection_score=best_score),
-        bundle=bundle,
-        history=history,
-    )
+    report = evaluation_report(spec, best, bundle, config, selection_score=best_score)
+    return TrainResult(config, spec, best, report, bundle, history)
 
 
 def evaluation_report(spec: ModelSpec, params, bundle: SplitBundle, config: RunConfig,
@@ -432,12 +484,8 @@ def evaluation_report(spec: ModelSpec, params, bundle: SplitBundle, config: RunC
 
 def save_run(result: TrainResult, out_dir: str):
     os.makedirs(out_dir, exist_ok=True)
-    save_checkpoint(
-        os.path.join(out_dir, "checkpoint.json"),
-        result.spec,
-        result.params,
-        metadata={"config": result.config.to_dict()},
-    )
+    save_checkpoint(os.path.join(out_dir, "checkpoint.json"), result.spec, result.params,
+                    metadata={"config": result.config.to_dict()})
     result.report.save(os.path.join(out_dir, "report.json"))
 
 
@@ -452,10 +500,11 @@ def run_experiment_suite(manifest: dict, out_root: str) -> dict:
     Each run gets its own report directory; an aggregate CSV collects
     every AP plus the percent improvement over a declared baseline run.
     Runs with one resolved data config share one bundle. A repeated name,
-    a run config ``RunConfig`` rejects, an ``embed_from`` that names no
-    earlier run, or an analysis that is invalid or names no run, is a
-    ConfigError before any training; a failing run or analysis is
-    recorded in the summary's errors, and the suite continues.
+    a run config ``RunConfig`` rejects (its data and VERA blocks
+    included), an ``embed_from`` that names no earlier run, or an analysis
+    that is invalid or names no run, is a ConfigError before any training;
+    a failing run or analysis is recorded in the summary's errors, and the
+    suite continues.
     """
     runs = manifest.get("runs", [])
     analyses = manifest.get("analyses", [])
@@ -531,53 +580,6 @@ def run_experiment_suite(manifest: dict, out_root: str) -> dict:
     return summary
 
 
-# each analysis kind's parameters and their defaults
-_ANALYSES = {
-    "norm_sweep": {"radii": (0, 1, 2, 5, 10, 20, 50), "directions": "heldout", "n_directions": 64},
-    "smoothness": {"side": 16, "n": 1000, "pool_sizes": (2, 4, 8, 16), "bins": 40},
-    "ascend": {"n_points": 16, "steps": 100, "lr": 0.01},
-}
-
-
-def check_analysis(item: dict) -> dict:
-    """An analysis item's parameters, with defaults filled in and radii as
-    floats. An unknown kind or key, or a value out of range, is a
-    ConfigError naming the field. Whether a smoothness analysis's ``side``
-    fits the model is checked when the analysis runs."""
-    kind = item.get("kind")
-    if kind not in _ANALYSES:
-        raise ConfigError(f"unknown analysis kind {kind!r}")
-    p = _ANALYSES[kind] | {k: v for k, v in item.items() if k not in ("kind", "name", "model")}
-    unknown = sorted(set(p) - set(_ANALYSES[kind]))
-    if unknown:
-        raise ConfigError(f"unknown {kind} analysis keys: {unknown}")
-
-    def require(field, ok, want):
-        if not ok:
-            raise ConfigError(f"{kind} analysis {field} must be {want}, got {p[field]!r}")
-
-    for field in sorted(set(p) & {"n_directions", "side", "n", "bins", "n_points", "steps"}):
-        least = 0 if field == "steps" else 1
-        require(field, _is_int(p[field]) and p[field] >= least, f"an integer >= {least}")
-    if kind == "norm_sweep":
-        try:
-            radii = [float(r) for r in p["radii"]] if isinstance(p["radii"], (list, tuple)) else []
-        except (TypeError, ValueError):
-            radii = []
-        require("radii", radii and radii == sorted(radii) and radii[0] >= 0
-                and all(map(math.isfinite, radii)), "an ascending list of finite numbers >= 0")
-        require("directions", p["directions"] in ("heldout", "random"), "'heldout' or 'random'")
-        p["radii"] = radii
-    elif kind == "smoothness":
-        pools = p["pool_sizes"]
-        require("pool_sizes", isinstance(pools, (list, tuple)) and pools
-                and all(_is_int(k) and k >= 1 and p["side"] % k == 0 for k in pools),
-                f"a non-empty list of integers >= 1 that divide side {p['side']}")
-    else:
-        require("lr", _is_real(p["lr"]) and 0 < p["lr"] < math.inf, "positive and finite")
-    return p
-
-
 def run_analysis(item: dict, spec: ModelSpec, params, bundle: SplitBundle, seed: int,
                  out_dir: str) -> list[list]:
     """Run one analysis of a trained model, write ``<name>.csv`` in
@@ -590,8 +592,9 @@ def run_analysis(item: dict, spec: ModelSpec, params, bundle: SplitBundle, seed:
             dirs = unit_directions_through(anchor, bundle.id_test.features[:n_directions])
         else:
             dirs = random_unit_directions(bundle.id_train.dim, n_directions, stream(seed, "eval"))
-        curve = norm_sweep(spec, params, anchor, dirs, p["radii"])
-        rows = [[r, v, f"{name}:{mode}"] for r, v in zip(p["radii"], curve)]
+        radii = [float(r) for r in p["radii"]]
+        curve = norm_sweep(spec, params, anchor, dirs, radii)
+        rows = [[r, v, f"{name}:{mode}"] for r, v in zip(radii, curve)]
     elif kind == "smoothness":
         side = p["side"]
         if spec.input_dim != side**2:

@@ -365,10 +365,6 @@ class TestConfigs:
         assert cfg.gen_betas == (0.0, 0.9)
         assert cfg.gen_lr == 6e-4
 
-    def test_negative_entropy_weight_rejected(self):
-        with pytest.raises(obj.ObjectiveError):
-            obj.VeraConfig(entropy_weight=-1.0)
-
     def test_jem_config_validation(self):
         # the supervised composite is configured by RunConfig.gamma
         with pytest.raises(tr.ConfigError):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 
@@ -7,6 +8,7 @@ import pytest
 
 from ebmlab import cli
 from ebmlab import models as mz
+from ebmlab import objectives as obj
 from ebmlab import training as tr
 from ebmlab.data import DataError, LabeledTable, SplitBundle, write_csv
 from ebmlab.evaluate import EvalReport
@@ -33,6 +35,28 @@ def toy_config(**kw):
     )
     d.update(kw)
     return tr.RunConfig.from_dict(d)
+
+
+# run, data and VERA values the rule tables refuse, each with the message
+# that names it; none of them may get as far as training
+BAD_BLOCKS = [
+    ({"activation": "tanh"}, "activation must be 'relu' or 'leaky_relu' or 'softplus'"),
+    ({"bottleneck_factor": 2.0}, "bottleneck_factor must be null or a number in (0, 1], got 2.0"),
+    ({"bottleneck_factor": True}, "bottleneck_factor must be null or a number in (0, 1], got True"),
+    ({"data": {"kind": "two_moons", "flavor": "x"}}, "unknown data keys: ['flavor']"),
+    ({"data": {"kind": "mnist"}}, "unknown data kind 'mnist'"),
+    ({"data": {"kind": "two_moons", "noise_std": "x"}}, "data noise_std must be a finite number"),
+    ({"data": {"kind": "two_moons", "noise_std": -1.0}}, "data noise_std must be a finite number"),
+    ({"data": {"kind": "two_moons", "ood_margin": -5}}, "data ood_margin must be a finite number"),
+    ({"data": {"kind": "csv"}}, "data path is required"),
+    ({"data": {"kind": "csv", "path": "d.csv", "id_fracs": [0.5, 0.1, 0.9]}},
+     "data id_fracs must be three finite numbers >= 0 that sum to 1, got [0.5, 0.1, 0.9]"),
+    ({"data": {"kind": "csv", "path": "d.csv", "ood_val_frac": 1.5}},
+     "data ood_val_frac must be a finite number >= 0 and <= 1"),
+    ({"vera": {"n_posterior_samples": 2.5}}, "vera n_posterior_samples must be an integer >= 1"),
+    ({"vera": {"latent_dim": True}}, "vera latent_dim must be an integer >= 1, got True"),
+    ({"vera": {"gen_betas": [0.5]}}, "vera gen_betas must be two numbers in [0, 1), got [0.5]"),
+]
 
 
 class TestWarmup:
@@ -91,13 +115,46 @@ class TestRunConfig:
         for vera in ({"nope": 1}, {"entropy_weight": -1.0}, {"ebm_lr": 3e-4},
                      {"n_posterior_samples": 0}, {"latent_dim": 0}, {"gen_noise_std": 0},
                      {"gen_lr": -1e-3}, {"eta_lr": 0}, {"eta_init": 0}, {"eta_min": 0},
-                     {"eta_min": 0.5, "eta_max": 0.1}):
+                     {"eta_min": 0.5, "eta_max": 0.1}, {"n_posterior_samples": 2.5},
+                     {"latent_dim": True}, {"gen_betas": [0.5]}):
             with pytest.raises(tr.ConfigError, match="vera"):
                 toy_config(objective="vera", vera=vera)
 
     def test_round_trip(self):
         cfg = toy_config(gamma=0.5)
         assert tr.RunConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_rule_tables_cover_every_field(tmp_path, monkeypatch):
+    """The run and VERA tables list exactly their dataclass's fields, and
+    each data and analysis table exactly the keys its reader takes."""
+    assert list(tr._RUN) == [f.name for f in dataclasses.fields(tr.RunConfig)]
+    assert list(tr._VERA) == [f.name for f in dataclasses.fields(obj.VeraConfig)]
+    read = set()
+
+    class Reads(dict):
+        def __getitem__(self, key):
+            read.add(key)
+            return super().__getitem__(key)
+
+    check = tr.check_fields
+    csv_config = toy_config(data={"kind": "csv", "path": write_toy_csv(tmp_path / "d.csv"),
+                                  "removed_classes": [2]})
+    monkeypatch.setattr(tr, "check_fields", lambda *a: Reads(check(*a)))
+    for config in (toy_config(), csv_config):
+        read.clear()
+        tr.build_bundle(config)
+        assert read == set(tr._DATA[config.data["kind"]])
+    part = LabeledTable(np.random.default_rng(0).normal(size=(3, 4)))
+    spec = mz.ModelSpec(input_dim=4, hidden=[4], head="energy")
+    items = {"norm_sweep": {}, "smoothness": {"side": 2, "pool_sizes": [1, 2], "n": 5},
+             "ascend": {"n_points": 1, "steps": 1}}
+    assert list(items) == list(tr.ANALYSES)
+    for kind, item in items.items():
+        read.clear()
+        tr.run_analysis(item | {"kind": kind}, spec, mz.init_params(spec, 0),
+                        SplitBundle(*[part] * 5), 0, str(tmp_path))
+        assert read == set(tr.ANALYSES[kind])
 
 
 class TestBuildBundle:
@@ -406,8 +463,10 @@ class TestSuite:
                 assert row["label"] == "sup-S"
 
     def test_failing_run_isolated(self, tmp_path):
+        # a valid data config whose file is read only when its run starts
         manifest = self._manifest()
-        manifest["runs"][1]["config"]["data"] = {"kind": "nope"}
+        manifest["runs"][1]["config"]["data"] = {"kind": "csv",
+                                                 "path": str(tmp_path / "absent.csv")}
         summary = tr.run_experiment_suite(manifest, str(tmp_path / "out"))
         assert summary["runs"] == ["base"]
         assert "sup" in summary["errors"]
@@ -576,7 +635,8 @@ class TestSuite:
          "run 'emb': embed_from 'nobody' names no earlier run"),
         ([{"name": "emb", "config": {}, "embed_from": "ok"}, {"name": "ok", "config": {}}],
          "run 'emb': embed_from 'ok' names no earlier run"),
-    ])
+    ] + [([{"name": "ok", "config": {}}, {"name": "bad", "config": patch}], f"run 'bad': {named}")
+         for patch, named in BAD_BLOCKS])
     def test_bad_run_rejected_before_training(self, tmp_path, monkeypatch, runs, named):
         monkeypatch.setattr(tr, "train", lambda *a, **k: pytest.fail("trained"))
         base = toy_config(steps=5, eval_interval=5).to_dict()
@@ -621,6 +681,8 @@ class TestSuite:
         ({"kind": "smoothness", "pool_sizes": 2}, "pool_sizes must be"),
         ({"kind": "smoothness", "pool_sizes": [2.0]}, "pool_sizes must be"),
         ({"kind": "smoothness", "pool_sizes": [True]}, "pool_sizes must be"),
+        ({"kind": "norm_sweep", "radii": [False, True]}, "radii must be an ascending list of "
+                                                         "finite numbers >= 0, not empty, got"),
     ])
     def test_bad_analysis_rejected_before_training(self, tmp_path, monkeypatch, analysis, named):
         monkeypatch.setattr(tr, "train", lambda *a, **k: pytest.fail("trained"))
@@ -737,6 +799,7 @@ class TestCli:
         ("steps", 1.5), ("steps", True), ("batch_size", 2.5), ("hidden", "64"), ("hidden", 5),
         ("hidden", [16, 0]), ("hidden", [16.0]), ("seed", -1), ("seed", 0.5),
         ("lr", float("inf")), ("sgld_step_size", float("inf")), ("weight_decay", True),
+        ("activation", "tanh"), ("bottleneck_factor", True),
     ])
     def test_bad_numeric_field_exits_1(self, tmp_path, capsys, time_limit, field, value):
         path = str(tmp_path / "c.json")
@@ -746,6 +809,38 @@ class TestCli:
             code = cli.main(["train", "--config", path, "--out", str(tmp_path / "o")])
         assert code == 1
         assert f"config error: {field} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("patch,named", BAD_BLOCKS)
+    def test_bad_block_exits_1_before_training(self, tmp_path, monkeypatch, capsys, patch, named):
+        for module in (cli, tr):
+            monkeypatch.setattr(module, "train", lambda *a, **k: pytest.fail("trained"))
+        good = toy_config().to_dict()
+        path = write_json(tmp_path / "c.json", good | patch)
+        assert cli.main(["train", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        assert f"config error: {named}" in capsys.readouterr().err
+        path = write_json(tmp_path / "m.json", {"runs": [{"name": "ok", "config": good},
+                                                          {"name": "bad", "config": good | patch}]})
+        assert cli.main(["suite", "--manifest", path, "--out", str(tmp_path / "s")]) == 1
+        assert f"config error: run 'bad': {named}" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("flag,value,named", [
+        ("--n", "-5", "gen-data --n must be an integer >= 1, got -5"),
+        ("--n", "0", "gen-data --n must be an integer >= 1, got 0"),
+        ("--dim", "0", "gen-data --dim must be an integer >= 1, got 0"),
+        ("--side", "0", "gen-data --side must be an integer >= 1, got 0"),
+        ("--pool-size", "0", "gen-data --pool-size must be an integer >= 1, got 0"),
+        ("--noise-std", "nan", "gen-data --noise-std must be a finite number >= 0, got nan"),
+        ("--noise-std", "-0.1", "gen-data --noise-std must be a finite number >= 0, got -0.1"),
+        ("--seed", "-1", "gen-data --seed must be an integer >= 0, got -1"),
+    ])
+    def test_bad_gen_data_flag_exits_1(self, tmp_path, capsys, flag, value, named):
+        out = tmp_path / "data"
+        kind = "smoothness" if flag in ("--side", "--pool-size") else (
+            "two-moons" if flag == "--noise-std" else "noise")
+        assert cli.main(["gen-data", "--kind", kind, flag, value, "--out", str(out)]) == 1
+        assert f"config error: {named}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_ebm_on_csv_without_removed_classes_exits_1(self, tmp_path, capsys):
         config = toy_config(data={"kind": "csv", "path": write_toy_csv(tmp_path / "d.csv")})
@@ -775,8 +870,9 @@ class TestCli:
     @pytest.mark.parametrize("failing", ["run", "analysis"])
     def test_suite_failure_exits_2(self, tmp_path, capsys, failing):
         cfg = toy_config(steps=5, eval_interval=5).to_dict()
+        missing = {"kind": "csv", "path": str(tmp_path / "absent.csv")}
         manifest = {"runs": [{"name": "m", "config": cfg},
-                             {"name": "bad", "config": cfg | {"data": {"kind": "nope"}}}]}
+                             {"name": "bad", "config": cfg | {"data": missing}}]}
         if failing == "analysis":
             manifest["runs"].pop()
             # valid on its own; 4 x 4 images do not fit the 2-input model
