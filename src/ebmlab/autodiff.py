@@ -2,7 +2,8 @@
 
 Gradients are built as graph nodes themselves, so differentiating a
 gradient expression (needed for Hessian-vector quadratic forms that stay
-differentiable w.r.t. parameters) works to any depth. Everything is
+differentiable w.r.t. parameters) works to any depth, except through a
+``fused`` node (below). Everything is
 float64; adding a primitive requires a derivative rule built from
 existing primitives plus a finite-difference test.
 
@@ -10,15 +11,23 @@ Graphs are built only through the named primitives below (``add``,
 ``matmul``, ...); ``Node`` has no operator overloads, so every operation
 on a graph is a call that a tracer wrapping this module can see and count.
 
-This engine is the oracle for every derivative in ebmlab. One fast path
-sits beside it: the input gradient dE/dx of an MLP head (``energy`` or
-``logits``) that SGLD and likelihood ascent take at every step comes from
-``models.input_grad``, a closed-form numpy backward that does this
-engine's float operations in its order and is tested byte-equal to
-``grad``. Flows, the SSM double backward and all parameter gradients use
-the engine. A new activation or head either extends that closed form
-together with its equality test, or leaves ``make_energy_fn`` to fall
-back to the engine.
+This engine is the oracle for every derivative in ebmlab. Two fast paths
+sit beside it, each a closed-form numpy backward that does this engine's
+float operations in its order and is tested byte-equal to ``grad``:
+
+- the input gradient dE/dx of an MLP head (``energy`` or ``logits``) that
+  SGLD and likelihood ascent take at every step: ``models.input_grad``;
+- the radial flow: ``models.flow_logdensity`` is one ``fused`` node, whose
+  vjp gives the adjoints of the input and of every flow parameter at once,
+  so flow NLL training, flow scoring and ``ascend`` on flows take it
+  through ``grad`` unchanged. A ``fused`` node is first-order only: a
+  second ``grad`` through its adjoints raises an AutodiffError that names
+  it (``flow_logdensity has no second derivative``). Nothing in ebmlab
+  takes one; SSM, the one second-order objective, has no flow head.
+
+The SSM double backward and the MLP parameter gradients use the engine
+itself. A new activation, head or flow layer either extends its closed
+form together with its equality test, or stays on the engine.
 """
 
 from __future__ import annotations
@@ -251,6 +260,19 @@ def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Node:
 
     out.vjp = vjp
     return out
+
+
+def fused(value, parents: Sequence[Node], backward: Callable, name: str) -> Node:
+    """One node for a computation done outside the engine.
+
+    ``backward(g)`` maps the output adjoint's value to one adjoint array per
+    parent. The adjoints are first-order only: differentiating through one
+    raises an AutodiffError that names ``name``.
+    """
+    def refuse(g):
+        raise AutodiffError(f"{name} has no second derivative: its adjoints are first-order only")
+
+    return Node(value, parents, lambda g: tuple(Node(a, (), refuse) for a in backward(g.value)))
 
 
 def _toposort(output: Node) -> list[Node]:

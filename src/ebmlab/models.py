@@ -2,7 +2,10 @@
 flows, and classifiers with embedding extraction.
 
 Forward passes build autodiff graphs; pass plain arrays where only the
-value is needed and read ``.value`` off the result.
+value is needed and read ``.value`` off the result. Two parts run in numpy
+and are tested byte-equal to the engine graph they replace: ``input_grad``,
+the MLP input gradient, and the radial flow, which ``flow_logdensity``
+enters into the graph as one ``ad.fused`` node with first derivatives only.
 """
 
 from __future__ import annotations
@@ -216,48 +219,88 @@ def classifier_embed(spec: ModelSpec, params, x) -> np.ndarray:
     return h.value
 
 
-def radial_forward(z0, alpha_hat, beta_hat, x) -> tuple[ad.Node, ad.Node]:
-    """One radial transform on a batch: y = x + beta*h*(x - z0).
+def radial_forward(z0, alpha_hat, beta_hat, x):
+    """One radial transform on an (n, d) array: y = x + beta*h*(x - z0).
 
     h = 1/(alpha + r), r = |x - z0|; log|det J| has the closed form
     (D-1)*log(1 + beta*h) + log(1 + beta*h + beta*h'*r), h' = -h^2.
+    Returns arrays ``(y, logdet, back)``: ``back(g_y, g_logdet, last)`` gives
+    the adjoints of x, z0, alpha_hat and beta_hat. Both directions do the
+    float operations of the engine graph of this formula, in its order;
+    ``last`` is set on the flow's final layer, whose three-term adjoint sums
+    the engine associates differently.
     """
-    z0 = ad.as_node(z0)
-    x = _as_batch(x, z0.value.shape[0])
+    z0 = np.asarray(z0, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    _check_batch(x, z0.shape[0])
+    n, d = x.shape
     # unconstrained layer parameters -> alpha > 0, beta >= -alpha
-    alpha = ad.softplus(alpha_hat)
-    beta = ad.add(ad.neg(alpha), ad.softplus(beta_hat))
-    diff = ad.add(x, ad.neg(z0))
-    r = ad.sqrt(ad.add(ad.reduce_sum(ad.square(diff), axis=1, keepdims=True), 1e-24))
-    h = ad.power(ad.add(alpha, r), -1.0)
-    bh = ad.mul(beta, h)
-    y = ad.add(x, ad.mul(bh, diff))
-    # beta*h'*r with h' = -h^2
-    bhr = ad.neg(ad.mul(beta, ad.mul(ad.square(h), r)))
-    logdet = ad.add(
-        ad.mul(float(x.value.shape[1] - 1), ad.log(ad.add(1.0, bh))),
-        ad.log(ad.add(ad.add(1.0, bh), bhr)),
-    )
-    return y, ad.reshape(logdet, (x.value.shape[0],))
+    alpha, s_alpha = _softplus(np.asarray(alpha_hat, dtype=np.float64))
+    softplus_b, s_beta = _softplus(np.asarray(beta_hat, dtype=np.float64))
+    beta = -alpha + softplus_b
+    diff = x + -z0
+    s = (diff * diff).sum(axis=1, keepdims=True) + 1e-24
+    r = np.power(s, 0.5)
+    apr = alpha + r
+    h = np.power(apr, -1.0)
+    m = beta * h
+    hh = h * h
+    hhr = hh * r  # beta*h'*r = -beta*hhr with h' = -h^2
+    one_m = 1.0 + m
+    inner = one_m + -(beta * hhr)
+    logdet = ((d - 1.0) * np.log(one_m) + np.log(inner)).reshape(n)
+
+    def back(g_y, g_logdet, last):
+        g = g_logdet.reshape(n, 1)
+        g_inner = g * np.power(inner, -1.0)
+        g_one_m = (g * (d - 1.0)) * np.power(one_m, -1.0)
+        g_hhr = -g_inner * beta
+        g_hh = g_hhr * r
+        m_y = g_y * diff if d == 1 else (g_y * diff).sum(axis=(1,), keepdims=True)
+        g_m = (m_y + g_one_m) + g_inner if last else (g_one_m + g_inner) + m_y
+        g_h = (g_m * beta + g_hh * h) + g_hh * h if last else (g_hh * h + g_hh * h) + g_m * beta
+        g_apr = g_h * (np.power(apr, -2.0) * -1.0)
+        g_s = (g_apr + g_hhr * hh) * (np.power(s, -0.5) * 0.5)
+        g_diff = (g_y * m + g_s * diff) + g_s * diff
+        g_beta = (g_m * h).sum(axis=(0, 1)) + (-g_inner * hhr).sum(axis=(0, 1))
+        g_alpha = -g_beta + g_apr.sum(axis=(0, 1))
+        return g_y + g_diff, -g_diff.sum(axis=(0,)), g_alpha * s_alpha, g_beta * s_beta
+
+    return x + m * diff, logdet, back
 
 
 def flow_logdensity(spec: ModelSpec, params, x) -> ad.Node:
-    """Stacked radial transforms, data -> standard-normal base."""
+    """Stacked radial transforms, data -> standard-normal base, as one
+    ``ad.fused`` node whose parents are ``x`` and, for a dict of parameter
+    nodes, every flow leaf.
+
+    Its value and first-order adjoints equal those of the engine graph of
+    the same formulas byte for byte (``tests/test_models.py`` keeps that
+    graph as the reference); it has no second derivative.
+    """
     if spec.head != "flow":
         raise ModelError("flow_logdensity requires a flow head")
-    pn = params if isinstance(params, dict) else param_nodes(params)
-    z = _as_batch(x, spec.input_dim)
-    total = ad.constant(np.zeros(z.value.shape[0]))
+    names = [f"flow{k}.{p}" for k in range(spec.n_flow_layers)
+             for p in ("z0", "alpha_hat", "beta_hat")]
+    p = _param_arrays(params)
+    x = _as_batch(x, spec.input_dim)
+    z, total, backs = x.value, np.zeros(x.value.shape[0]), []
     for k in range(spec.n_flow_layers):
-        z, logdet = radial_forward(
-            pn[f"flow{k}.z0"], pn[f"flow{k}.alpha_hat"], pn[f"flow{k}.beta_hat"], z
-        )
-        total = ad.add(total, logdet)
-    base = ad.add(
-        ad.mul(-0.5, ad.reduce_sum(ad.square(z), axis=1)),
-        -0.5 * spec.input_dim * math.log(2.0 * math.pi),
-    )
-    return ad.add(base, total)
+        z, logdet, back = radial_forward(*(p[name] for name in names[3 * k:3 * k + 3]), z)
+        total = total + logdet
+        backs.append(back)
+    base = -0.5 * (z * z).sum(axis=1) + -0.5 * spec.input_dim * math.log(2.0 * math.pi)
+    parents = [x] + ([params[name] for name in names] if isinstance(params, dict) else [])
+
+    def backward(g):
+        b = (g * -0.5).reshape(-1, 1)
+        g_y, adjoints = b * z + b * z, []
+        for k in reversed(range(spec.n_flow_layers)):
+            g_y, *layer = backs[k](g_y, g, k == spec.n_flow_layers - 1)
+            adjoints[:0] = layer
+        return [g_y, *adjoints][:len(parents)]
+
+    return ad.fused(base + total, parents, backward, "flow_logdensity")
 
 
 def energy(spec: ModelSpec, params, x) -> ad.Node:
@@ -279,6 +322,11 @@ def energy(spec: ModelSpec, params, x) -> ad.Node:
 CLOSED_FORM_HEADS = ("energy", "logits")
 
 
+def _softplus(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``ad.softplus(a)``'s value and its vjp's factor, the value of ``ad.sigmoid(a)``."""
+    return np.maximum(a, 0.0) + np.log1p(np.exp(-np.abs(a))), 1.0 / (1.0 + np.exp(-a))
+
+
 def _activation_np(spec: ModelSpec, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The activation's value at ``a`` and the factor its vjp multiplies the
     adjoint by, computed as the ``ad.relu``/``ad.softplus``/``ad.leaky_relu``
@@ -287,8 +335,7 @@ def _activation_np(spec: ModelSpec, a: np.ndarray) -> tuple[np.ndarray, np.ndarr
         mask = (a > 0).astype(np.float64)
         return a * mask, mask
     if spec.activation == "softplus":
-        # the vjp's factor is the value of ad.sigmoid(a)
-        return np.maximum(a, 0.0) + np.log1p(np.exp(-np.abs(a))), 1.0 / (1.0 + np.exp(-a))
+        return _softplus(a)
     factor = np.where(a > 0, 1.0, spec.leaky_slope)
     return a * factor, factor
 

@@ -22,9 +22,9 @@ class ObjectiveError(Exception):
 class VeraConfig:
     """VERA's settings; ``training.RunConfig`` checks a run's ``vera`` block."""
     entropy_weight: float = 1e-4
-    eta_init: float = 0.1
     eta_min: float = 0.01
     eta_max: float = 0.3
+    eta_init: float = 0.1  # after its bounds: its rule reads them
     eta_lr: float = 1e-3
     gen_noise_std: float = 0.01
     n_posterior_samples: int = 20

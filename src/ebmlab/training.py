@@ -220,13 +220,21 @@ _RUN = _with_defaults(RunConfig, {
     "data_noise_var": _num(0), "vera": _DICT,
 })
 _VERA = _with_defaults(VeraConfig, {
-    "entropy_weight": _num(0), "eta_init": _POSITIVE, "eta_min": _POSITIVE,
+    "entropy_weight": _num(0), "eta_min": _POSITIVE,
     "eta_max": (lambda v, p: _is_finite(v, p["eta_min"]), "a finite number >= eta_min {eta_min}"),
+    "eta_init": (lambda v, p: _is_finite(v, p["eta_min"], p["eta_max"]),
+                 "a number in [eta_min {eta_min}, eta_max {eta_max}]"),
     "eta_lr": _POSITIVE, "gen_noise_std": _POSITIVE, "n_posterior_samples": _int(1),
     "latent_dim": _int(1), "gen_lr": _POSITIVE,
     "gen_betas": (lambda v, p: _is_list(v, lambda b: _is_finite(b, 0, 1) and b < 1)
                   and len(v) == 2, "two numbers in [0, 1)"),
 })
+# a suite manifest's keys, and each of its runs' keys
+_DICTS = (lambda v, p: _is_list(v, lambda i: isinstance(i, dict)), "a list of dicts")
+_MANIFEST = {"runs": ((), *_DICTS), "analyses": ((), *_DICTS)}
+_NAME = (lambda v, p: v is None or isinstance(v, str), "null or a run name")
+_SUITE_RUN = {"name": (MISSING, *_STR), "config": (MISSING, *_DICT),
+              "embed_from": (None, *_NAME), "baseline": (None, *_NAME)}
 # each data kind's keys; ``seed`` defaults to the run's seed
 _DATA = {
     "two_moons": {"seed": (MISSING, *_int(0)), "n": (2000, *_int(1)),
@@ -506,8 +514,9 @@ def run_experiment_suite(manifest: dict, out_root: str) -> dict:
     a failing run or analysis is recorded in the summary's errors, and the
     suite continues.
     """
-    runs = manifest.get("runs", [])
-    analyses = manifest.get("analyses", [])
+    manifest = check_fields(_MANIFEST, manifest, "suite")
+    runs = [check_fields(_SUITE_RUN, item, "run") for item in manifest["runs"]]
+    analyses = manifest["analyses"]
     for item in analyses:
         check_analysis(item)
         if item.get("model") not in [r["name"] for r in runs]:
@@ -519,7 +528,7 @@ def run_experiment_suite(manifest: dict, out_root: str) -> dict:
         raise ConfigError(f"run and analysis names must be unique and not 'aggregate': {repeated}")
     configs = {}
     for item in runs:
-        if "embed_from" in item and item["embed_from"] not in configs:
+        if item["embed_from"] is not None and item["embed_from"] not in configs:
             raise ConfigError(f"run {item['name']!r}: embed_from {item['embed_from']!r} "
                               "names no earlier run")
         try:
@@ -534,7 +543,7 @@ def run_experiment_suite(manifest: dict, out_root: str) -> dict:
     for item in runs:
         name, config = item["name"], configs[item["name"]]
         try:
-            embedded = "embed_from" in item
+            embedded = item["embed_from"] is not None
             if embedded:
                 source = results.get(item["embed_from"])
                 if source is None:
@@ -555,7 +564,7 @@ def run_experiment_suite(manifest: dict, out_root: str) -> dict:
 
     rows = []
     for item in (i for i in runs if i["name"] in results):
-        run, base_name = results[item["name"]].report.run, item.get("baseline")
+        run, base_name = results[item["name"]].report.run, item["baseline"]
         base_aps = ({r["ood_set"]: r["auc_pr"] for r in results[base_name].report.results}
                     if base_name in results else {})
         for r in results[item["name"]].report.results:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from ebmlab import autodiff as ad
 from ebmlab import models as mz
+from ebmlab import objectives as obj
 
 
 def small_energy_spec(**kw):
@@ -256,9 +257,9 @@ class TestRadialFlow:
         d = 3
         z0 = np.zeros(d)
         alpha_hat = 0.3
-        y, logdet = mz.radial_forward(z0, alpha_hat, alpha_hat, np.array([[1.0, -2.0, 0.5]]))
-        assert np.allclose(y.value, [[1.0, -2.0, 0.5]])
-        assert logdet.value[0] == pytest.approx(0.0, abs=1e-12)
+        y, logdet, _ = mz.radial_forward(z0, alpha_hat, alpha_hat, np.array([[1.0, -2.0, 0.5]]))
+        assert np.allclose(y, [[1.0, -2.0, 0.5]])
+        assert logdet[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_center_point(self):
         rng = np.random.default_rng(4)
@@ -266,35 +267,35 @@ class TestRadialFlow:
         z0, ah, bh = self._layer(rng, d)
         alpha = np.logaddexp(0.0, ah)  # softplus: alpha > 0, beta >= -alpha
         beta = np.logaddexp(0.0, bh) - alpha
-        y, logdet = mz.radial_forward(z0, ah, bh, z0[None].copy())
-        assert np.allclose(y.value, z0[None])
+        y, logdet, _ = mz.radial_forward(z0, ah, bh, z0[None].copy())
+        assert np.allclose(y, z0[None])
         expected = (d - 1) * math.log(1 + beta / alpha) + math.log(1 + beta / alpha)
-        assert logdet.value[0] == pytest.approx(expected, rel=1e-9)
+        assert logdet[0] == pytest.approx(expected, rel=1e-9)
 
     def test_logdet_matches_numeric_jacobian(self):
         rng = np.random.default_rng(8)
         for _ in range(5):
             z0, ah, bh = self._layer(rng, 2)
             x = rng.normal(size=(1, 2)) * 2.0
-            _, logdet = mz.radial_forward(z0, ah, bh, x)
+            _, logdet, _ = mz.radial_forward(z0, ah, bh, x)
             h = 1e-6
             jac = np.zeros((2, 2))
             for j in range(2):
                 e = np.zeros((1, 2))
                 e[0, j] = h
-                yp, _ = mz.radial_forward(z0, ah, bh, x + e)
-                ym, _ = mz.radial_forward(z0, ah, bh, x - e)
-                jac[:, j] = (yp.value[0] - ym.value[0]) / (2 * h)
-            assert logdet.value[0] == pytest.approx(math.log(abs(np.linalg.det(jac))), abs=1e-5)
+                yp, _, _ = mz.radial_forward(z0, ah, bh, x + e)
+                ym, _, _ = mz.radial_forward(z0, ah, bh, x - e)
+                jac[:, j] = (yp[0] - ym[0]) / (2 * h)
+            assert logdet[0] == pytest.approx(math.log(abs(np.linalg.det(jac))), abs=1e-5)
 
     def test_statistical_injectivity(self):
         rng = np.random.default_rng(10)
         z0, ah, bh = self._layer(rng, 2)
         x = rng.normal(size=(10_000, 2)) * 3.0
-        y, _ = mz.radial_forward(z0, ah, bh, x)
+        y, _, _ = mz.radial_forward(z0, ah, bh, x)
         perm = rng.permutation(len(x))
         distinct = np.any(x != x[perm], axis=1)
-        assert np.all(np.any(y.value[distinct] != y.value[perm][distinct], axis=1))
+        assert np.all(np.any(y[distinct] != y[perm][distinct], axis=1))
 
 
 class TestFlowDensity:
@@ -326,6 +327,116 @@ class TestFlowDensity:
         logp = mz.flow_logdensity(spec, pset, grid[:, None]).value
         integral = np.trapezoid(np.exp(logp), grid)
         assert integral == pytest.approx(1.0, abs=1e-3)
+
+
+def engine_radial_layer(z0, alpha_hat, beta_hat, x):
+    """The radial layer built node by node on the engine: the reference the
+    fused ``flow_logdensity`` must equal byte for byte."""
+    alpha = ad.softplus(alpha_hat)
+    beta = ad.add(ad.neg(alpha), ad.softplus(beta_hat))
+    diff = ad.add(x, ad.neg(z0))
+    r = ad.sqrt(ad.add(ad.reduce_sum(ad.square(diff), axis=1, keepdims=True), 1e-24))
+    h = ad.power(ad.add(alpha, r), -1.0)
+    bh = ad.mul(beta, h)
+    y = ad.add(x, ad.mul(bh, diff))
+    bhr = ad.neg(ad.mul(beta, ad.mul(ad.square(h), r)))
+    logdet = ad.add(
+        ad.mul(float(x.value.shape[1] - 1), ad.log(ad.add(1.0, bh))),
+        ad.log(ad.add(ad.add(1.0, bh), bhr)),
+    )
+    return y, ad.reshape(logdet, (x.value.shape[0],))
+
+
+def engine_flow_logdensity(spec, params, x):
+    pn = params if isinstance(params, dict) else mz.param_nodes(params)
+    z = ad.as_node(x)
+    total = ad.constant(np.zeros(z.value.shape[0]))
+    for k in range(spec.n_flow_layers):
+        z, logdet = engine_radial_layer(
+            pn[f"flow{k}.z0"], pn[f"flow{k}.alpha_hat"], pn[f"flow{k}.beta_hat"], z)
+        total = ad.add(total, logdet)
+    base = ad.add(ad.mul(-0.5, ad.reduce_sum(ad.square(z), axis=1)),
+                  -0.5 * spec.input_dim * math.log(2.0 * math.pi))
+    return ad.add(base, total)
+
+
+def flow_results(spec, params, x, fused=True):
+    """The log-density, the ``flow_nll`` parameter gradient and the input
+    gradient of the summed energy: through the package, or (``fused=False``)
+    through the node-by-node reference."""
+    if fused:
+        logdensity, nll, energy = mz.flow_logdensity, obj.flow_nll, mz.energy
+    else:
+        logdensity = engine_flow_logdensity
+        nll = lambda *a: ad.mean(ad.neg(engine_flow_logdensity(*a)))
+        energy = lambda *a: ad.neg(engine_flow_logdensity(*a))
+    leaves = params if isinstance(params, dict) else mz.param_nodes(params)
+    param_grad = [g.value for g in ad.grad(nll(spec, leaves, x), list(leaves.values()))]
+    xn = ad.leaf(x)
+    (input_grad,) = ad.grad(ad.reduce_sum(energy(spec, params, xn)), [xn])
+    return [logdensity(spec, params, x).value, *param_grad, input_grad.value]
+
+
+def perturbed_flow(n_layers, d, seed=0):
+    spec = mz.ModelSpec(input_dim=d, head="flow", n_flow_layers=n_layers)
+    pset = mz.init_params(spec, seed)
+    pset.values += np.random.default_rng(seed).normal(size=pset.size) * 0.7
+    return spec, pset
+
+
+class TestFusedFlow:
+    """``flow_logdensity`` is one engine node equal to the node-by-node graph."""
+
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n_layers", [1, 2, 3, 20])
+    def test_equals_engine(self, n_layers, d, n):
+        spec, pset = perturbed_flow(n_layers, d, seed=10 * n_layers + d)
+        x = np.random.default_rng(n).normal(size=(n, d)) * 2.0
+        for params in (pset, mz.param_nodes(pset)):
+            expected = flow_results(spec, params, x, fused=False)
+            got = flow_results(spec, params, x)
+            assert [a.shape for a in got] == [a.shape for a in expected]
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+    def test_nonfinite_rows_match_engine(self):
+        spec, pset = perturbed_flow(3, 2)
+        x = np.random.default_rng(0).normal(size=(7, 2))
+        x[1, 0], x[2, 1], x[3, 0], x[4], x[5, 1] = np.inf, -np.inf, np.nan, 1e300, 1e160
+        with np.errstate(all="ignore"):
+            expected = flow_results(spec, pset, x, fused=False)
+            got = flow_results(spec, pset, x)
+        assert not np.all(np.isfinite(expected[0]))
+        for a, b in zip(got, expected):
+            assert np.array_equal(np.isnan(a), np.isnan(b))
+            assert np.array_equal(a, b, equal_nan=True)
+
+    def test_second_derivative_refused(self):
+        spec, pset = perturbed_flow(2, 2)
+        leaves = mz.param_nodes(pset)
+        xn = ad.leaf(np.ones((3, 2)))
+        (gx,) = ad.grad(ad.reduce_sum(mz.energy(spec, leaves, xn)), [xn])
+        with pytest.raises(ad.AutodiffError, match="flow_logdensity has no second derivative"):
+            ad.grad(ad.reduce_sum(ad.square(gx)), list(leaves.values()))
+        with pytest.raises(ad.AutodiffError, match="flow_logdensity has no second derivative"):
+            ad.grad(ad.reduce_sum(gx), [xn])
+
+    @pytest.mark.parametrize("n_layers", [1, 20])
+    def test_builds_one_node(self, monkeypatch, n_layers):
+        spec, pset = perturbed_flow(n_layers, 2)
+        leaves = mz.param_nodes(pset)
+        x = ad.constant(np.ones((4, 2)))
+        created = []
+        init = ad.Node.__init__
+
+        def counting_init(self, *args, **kwargs):
+            created.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ad.Node, "__init__", counting_init)
+        mz.flow_logdensity(spec, leaves, x)
+        mz.flow_logdensity(spec, pset, x)
+        assert len(created) == 2
 
 
 class TestClassifierEmbed:

@@ -56,6 +56,23 @@ BAD_BLOCKS = [
     ({"vera": {"n_posterior_samples": 2.5}}, "vera n_posterior_samples must be an integer >= 1"),
     ({"vera": {"latent_dim": True}}, "vera latent_dim must be an integer >= 1, got True"),
     ({"vera": {"gen_betas": [0.5]}}, "vera gen_betas must be two numbers in [0, 1), got [0.5]"),
+    ({"vera": {"eta_init": 5.0}}, "vera eta_init must be a number in [eta_min 0.01, eta_max 0.3], "
+                                  "got 5.0"),
+]
+
+
+# suite manifests whose own keys or run items the rule tables refuse
+BAD_MANIFESTS = [
+    ({"runs": [], "analysis": [{"kind": "norm_sweep", "model": "m"}]},
+     "unknown suite keys: ['analysis']"),
+    ({"runs": {"name": "m", "config": {}}}, "suite runs must be a list of dicts"),
+    ({"runs": [], "analyses": {"kind": "norm_sweep"}}, "suite analyses must be a list of dicts"),
+    ({"runs": [{"config": {}}]}, "run name is required"),
+    ({"runs": [{"name": "m"}]}, "run config is required"),
+    ({"runs": [{"name": "m", "config": {}, "embed": "x"}]}, "unknown run keys: ['embed']"),
+    ({"runs": [{"name": 3, "config": {}}]}, "run name must be a string, got 3"),
+    ({"runs": [{"name": "m", "config": {}, "baseline": 5}]},
+     "run baseline must be null or a run name, got 5"),
 ]
 
 
@@ -116,7 +133,8 @@ class TestRunConfig:
                      {"n_posterior_samples": 0}, {"latent_dim": 0}, {"gen_noise_std": 0},
                      {"gen_lr": -1e-3}, {"eta_lr": 0}, {"eta_init": 0}, {"eta_min": 0},
                      {"eta_min": 0.5, "eta_max": 0.1}, {"n_posterior_samples": 2.5},
-                     {"latent_dim": True}, {"gen_betas": [0.5]}):
+                     {"latent_dim": True}, {"gen_betas": [0.5]}, {"eta_init": 0.005},
+                     {"eta_min": 0.2, "eta_init": 0.1}, {"eta_max": 0.05}):
             with pytest.raises(tr.ConfigError, match="vera"):
                 toy_config(objective="vera", vera=vera)
 
@@ -647,6 +665,15 @@ class TestSuite:
         assert named in str(err.value)
         assert not out.exists()
 
+    @pytest.mark.parametrize("manifest,named", BAD_MANIFESTS)
+    def test_bad_manifest_rejected_before_training(self, tmp_path, monkeypatch, manifest, named):
+        monkeypatch.setattr(tr, "train", lambda *a, **k: pytest.fail("trained"))
+        out = tmp_path / "out"
+        with pytest.raises(tr.ConfigError) as err:
+            tr.run_experiment_suite(manifest, str(out))
+        assert named in str(err.value)
+        assert not out.exists()
+
     def test_default_smoothness_analysis_runs(self, tmp_path):
         part = LabeledTable(np.random.default_rng(0).uniform(size=(10, 256)))
         bundle = SplitBundle(part, part, part, part, part)
@@ -884,6 +911,15 @@ class TestCli:
         stdout = capsys.readouterr().out
         assert "suite complete: 1 runs, 1 errors" in stdout and "FAILED bad: " in stdout
         assert (out / "m" / "checkpoint.json").exists()
+
+    @pytest.mark.parametrize("manifest,named", BAD_MANIFESTS)
+    def test_bad_manifest_exits_1_before_training(self, tmp_path, monkeypatch, capsys,
+                                                  manifest, named):
+        monkeypatch.setattr(tr, "train", lambda *a, **k: pytest.fail("trained"))
+        path = write_json(tmp_path / "manifest.json", manifest)
+        assert cli.main(["suite", "--manifest", path, "--out", str(tmp_path / "suite")]) == 1
+        assert f"config error: {named}" in capsys.readouterr().err
+        assert not (tmp_path / "suite").exists()
 
     def test_suite_bad_analysis_exits_1(self, tmp_path, capsys):
         cfg = toy_config(steps=5, eval_interval=5).to_dict()
