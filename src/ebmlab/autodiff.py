@@ -11,23 +11,15 @@ Graphs are built only through the named primitives below (``add``,
 ``matmul``, ...); ``Node`` has no operator overloads, so every operation
 on a graph is a call that a tracer wrapping this module can see and count.
 
-This engine is the oracle for every derivative in ebmlab. Two fast paths
-sit beside it, each a closed-form numpy backward that does this engine's
-float operations in its order and is tested byte-equal to ``grad``:
-
-- the input gradient dE/dx of an MLP head (``energy`` or ``logits``) that
-  SGLD and likelihood ascent take at every step: ``models.input_grad``;
-- the radial flow: ``models.flow_logdensity`` is one ``fused`` node, whose
-  vjp gives the adjoints of the input and of every flow parameter at once,
-  so flow NLL training, flow scoring and ``ascend`` on flows take it
-  through ``grad`` unchanged. A ``fused`` node is first-order only: a
-  second ``grad`` through its adjoints raises an AutodiffError that names
-  it (``flow_logdensity has no second derivative``). Nothing in ebmlab
-  takes one; SSM, the one second-order objective, has no flow head.
-
-The SSM double backward and the MLP parameter gradients use the engine
-itself. A new activation, head or flow layer either extends its closed
-form together with its equality test, or stays on the engine.
+This engine is the oracle for every derivative in ebmlab. Graphs are
+built only where a parameter gradient or a second-order one is taken (the
+losses, the JEM composite, VERA's generator and eta, SSM's double
+backward); values and input gradients run in numpy in ``models``, tested
+byte-equal to this engine. ``models.flow_logdensity`` enters the radial
+flow as one ``fused`` node. A ``fused`` node is first-order only: a second
+``grad`` through its adjoints raises an AutodiffError that names it
+(``flow_logdensity has no second derivative``). Nothing in ebmlab takes
+one; SSM, the one second-order objective, has no flow head.
 """
 
 from __future__ import annotations
@@ -192,10 +184,6 @@ def power(a, p: float) -> Node:
     out = Node(np.power(a.value, p), (a,))
     out.vjp = lambda g: (mul(g, mul(power(a, p - 1.0), p)),)
     return out
-
-
-def sqrt(a) -> Node:
-    return power(a, 0.5)
 
 
 def square(a) -> Node:

@@ -1,11 +1,13 @@
 """Model zoo: MLP energy nets (optional bottlenecks), JEM heads, radial
 flows, and classifiers with embedding extraction.
 
-Forward passes build autodiff graphs; pass plain arrays where only the
-value is needed and read ``.value`` off the result. Two parts run in numpy
-and are tested byte-equal to the engine graph they replace: ``input_grad``,
-the MLP input gradient, and the radial flow, which ``flow_logdensity``
-enters into the graph as one ``ad.fused`` node with first derivatives only.
+This module decides how E(x) and dE/dx are computed for every head with an
+energy. Values and input gradients (``score_logdensity``, ``input_grad``,
+``classifier_embed``, ``mlp_values``) run in numpy, without a graph, doing
+the engine's float operations in its order; tests prove them byte-equal to
+the engine. Graphs (``energy``, ``mlp_forward``, ``flow_logdensity``, one
+first-order ``ad.fused`` node for the radial stack) are built only for
+parameter and second-order gradients.
 """
 
 from __future__ import annotations
@@ -203,20 +205,43 @@ def mlp_forward(spec: ModelSpec, params, x) -> tuple[ad.Node, ad.Node]:
     return ad.add(ad.matmul(h, pn["head.W"]), pn["head.b"]), h
 
 
-def mlp_energy(spec: ModelSpec, params, x) -> ad.Node:
-    """Scalar energy per row, shape (n,)."""
-    if spec.head != "energy":
-        raise ModelError("mlp_energy requires a scalar-energy head")
-    out, _ = mlp_forward(spec, params, x)
-    return ad.reshape(out, (out.value.shape[0],))
+def mlp_values(spec: ModelSpec, params, x):
+    """``mlp_forward``'s two values in numpy, plus ``back(g)``, which maps an
+    adjoint of the head output to the input adjoint as ``ad.grad`` would:
+    (head output, penultimate activations, back)."""
+    if spec.head == "flow":
+        raise ModelError("mlp_values does not apply to flow heads")
+    p = _param_arrays(params)
+    h = np.asarray(x, dtype=np.float64)
+    _check_batch(h, spec.input_dim)
+    # forward: keep the factor each activation's vjp will multiply by
+    factors = []
+    for i in range(len(spec.hidden)):
+        h, f = _activation_np(spec, h @ p[f"layer{i}.W"] + p[f"layer{i}.b"])
+        factors.append(f)
+        if spec.has_bottleneck:
+            d, f = _activation_np(spec, h @ p[f"layer{i}.bn_down.W"] + p[f"layer{i}.bn_down.b"])
+            factors.append(f)
+            h = d @ p[f"layer{i}.bn_up.W"] + p[f"layer{i}.bn_up.b"]
+
+    def back(g):
+        # ad.matmul's vjp is g @ W.T; ad.add passes g through unchanged
+        g, rest = g @ p["head.W"].T, iter(reversed(factors))
+        for i in reversed(range(len(spec.hidden))):
+            if spec.has_bottleneck:
+                g = (g @ p[f"layer{i}.bn_up.W"].T) * next(rest)
+                g = g @ p[f"layer{i}.bn_down.W"].T
+            g = (g * next(rest)) @ p[f"layer{i}.W"].T
+        return g
+
+    return h @ p["head.W"] + p["head.b"], h, back
 
 
 def classifier_embed(spec: ModelSpec, params, x) -> np.ndarray:
     """Penultimate activations of a classifier, as plain arrays."""
     if spec.head != "logits":
         raise ModelError("classifier_embed requires a logits head")
-    _, h = mlp_forward(spec, params, x)
-    return h.value
+    return mlp_values(spec, params, x)[1]
 
 
 def radial_forward(z0, alpha_hat, beta_hat, x):
@@ -269,28 +294,20 @@ def radial_forward(z0, alpha_hat, beta_hat, x):
     return x + m * diff, logdet, back
 
 
-def flow_logdensity(spec: ModelSpec, params, x) -> ad.Node:
-    """Stacked radial transforms, data -> standard-normal base, as one
-    ``ad.fused`` node whose parents are ``x`` and, for a dict of parameter
-    nodes, every flow leaf.
-
-    Its value and first-order adjoints equal those of the engine graph of
-    the same formulas byte for byte (``tests/test_models.py`` keeps that
-    graph as the reference); it has no second derivative.
-    """
-    if spec.head != "flow":
-        raise ModelError("flow_logdensity requires a flow head")
-    names = [f"flow{k}.{p}" for k in range(spec.n_flow_layers)
-             for p in ("z0", "alpha_hat", "beta_hat")]
+def _flow(spec: ModelSpec, params, x):
+    """The radial stack, data -> standard-normal base, in numpy on an (n, d)
+    array: (log p(x), backward), where ``backward(g)`` maps an adjoint of
+    log p(x) to those of x and of every flow parameter, in layout order."""
     p = _param_arrays(params)
-    x = _as_batch(x, spec.input_dim)
-    z, total, backs = x.value, np.zeros(x.value.shape[0]), []
+    z = np.asarray(x, dtype=np.float64)
+    _check_batch(z, spec.input_dim)
+    blocks = [p[name] for name, _ in spec.layer_plan()]
+    total, backs = np.zeros(z.shape[0]), []
     for k in range(spec.n_flow_layers):
-        z, logdet, back = radial_forward(*(p[name] for name in names[3 * k:3 * k + 3]), z)
+        z, logdet, back = radial_forward(*blocks[3 * k:3 * k + 3], z)
         total = total + logdet
         backs.append(back)
     base = -0.5 * (z * z).sum(axis=1) + -0.5 * spec.input_dim * math.log(2.0 * math.pi)
-    parents = [x] + ([params[name] for name in names] if isinstance(params, dict) else [])
 
     def backward(g):
         b = (g * -0.5).reshape(-1, 1)
@@ -298,28 +315,35 @@ def flow_logdensity(spec: ModelSpec, params, x) -> ad.Node:
         for k in reversed(range(spec.n_flow_layers)):
             g_y, *layer = backs[k](g_y, g, k == spec.n_flow_layers - 1)
             adjoints[:0] = layer
-        return [g_y, *adjoints][:len(parents)]
+        return [g_y, *adjoints]
 
-    return ad.fused(base + total, parents, backward, "flow_logdensity")
+    return base + total, backward
+
+
+def flow_logdensity(spec: ModelSpec, params, x) -> ad.Node:
+    """log p(x) of the radial stack as one first-order ``ad.fused`` node,
+    whose parents are ``x`` and, for a dict of parameter nodes, every flow
+    leaf (``tests/test_models.py`` keeps the node-by-node reference)."""
+    if spec.head != "flow":
+        raise ModelError("flow_logdensity requires a flow head")
+    x = _as_batch(x, spec.input_dim)
+    value, backward = _flow(spec, params, x.value)
+    leaves = [params[name] for name, _ in spec.layer_plan()] if isinstance(params, dict) else []
+    return ad.fused(value, [x, *leaves], lambda g: backward(g)[:1 + len(leaves)], "flow_logdensity")
 
 
 def energy(spec: ModelSpec, params, x) -> ad.Node:
-    """Per-row energy E(x) = -log p~(x) of an (n, d) batch, shape (n,).
-
-    The energy head's output; -logsumexp of the logits for a logits head
-    (JEM); -log p(x) for a flow. A vector head has no energy.
-    """
+    """Per-row energy E(x) = -log p~(x) of an (n, d) batch, shape (n,), as a
+    graph node: the energy head's output; -logsumexp of the logits for a
+    logits head (JEM); -log p(x) for a flow. A vector head has no energy."""
     if spec.head == "energy":
-        return mlp_energy(spec, params, x)
+        out, _ = mlp_forward(spec, params, x)
+        return ad.reshape(out, (out.value.shape[0],))
     if spec.head == "logits":
         return ad.neg(ad.logsumexp(mlp_forward(spec, params, x)[0], axis=-1))
     if spec.head == "flow":
         return ad.neg(flow_logdensity(spec, params, x))
     raise ModelError(f"no energy for head {spec.head!r}")
-
-
-# heads whose input gradient ``input_grad`` computes in closed form
-CLOSED_FORM_HEADS = ("energy", "logits")
 
 
 def _softplus(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -340,52 +364,45 @@ def _activation_np(spec: ModelSpec, a: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return a * factor, factor
 
 
-def input_grad(spec: ModelSpec, params, x) -> np.ndarray:
-    """dE/dx of the summed energy of an (n, d) batch, shape (n, d), for an
-    ``energy`` or ``logits`` head; builds no graph nodes.
+def _logsumexp(logits: np.ndarray) -> np.ndarray:
+    """``ad.logsumexp``'s value over the last axis, kept as an (n, 1) column."""
+    m = np.max(logits, axis=-1, keepdims=True)
+    return np.log(np.sum(np.exp(logits - m), axis=-1, keepdims=True)) + m
 
-    A numpy forward and backward that does the engine's float operations
-    in the engine's order, so it equals
-    ``ad.grad(ad.reduce_sum(energy(spec, params, x)), [x])`` byte for byte
-    (non-finite rows included). Parameter adjoints are never formed.
-    ``params`` is a ParameterSet or a dict of parameter nodes.
+
+def input_grad(spec: ModelSpec, params, x) -> np.ndarray:
+    """dE/dx of the summed energy of an (n, d) batch, shape (n, d), for
+    every head with an energy; builds no graph nodes.
+
+    Equals ``ad.grad(ad.reduce_sum(energy(spec, params, x)), [x])`` byte
+    for byte (non-finite rows included): an MLP runs ``mlp_values``'s
+    backward, a flow its fused node's backward, each from the adjoint the
+    engine would hand it. ``params`` is a ParameterSet or a dict of nodes.
     """
-    if spec.head not in CLOSED_FORM_HEADS:
-        raise ModelError(f"no closed-form input gradient for head {spec.head!r}")
-    p = _param_arrays(params)
-    h = np.asarray(x, dtype=np.float64)
-    _check_batch(h, spec.input_dim)
-    # forward: keep the factor each activation's vjp will multiply by
-    factors = []
-    for i in range(len(spec.hidden)):
-        h, f = _activation_np(spec, h @ p[f"layer{i}.W"] + p[f"layer{i}.b"])
-        factors.append(f)
-        if spec.has_bottleneck:
-            d, f = _activation_np(spec, h @ p[f"layer{i}.bn_down.W"] + p[f"layer{i}.bn_down.b"])
-            factors.append(f)
-            h = d @ p[f"layer{i}.bn_up.W"] + p[f"layer{i}.bn_up.b"]
+    if spec.head == "flow":
+        logp, backward = _flow(spec, params, x)
+        return backward(-np.ones(logp.shape))[0]  # the adjoint of log p under sum(-log p)
+    out, _, back = mlp_values(spec, params, x)
     # adjoint of the head output under sum(E): ones for an energy head; for
     # E = -logsumexp, -1 times the softmax exp(logits - lse) (ad.logsumexp's vjp)
     if spec.head == "energy":
-        g = np.ones((h.shape[0], 1))  # inner dimension 1: g @ W.T is exact in any layout
-    else:
-        logits = h @ p["head.W"] + p["head.b"]
-        m = np.max(logits, axis=-1, keepdims=True)
-        lse = np.log(np.sum(np.exp(logits - m), axis=-1, keepdims=True)) + m
-        g = -1.0 * np.exp(logits + -lse)
-    g = g @ p["head.W"].T
-    # backward: ad.matmul's vjp is g @ W.T; ad.add passes g through unchanged
-    for i in reversed(range(len(spec.hidden))):
-        if spec.has_bottleneck:
-            g = (g @ p[f"layer{i}.bn_up.W"].T) * factors.pop()
-            g = g @ p[f"layer{i}.bn_down.W"].T
-        g = (g * factors.pop()) @ p[f"layer{i}.W"].T
-    return g
+        return back(np.ones((out.shape[0], 1)))  # inner dimension 1: exact in any layout
+    if spec.head == "logits":
+        return back(-1.0 * np.exp(out + -_logsumexp(out)))
+    raise ModelError(f"no energy for head {spec.head!r}")
 
 
 def score_logdensity(spec: ModelSpec, params, x) -> np.ndarray:
-    """Unnormalized log-density used for OOD scoring: -E(x)."""
-    return -energy(spec, params, x).value
+    """Unnormalized log-density log p~(x) = -E(x) per row, for OOD scoring;
+    ``-energy(...).value`` byte for byte, without graph nodes."""
+    if spec.head == "flow":
+        return _flow(spec, params, x)[0]
+    out, _, _ = mlp_values(spec, params, x)
+    if spec.head == "energy":
+        return -out[:, 0]
+    if spec.head == "logits":
+        return _logsumexp(out)[:, 0]
+    raise ModelError(f"no energy for head {spec.head!r}")
 
 
 def save_checkpoint(path: str, spec: ModelSpec, pset: ParameterSet, metadata: dict | None = None):

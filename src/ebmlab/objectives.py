@@ -10,8 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .models import (CLOSED_FORM_HEADS, ModelSpec, ParameterSet, energy, flow_logdensity,
-                     input_grad, mlp_forward, param_nodes)
+from .models import ModelSpec, ParameterSet, energy, flow_logdensity, mlp_forward, param_nodes
 
 
 class ObjectiveError(Exception):
@@ -34,17 +33,10 @@ class VeraConfig:
 
 
 def make_energy_fn(spec: ModelSpec, params):
-    """``models.energy`` with the parameters bound once: x -> E(x), shape (n,).
-
-    On an ``energy`` or ``logits`` head the function also carries
-    ``input_grad(x)``, the closed-form dE/dx of ``models.input_grad``, which
-    the samplers take in place of an engine backward pass.
-    """
+    """``models.energy`` with the parameters bound once: x -> E(x), shape
+    (n,), as a graph node for the losses below."""
     pn = params if isinstance(params, dict) else param_nodes(params)
-    fn = lambda x: energy(spec, pn, x)
-    if spec.head in CLOSED_FORM_HEADS:
-        fn.input_grad = lambda x: input_grad(spec, pn, x)
-    return fn
+    return lambda x: energy(spec, pn, x)
 
 
 def ssm_vr_loss(energy_fn, x, v) -> ad.Node:

@@ -1,12 +1,17 @@
-"""SGLD chains, the persistent replay buffer, and likelihood ascent."""
+"""SGLD chains, the persistent replay buffer, and likelihood ascent.
+
+The samplers take plain numpy functions of an (n, d) batch and build no
+graph: ``grad_fn(x)``, the input gradient dE/dx of the summed energy, and
+``logp_fn(x)``, the per-row log p~(x) = -E(x). For a model these are
+``models.input_grad`` and ``models.score_logdensity`` with the parameters
+bound.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from . import autodiff as ad
 
 
 class SamplerError(Exception):
@@ -28,39 +33,20 @@ class SgldConfig:
             raise SamplerError("noise std must be nonnegative")
 
 
-def _input_grad(energy_fn, x: np.ndarray) -> np.ndarray:
-    """dE/dx of the summed energy: the energy's own ``input_grad`` when it
-    has one (``objectives.make_energy_fn`` on an MLP head), else the engine."""
-    closed_form = getattr(energy_fn, "input_grad", None)
-    if closed_form is not None:
-        return closed_form(x)
-    xn = ad.leaf(x)
-    (g,) = ad.grad(ad.reduce_sum(energy_fn(xn)), [xn])
-    return g.value
-
-
-def sgld_chain(energy_fn, x0, config: SgldConfig, rng: np.random.Generator,
-               record: bool = False):
-    """x <- x - (alpha/2) * dE/dx + sigma * eps, run for ``steps`` steps.
-
-    Parameters inside ``energy_fn`` must be constants; no parameter
-    gradients are recorded. Returns endpoints, or the whole visited
-    trajectory when ``record`` is set.
-    """
+def sgld_chain(grad_fn, x0, config: SgldConfig, rng: np.random.Generator) -> np.ndarray:
+    """x <- x - (alpha/2) * dE/dx + sigma * eps, run for ``steps`` steps
+    from ``x0``, with ``grad_fn(x)`` = dE/dx; returns the endpoints."""
     x = np.array(x0, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise SamplerError("non-finite chain initialization")
-    trajectory = [x.copy()] if record else None
     for step in range(config.steps):
-        g = _input_grad(energy_fn, x)
+        g = grad_fn(x)
         if not np.all(np.isfinite(g)):
             raise SamplerError(f"non-finite energy gradient at SGLD step {step}")
         x = x - 0.5 * config.step_size * g
         if config.noise_std > 0:
             x = x + config.noise_std * rng.normal(size=x.shape)
-        if record:
-            trajectory.append(x.copy())
-    return np.asarray(trajectory) if record else x
+    return x
 
 
 @dataclass
@@ -141,20 +127,21 @@ class AscentTrajectory:
     logdensity: np.ndarray   # (T+1,) unnormalized log-density summed over each batch
 
 
-def likelihood_ascent(energy_fn, x, steps: int, lr: float) -> AscentTrajectory:
-    """Gradient ascent on log p~ = -E of an (n, d) batch in input space;
-    records the log-density of each visited batch, and stops before the
-    first step whose gradient or log-density is not finite."""
+def likelihood_ascent(logp_fn, grad_fn, x, steps: int, lr: float) -> AscentTrajectory:
+    """Gradient ascent on log p~ = -E of an (n, d) batch in input space, with
+    ``logp_fn(x)`` = log p~ per row and ``grad_fn(x)`` = dE/dx; records the
+    log-density of each visited batch, and stops before the first step
+    whose gradient or log-density is not finite."""
     if lr <= 0:
         raise SamplerError("learning rate must be positive")
     x = np.array(x, dtype=np.float64)
-    logps = [-energy_fn(ad.constant(x)).value.sum()]
+    logps = [logp_fn(x).sum()]
     for _ in range(steps):
-        g = _input_grad(energy_fn, x)
+        g = grad_fn(x)
         if not np.all(np.isfinite(g)):
             break
         x = x - lr * g  # ascent on -E
-        logp = -energy_fn(ad.constant(x)).value.sum()
+        logp = logp_fn(x).sum()
         if not np.isfinite(logp):
             break
         logps.append(logp)

@@ -7,6 +7,7 @@ import math
 import numbers
 import os
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -40,7 +41,9 @@ from .models import (
     ParameterSet,
     _atomic_write_json,
     init_params,
+    input_grad,
     mlp_forward,
+    mlp_values,
     param_nodes,
     save_checkpoint,
 )
@@ -370,7 +373,7 @@ def _objective(config: RunConfig, spec: ModelSpec, pset: ParameterSet,
 
         def cd_step_loss(leaves, xb, yb):
             starts, slots = buffer.draw(xb.shape[0], buf_rng)
-            samples = sgld_chain(make_energy_fn(spec, pset), starts, sgld_cfg, sgld_rng)
+            samples = sgld_chain(partial(input_grad, spec, leaves), starts, sgld_cfg, sgld_rng)
             buffer.write(slots, samples)
             xb_noisy = xb + math.sqrt(config.data_noise_var) * data_rng.normal(size=xb.shape)
             return cd_loss(make_energy_fn(spec, leaves), xb_noisy, samples)
@@ -439,7 +442,7 @@ def train(config: RunConfig, bundle: SplitBundle | None = None) -> TrainResult:
             return selection_score(spec, pset, bundle)
         if selection_mode == "val_ll":
             return float(score_logdensity(spec, pset, bundle.id_val.features).mean())
-        logits = mlp_forward(spec, pset, bundle.id_val.features)[0].value
+        logits = mlp_values(spec, pset, bundle.id_val.features)[0]
         return float((logits.argmax(axis=1) == bundle.id_val.labels).mean())
 
     for step in range(1, config.steps + 1):
@@ -509,20 +512,20 @@ def run_experiment_suite(manifest: dict, out_root: str) -> dict:
     every AP plus the percent improvement over a declared baseline run.
     Runs with one resolved data config share one bundle. A repeated name,
     a run config ``RunConfig`` rejects (its data and VERA blocks
-    included), an ``embed_from`` that names no earlier run, or an analysis
-    that is invalid or names no run, is a ConfigError before any training;
-    a failing run or analysis is recorded in the summary's errors, and the
-    suite continues.
+    included), an ``embed_from`` that names no earlier run, a ``baseline``
+    that names no run, or an analysis that is invalid or names no run, is
+    a ConfigError before any training; a failing run or analysis is
+    recorded in the summary's errors, and the suite continues.
     """
     manifest = check_fields(_MANIFEST, manifest, "suite")
     runs = [check_fields(_SUITE_RUN, item, "run") for item in manifest["runs"]]
-    analyses = manifest["analyses"]
+    analyses, run_names = manifest["analyses"], [r["name"] for r in runs]
     for item in analyses:
         check_analysis(item)
-        if item.get("model") not in [r["name"] for r in runs]:
+        if item.get("model") not in run_names:
             raise ConfigError(f"analysis model {item.get('model')!r} names no run")
     # every name is an output file or directory beside the suite's aggregate.csv
-    names = ["aggregate"] + [r["name"] for r in runs] + [a.get("name", a["kind"]) for a in analyses]
+    names = ["aggregate"] + run_names + [a.get("name", a["kind"]) for a in analyses]
     repeated = sorted({n for n in names if names.count(n) > 1})
     if repeated:
         raise ConfigError(f"run and analysis names must be unique and not 'aggregate': {repeated}")
@@ -531,6 +534,8 @@ def run_experiment_suite(manifest: dict, out_root: str) -> dict:
         if item["embed_from"] is not None and item["embed_from"] not in configs:
             raise ConfigError(f"run {item['name']!r}: embed_from {item['embed_from']!r} "
                               "names no earlier run")
+        if item["baseline"] is not None and item["baseline"] not in run_names:
+            raise ConfigError(f"run {item['name']!r}: baseline {item['baseline']!r} names no run")
         try:
             configs[item["name"]] = RunConfig.from_dict(item["config"])
         except ConfigError as exc:
@@ -618,10 +623,10 @@ def run_analysis(item: dict, spec: ModelSpec, params, bundle: SplitBundle, seed:
         rows = [[c, int(v), series] for series, cnt in sorted(counts.items())
                 for c, v in zip(centers, cnt)]
     else:
-        energy = make_energy_fn(spec, params)
-        rows = []
+        pn, rows = param_nodes(params), []  # copied once, not at every step
+        logp, grad = partial(score_logdensity, spec, pn), partial(input_grad, spec, pn)
         for i, x0 in enumerate(bundle.id_test.features[:p["n_points"]]):
-            traj = likelihood_ascent(energy, x0[None], p["steps"], p["lr"])
+            traj = likelihood_ascent(logp, grad, x0[None], p["steps"], p["lr"])
             rows.extend([t, lp, f"point{i}"] for t, lp in enumerate(traj.logdensity))
     write_series_csv(os.path.join(out_dir, f"{name}.csv"), rows)
     return rows

@@ -54,7 +54,7 @@ class TestCriterion1Differentiation:
             x = rng.normal(size=(3, spec.input_dim))
 
             leaves = mz.param_nodes(pset)
-            loss = ad.mean(mz.mlp_energy(spec, leaves, x))
+            loss = ad.mean(mz.energy(spec, leaves, x))
             grads = ad.grad(loss, list(leaves.values()))
             flat = np.concatenate([g.value.ravel() for g in grads])
             fd = np.zeros_like(flat)
@@ -62,20 +62,20 @@ class TestCriterion1Differentiation:
                 vp, vm = pset.copy(), pset.copy()
                 vp.values[i] += h
                 vm.values[i] -= h
-                fd[i] = (mz.mlp_energy(spec, vp, x).value.mean()
-                         - mz.mlp_energy(spec, vm, x).value.mean()) / (2 * h)
+                fd[i] = (mz.energy(spec, vp, x).value.mean()
+                         - mz.energy(spec, vm, x).value.mean()) / (2 * h)
             worst_param = max(worst_param, _rel_err(flat, fd))
 
             xn = ad.leaf(x)
-            (gx,) = ad.grad(ad.mean(mz.mlp_energy(spec, pset, xn)), [xn])
+            (gx,) = ad.grad(ad.mean(mz.energy(spec, pset, xn)), [xn])
             fdx = np.zeros_like(x)
             for i in range(x.shape[0]):
                 for j in range(x.shape[1]):
                     xp, xm = x.copy(), x.copy()
                     xp[i, j] += h
                     xm[i, j] -= h
-                    fdx[i, j] = (mz.mlp_energy(spec, pset, xp).value.mean()
-                                 - mz.mlp_energy(spec, pset, xm).value.mean()) / (2 * h)
+                    fdx[i, j] = (mz.energy(spec, pset, xp).value.mean()
+                                 - mz.energy(spec, pset, xm).value.mean()) / (2 * h)
             worst_input = max(worst_input, _rel_err(gx.value, fdx))
         ok = worst_param < 1e-6 and worst_input < 1e-6
         _line(1, "first-order gradients vs finite differences", ok,
@@ -135,15 +135,13 @@ class TestCriterion2SsmAnalytic:
 
 class TestCriterion3SgldStationarity:
     def test_ou_variance(self):
-        def energy(x):
-            return ad.mul(0.5, ad.reduce_sum(ad.mul(x, x)))
+        from test_samplers import quadratic_grad, sgld_trajectory
 
         cfg = sp.SgldConfig(steps=100_000, step_size=0.01, noise_std=0.1)
         # 16 parallel chains: the autocorrelation time is ~2/alpha = 200
         # steps, so a single chain has too few effective samples for a
         # 10% band
-        traj = sp.sgld_chain(energy, np.zeros((16, 1)), cfg, np.random.default_rng(33),
-                             record=True)
+        traj = sgld_trajectory(quadratic_grad, np.zeros((16, 1)), cfg, np.random.default_rng(33))
         var = float(traj[10_000:].var())
         target = cfg.noise_std**2 / cfg.step_size
         ok = abs(var - target) / target < 0.10

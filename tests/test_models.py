@@ -43,7 +43,7 @@ class TestMlpEnergy:
         pset = mz.init_params(spec, 0)
         pset.values[:] = 0.0
         for x in (np.zeros((1, 3)), np.ones((1, 3)), np.array([[3.0, -2.0, 0.5]])):
-            assert mz.mlp_energy(spec, pset, x).value == 0.0
+            assert mz.energy(spec, pset, x).value == 0.0
 
     def test_single_linear_layer(self):
         # w=[1,2], b=0.5: relu is inactive on the head, so E = w.x + b
@@ -54,13 +54,13 @@ class TestMlpEnergy:
         arrays["layer0.b"][:] = 0.5
         arrays["head.W"][:] = 1.0
         arrays["head.b"][:] = 0.0
-        assert mz.mlp_energy(spec, pset, np.array([[1.0, 1.0]])).value == pytest.approx(3.5)
+        assert mz.energy(spec, pset, np.array([[1.0, 1.0]])).value == pytest.approx(3.5)
 
     def test_dimension_mismatch(self):
         spec = small_energy_spec()
         pset = mz.init_params(spec, 0)
         with pytest.raises(mz.ModelError):
-            mz.mlp_energy(spec, pset, np.zeros((1, 4)))
+            mz.energy(spec, pset, np.zeros((1, 4)))
 
     def test_against_straight_line_evaluator(self):
         # independent plain-numpy reimplementation
@@ -74,7 +74,7 @@ class TestMlpEnergy:
         for i in range(3):
             h = np.maximum(h @ p[f"layer{i}.W"] + p[f"layer{i}.b"], 0.0)
         expected = (h @ p["head.W"] + p["head.b"]).ravel()
-        got = mz.mlp_energy(spec, pset, x).value
+        got = mz.energy(spec, pset, x).value
         assert np.abs(got - expected).max() < 1e-12
 
     def test_bottleneck_factor_one_is_plain_net(self):
@@ -83,8 +83,8 @@ class TestMlpEnergy:
         p1 = mz.init_params(plain, 9)
         p2 = mz.init_params(with_bn, 9)
         x = np.random.default_rng(1).normal(size=(4, 3))
-        assert np.array_equal(mz.mlp_energy(plain, p1, x).value,
-                              mz.mlp_energy(with_bn, p2, x).value)
+        assert np.array_equal(mz.energy(plain, p1, x).value,
+                              mz.energy(with_bn, p2, x).value)
 
     def test_bottleneck_changes_plan(self):
         spec = small_energy_spec(bottleneck_factor=0.5)
@@ -140,7 +140,7 @@ class TestEnergy:
         x = np.random.default_rng(6).normal(size=(5, 2))
         cases = [
             (mz.ModelSpec(input_dim=2, hidden=[4]),
-             lambda s, p: mz.mlp_energy(s, p, x).value),
+             lambda s, p: mz.mlp_forward(s, p, x)[0].value[:, 0]),
             (mz.ModelSpec(input_dim=2, hidden=[4], head="logits", n_classes=3),
              lambda s, p: -ad.logsumexp(mz.mlp_forward(s, p, x)[0], axis=1).value),
             (mz.ModelSpec(input_dim=2, head="flow", n_flow_layers=2),
@@ -167,6 +167,35 @@ class TestEnergy:
         with pytest.raises(mz.ModelError):
             mz.radial_forward(np.zeros(3), 0.1, 0.1, np.zeros(shape))
 
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    @pytest.mark.parametrize("head,activation,bottleneck", [
+        *[(h, a, b) for h in ("energy", "logits") for a in mz.ACTIVATIONS for b in (None, 0.5)],
+        ("flow", None, None),
+    ])
+    def test_numpy_values_equal_graph(self, head, activation, bottleneck, n):
+        """``score_logdensity``, ``mlp_values`` and ``classifier_embed`` give
+        the graph's bytes, non-finite rows included; a flow is checked
+        against the node-by-node reference."""
+        if head == "flow":
+            spec, pset = perturbed_flow(3, 3)
+        else:
+            spec = closed_form_spec(head, activation, bottleneck)
+            pset = perturbed_params(spec)
+        x = np.random.default_rng(n).normal(size=(n, 3)) * 3.0
+        bad = np.array([[np.inf, 0.0, 0.0], [0.0, 0.0, -np.inf], [0.0, np.nan, 0.0], [1e300] * 3])
+        for xs in (x, np.vstack([x, bad])):
+            with np.errstate(all="ignore"):
+                graph = (engine_flow_logdensity(spec, pset, xs) if head == "flow"
+                         else ad.neg(mz.energy(spec, pset, xs)))
+                assert mz.score_logdensity(spec, pset, xs).tobytes() == graph.value.tobytes()
+                if head == "flow":
+                    continue
+                out, h = (node.value for node in mz.mlp_forward(spec, pset, xs))
+                got_out, got_h, _ = mz.mlp_values(spec, pset, xs)
+                assert got_out.tobytes() == out.tobytes() and got_h.tobytes() == h.tobytes()
+                if head == "logits":
+                    assert mz.classifier_embed(spec, pset, xs).tobytes() == h.tobytes()
+
 
 def engine_input_grad(spec, params, x):
     xn = ad.leaf(x)
@@ -188,7 +217,8 @@ def perturbed_params(spec, seed=3):
 
 
 class TestInputGrad:
-    """``input_grad`` is the engine's input gradient, byte for byte."""
+    """``input_grad`` is the engine's input gradient, byte for byte (flows:
+    ``TestFusedFlow``)."""
 
     @pytest.mark.parametrize("n", [1, 64])
     @pytest.mark.parametrize("bottleneck", [None, 0.5])
@@ -218,9 +248,11 @@ class TestInputGrad:
         assert np.array_equal(got, expected, equal_nan=True)
 
     def test_builds_no_nodes(self, monkeypatch):
-        spec = closed_form_spec("logits", "softplus", 0.5)
-        pset = perturbed_params(spec)
-        nodes = mz.param_nodes(pset)
+        # scores and embeddings build none either, for every head
+        specs = [closed_form_spec("logits", "softplus", 0.5),
+                 closed_form_spec("energy", "relu", None), perturbed_flow(2, 3)[0]]
+        psets = [perturbed_params(spec) for spec in specs]
+        nodes = [mz.param_nodes(pset) for pset in psets]
         created = []
         init = ad.Node.__init__
 
@@ -229,15 +261,18 @@ class TestInputGrad:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(ad.Node, "__init__", counting_init)
-        mz.input_grad(spec, nodes, np.ones((4, 3)))
-        mz.input_grad(spec, pset, np.ones((4, 3)))
+        for spec, pset, leaves in zip(specs, psets, nodes):
+            for params in (leaves, pset):
+                mz.input_grad(spec, params, np.ones((4, 3)))
+                mz.score_logdensity(spec, params, np.ones((4, 3)))
+        mz.classifier_embed(specs[0], psets[0], np.ones((4, 3)))
         assert created == []
 
-    def test_flow_and_vector_heads_rejected(self):
-        for spec in (mz.ModelSpec(input_dim=3, head="flow", n_flow_layers=1),
-                     mz.ModelSpec(input_dim=3, hidden=[4], head="vector", n_outputs=2)):
-            with pytest.raises(mz.ModelError, match="closed-form"):
-                mz.input_grad(spec, mz.init_params(spec, 0), np.zeros((1, 3)))
+    def test_vector_head_rejected(self):
+        spec = mz.ModelSpec(input_dim=3, hidden=[4], head="vector", n_outputs=2)
+        for fn in (mz.input_grad, mz.score_logdensity):
+            with pytest.raises(mz.ModelError, match="no energy for head 'vector'"):
+                fn(spec, mz.init_params(spec, 0), np.zeros((1, 3)))
 
     @pytest.mark.parametrize("shape", [(3,), (2, 4)])
     def test_only_n_by_d_batches(self, shape):
@@ -335,7 +370,7 @@ def engine_radial_layer(z0, alpha_hat, beta_hat, x):
     alpha = ad.softplus(alpha_hat)
     beta = ad.add(ad.neg(alpha), ad.softplus(beta_hat))
     diff = ad.add(x, ad.neg(z0))
-    r = ad.sqrt(ad.add(ad.reduce_sum(ad.square(diff), axis=1, keepdims=True), 1e-24))
+    r = ad.power(ad.add(ad.reduce_sum(ad.square(diff), axis=1, keepdims=True), 1e-24), 0.5)
     h = ad.power(ad.add(alpha, r), -1.0)
     bh = ad.mul(beta, h)
     y = ad.add(x, ad.mul(bh, diff))
@@ -398,6 +433,7 @@ class TestFusedFlow:
             got = flow_results(spec, params, x)
             assert [a.shape for a in got] == [a.shape for a in expected]
             assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+            assert np.array_equal(mz.input_grad(spec, params, x), expected[-1])
 
     def test_nonfinite_rows_match_engine(self):
         spec, pset = perturbed_flow(3, 2)
@@ -405,7 +441,8 @@ class TestFusedFlow:
         x[1, 0], x[2, 1], x[3, 0], x[4], x[5, 1] = np.inf, -np.inf, np.nan, 1e300, 1e160
         with np.errstate(all="ignore"):
             expected = flow_results(spec, pset, x, fused=False)
-            got = flow_results(spec, pset, x)
+            got = flow_results(spec, pset, x) + [mz.input_grad(spec, pset, x)]
+        expected.append(expected[-1])
         assert not np.all(np.isfinite(expected[0]))
         for a, b in zip(got, expected):
             assert np.array_equal(np.isnan(a), np.isnan(b))
@@ -466,7 +503,7 @@ class TestClassifierEmbed:
         spec, pset = self._clf()
         emb = mz.classifier_embed(spec, pset, np.random.default_rng(1).normal(size=(6, 4)))
         espec = mz.ModelSpec(input_dim=emb.shape[1], hidden=[4], head="energy")
-        e = mz.mlp_energy(espec, mz.init_params(espec, 1), emb)
+        e = mz.energy(espec, mz.init_params(espec, 1), emb)
         assert e.value.shape == (6,)
 
 

@@ -46,7 +46,7 @@ class TestSsmVr:
         pset = mz.init_params(spec, 11)
 
         def energy_np(x):
-            return mz.mlp_energy(spec, pset, x).value
+            return mz.energy(spec, pset, x).value
 
         def score_np(x):
             h = 1e-5

@@ -6,6 +6,7 @@ import collections
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = "ebmlab"
 # documented public API with no caller inside the repository
 ALLOWED = {"autodiff.check_gradient"}
 # dataclass fields read only by tests: the closed-form checks of VERA's
@@ -48,8 +49,62 @@ def _parsed():
     return trees, sum((_references(tree) for _, tree in trees), collections.Counter())
 
 
+def _imported_module(node: ast.ImportFrom):
+    """The ebmlab module ``node`` imports from: its name, "" for the package
+    itself, or None outside ebmlab."""
+    if node.level:
+        return node.module or ""
+    if node.module == PACKAGE or (node.module or "").startswith(PACKAGE + "."):
+        return node.module[len(PACKAGE) + 1:]
+    return None
+
+
+def _bindings(tree):
+    """Local names bound to ebmlab modules (``from . import autodiff as
+    ad``), and local names bound to a name imported from one (``from .models
+    import energy``), as name -> module and name -> (module, name)."""
+    modules, names = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith(PACKAGE + ".") and alias.asname:
+                    modules[alias.asname] = alias.name[len(PACKAGE) + 1:]
+        elif isinstance(node, ast.ImportFrom) and _imported_module(node) is not None:
+            module = _imported_module(node)
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if module:
+                    names[local] = (module, alias.name)
+                else:
+                    modules[local] = alias.name
+    return modules, names
+
+
+def _module_references(path, tree) -> collections.Counter:
+    """Counts of (module, name) for each load of a name through its own
+    module: ``alias.name`` on a module alias, a name imported from the
+    module, or a bare name inside the module's own file."""
+    modules, names = _bindings(tree)
+    own = path.stem if "src" in path.relative_to(ROOT).parts else None
+    counts = collections.Counter()
+    for n in ast.walk(tree):
+        if (isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+                and isinstance(n.value, ast.Name) and n.value.id in modules):
+            counts[(modules[n.value.id], n.attr)] += 1
+        elif isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            if n.id in names:
+                counts[names[n.id]] += 1
+            elif own is not None:
+                counts[(own, n.id)] += 1
+    return counts
+
+
 def test_every_public_function_and_method_has_a_caller():
     trees, refs = _parsed()
+    # a module-level function is reached only through a name bound to its
+    # own module: ``np.sqrt`` is no caller of ``autodiff.sqrt``
+    module_refs = sum((_module_references(path, tree) for path, tree in trees),
+                      collections.Counter())
     unused = []
     for path, tree in trees:
         if "src" not in path.relative_to(ROOT).parts:
@@ -57,11 +112,14 @@ def test_every_public_function_and_method_has_a_caller():
         for qualname, node in _public_definitions(tree):
             if node.name.startswith("_") or f"{path.stem}.{qualname}" in ALLOWED:
                 continue
-            # a method is reached as an attribute, a function also by its
-            # bare name; references inside the definition itself do not count
-            keys = [("attr", node.name)] + ([] if "." in qualname else [("name", node.name)])
+            # a method is reached as an attribute; references inside the
+            # definition itself do not count
             own = _references(node)
-            if sum(refs[k] - own[k] for k in keys) <= 0:
+            if "." in qualname:
+                callers = refs[("attr", node.name)] - own[("attr", node.name)]
+            else:
+                callers = module_refs[(path.stem, node.name)] - own[("name", node.name)]
+            if callers <= 0:
                 unused.append(f"{path.stem}.{qualname}")
     assert unused == []
 

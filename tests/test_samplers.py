@@ -1,14 +1,31 @@
+import functools
+
 import numpy as np
 import pytest
 
-from ebmlab import autodiff as ad
 from ebmlab import models as mz
-from ebmlab import objectives as obj
 from ebmlab import samplers as sp
+from test_models import engine_input_grad
 
 
-def quadratic_energy(x):
-    return ad.mul(0.5, ad.reduce_sum(ad.mul(x, x), axis=1))
+def quadratic_logp(x):
+    """log p~ of E = 0.5|x|^2, per row."""
+    return -0.5 * (x * x).sum(axis=1)
+
+
+def quadratic_grad(x):
+    """dE/dx of E = 0.5|x|^2."""
+    return x
+
+
+def sgld_trajectory(grad_fn, x0, cfg, rng):
+    """Every state a ``cfg.steps``-step chain visits, x0 included: one-step
+    chains on one generator draw the same noise in the same order."""
+    one = sp.SgldConfig(steps=1, step_size=cfg.step_size, noise_std=cfg.noise_std)
+    traj = [np.array(x0, dtype=np.float64)]
+    for _ in range(cfg.steps):
+        traj.append(sp.sgld_chain(grad_fn, traj[-1], one, rng))
+    return np.asarray(traj)
 
 
 class TestSgldConfig:
@@ -28,14 +45,14 @@ class TestSgldConfig:
 class TestSgldChain:
     def test_zero_steps_identity(self):
         x0 = np.array([[1.0, 2.0], [3.0, -1.0]])
-        out = sp.sgld_chain(quadratic_energy, x0, sp.SgldConfig(steps=0),
+        out = sp.sgld_chain(quadratic_grad, x0, sp.SgldConfig(steps=0),
                             np.random.default_rng(0))
         assert np.array_equal(out, x0)
 
     def test_noiseless_geometric_contraction(self):
         # E = 0.5|x|^2, alpha = 1, sigma = 0: x <- 0.5 x each step
         x0 = np.array([[4.0, -8.0]])
-        out = sp.sgld_chain(quadratic_energy, x0,
+        out = sp.sgld_chain(quadratic_grad, x0,
                             sp.SgldConfig(steps=20, step_size=1.0, noise_std=0.0),
                             np.random.default_rng(0))
         assert np.linalg.norm(out) <= 1e-6 * np.linalg.norm(x0)
@@ -45,23 +62,25 @@ class TestSgldChain:
         # small-step OU limit: stationary var ~= sigma^2 / alpha for E = 0.5 x^2
         cfg = sp.SgldConfig(steps=100_000, step_size=0.01, noise_std=0.1)
         rng = np.random.default_rng(7)
-        traj = sp.sgld_chain(quadratic_energy, np.zeros((1, 1)), cfg, rng, record=True)
+        traj = sgld_trajectory(quadratic_grad, np.zeros((1, 1)), cfg, rng)
         samples = traj[10_000:, 0, 0]
         assert samples.var() == pytest.approx(cfg.noise_std**2 / cfg.step_size, rel=0.1)
 
     def test_record_trajectory_shape(self):
-        traj = sp.sgld_chain(quadratic_energy, np.zeros((2, 3)),
-                             sp.SgldConfig(steps=5), np.random.default_rng(0), record=True)
+        cfg, rng = sp.SgldConfig(steps=5), np.random.default_rng(0)
+        traj = sgld_trajectory(quadratic_grad, np.zeros((2, 3)), cfg, rng)
         assert traj.shape == (6, 2, 3)
+        assert np.array_equal(traj[-1], sp.sgld_chain(quadratic_grad, np.zeros((2, 3)), cfg,
+                                                      np.random.default_rng(0)))
 
     def test_nonfinite_init_rejected(self):
         with pytest.raises(sp.SamplerError):
-            sp.sgld_chain(quadratic_energy, np.array([[np.nan, 0.0]]),
+            sp.sgld_chain(quadratic_grad, np.array([[np.nan, 0.0]]),
                           sp.SgldConfig(steps=1), np.random.default_rng(0))
 
     def test_nonfinite_gradient_reports_step(self):
         def bad(x):
-            return ad.reduce_sum(ad.power(x, 0.5), axis=1)  # nan gradient off the domain
+            return 0.5 * np.power(x, -0.5)  # dE/dx of sqrt(x): nan off the domain
 
         with pytest.raises(sp.SamplerError, match="step 0"):
             sp.sgld_chain(bad, np.array([[-1.0]]),
@@ -69,14 +88,14 @@ class TestSgldChain:
 
     def test_seed_determinism(self):
         cfg = sp.SgldConfig(steps=30)
-        a = sp.sgld_chain(quadratic_energy, np.ones((3, 2)), cfg, np.random.default_rng(5))
-        b = sp.sgld_chain(quadratic_energy, np.ones((3, 2)), cfg, np.random.default_rng(5))
+        a = sp.sgld_chain(quadratic_grad, np.ones((3, 2)), cfg, np.random.default_rng(5))
+        b = sp.sgld_chain(quadratic_grad, np.ones((3, 2)), cfg, np.random.default_rng(5))
         assert a.tobytes() == b.tobytes()
 
 
 class TestClosedFormInputGradient:
-    """Energies from ``make_energy_fn`` on MLP heads carry a closed-form
-    input gradient; wrapping one in a plain lambda forces the engine."""
+    """Chains on ``models.input_grad`` equal chains on the engine's input
+    gradient (``test_models.engine_input_grad``), byte for byte."""
 
     @pytest.mark.parametrize("spec", [
         mz.ModelSpec(input_dim=2, hidden=[16, 16], head="energy"),
@@ -84,25 +103,31 @@ class TestClosedFormInputGradient:
                      activation="softplus", bottleneck_factor=0.5),
     ])
     def test_sgld_endpoints_match_engine(self, spec):
-        energy = obj.make_energy_fn(spec, mz.init_params(spec, 0))
-        assert hasattr(energy, "input_grad")
+        pset = mz.init_params(spec, 0)
         cfg = sp.SgldConfig(steps=20, step_size=0.5, noise_std=0.1)
         x0 = np.random.default_rng(1).uniform(-2.0, 2.0, size=(64, 2))
-        fast = sp.sgld_chain(energy, x0, cfg, np.random.default_rng(2))
-        engine = sp.sgld_chain(lambda x: energy(x), x0, cfg, np.random.default_rng(2))
+        fast = sp.sgld_chain(functools.partial(mz.input_grad, spec, pset), x0, cfg,
+                             np.random.default_rng(2))
+        engine = sp.sgld_chain(functools.partial(engine_input_grad, spec, pset), x0, cfg,
+                               np.random.default_rng(2))
         assert fast.tobytes() == engine.tobytes()
 
     def test_flow_energy_runs_on_the_engine(self):
+        # a flow's input gradient is the backward of its fused engine node
         spec = mz.ModelSpec(input_dim=2, head="flow", n_flow_layers=2)
-        energy = obj.make_energy_fn(spec, mz.init_params(spec, 0))
-        assert not hasattr(energy, "input_grad")
+        pset = mz.init_params(spec, 0)
+        logp = functools.partial(mz.score_logdensity, spec, pset)
+        grad = functools.partial(mz.input_grad, spec, pset)
         x0 = np.random.default_rng(1).normal(size=(8, 2))
         cfg = sp.SgldConfig(steps=5, step_size=0.1, noise_std=0.0)
-        out = sp.sgld_chain(energy, x0, cfg, np.random.default_rng(2))
+        out = sp.sgld_chain(grad, x0, cfg, np.random.default_rng(2))
+        engine = sp.sgld_chain(functools.partial(engine_input_grad, spec, pset), x0, cfg,
+                               np.random.default_rng(2))
+        assert out.tobytes() == engine.tobytes()
         # noiseless SGLD descends the energy
         assert np.all(np.isfinite(out))
-        assert energy(ad.constant(out)).value.sum() < energy(ad.constant(x0)).value.sum()
-        traj = sp.likelihood_ascent(energy, x0, steps=3, lr=0.05)
+        assert logp(out).sum() > logp(x0).sum()
+        traj = sp.likelihood_ascent(logp, grad, x0, steps=3, lr=0.05)
         assert len(traj.logdensity) == 4 and np.all(np.diff(traj.logdensity) > 0)
 
 
@@ -184,14 +209,14 @@ class TestReplayBuffer:
 class TestLikelihoodAscent:
     def test_zero_steps(self):
         x0 = np.array([[2.0, -1.0]])
-        traj = sp.likelihood_ascent(quadratic_energy, x0, steps=0, lr=0.1)
+        traj = sp.likelihood_ascent(quadratic_logp, quadratic_grad, x0, steps=0, lr=0.1)
         assert traj.logdensity.shape == (1,)
         assert traj.logdensity[0] == pytest.approx(-2.5)
 
     def test_quadratic_shrink_factor(self):
         # ascent on -0.5|x|^2 at lr 0.1 multiplies x by 0.9 each step
         x0 = np.array([[10.0]])
-        traj = sp.likelihood_ascent(quadratic_energy, x0, steps=5, lr=0.1)
+        traj = sp.likelihood_ascent(quadratic_logp, quadratic_grad, x0, steps=5, lr=0.1)
         assert np.allclose(traj.logdensity, -0.5 * (10.0 * 0.9 ** np.arange(6)) ** 2)
 
     def test_logdensity_nondecreasing_for_small_lr(self):
@@ -200,20 +225,24 @@ class TestLikelihoodAscent:
         total = 0
         for _ in range(20):
             x0 = rng.normal(size=(1, 3)) * 4.0
-            traj = sp.likelihood_ascent(quadratic_energy, x0, steps=30, lr=0.05)
+            traj = sp.likelihood_ascent(quadratic_logp, quadratic_grad, x0, steps=30, lr=0.05)
             diffs = np.diff(traj.logdensity)
             ok += int((diffs >= -1e-12).all())
             total += 1
         assert ok / total >= 0.95
 
     def test_divergence_truncates(self):
-        def unstable(x):
-            return ad.neg(ad.reduce_sum(ad.exp(x)))  # logp = sum(exp) blows up
+        def unstable_logp(x):
+            return np.exp(x).sum(axis=1)  # logp = sum(exp) blows up
 
-        traj = sp.likelihood_ascent(unstable, np.array([[5.0]]), steps=10_000, lr=10.0)
+        def unstable_grad(x):
+            return -np.exp(x)
+
+        traj = sp.likelihood_ascent(unstable_logp, unstable_grad, np.array([[5.0]]),
+                                    steps=10_000, lr=10.0)
         assert 1 <= len(traj.logdensity) < 10_001  # stopped early
         assert np.all(np.isfinite(traj.logdensity))
 
     def test_bad_lr_rejected(self):
         with pytest.raises(sp.SamplerError):
-            sp.likelihood_ascent(quadratic_energy, np.zeros((1, 2)), steps=1, lr=0.0)
+            sp.likelihood_ascent(quadratic_logp, quadratic_grad, np.zeros((1, 2)), steps=1, lr=0.0)

@@ -12,6 +12,7 @@ from ebmlab import objectives as obj
 from ebmlab import training as tr
 from ebmlab.data import DataError, LabeledTable, SplitBundle, write_csv
 from ebmlab.evaluate import EvalReport
+from test_models import engine_input_grad
 
 
 def write_toy_csv(path, dim=4, n=200, seed=0):
@@ -73,6 +74,8 @@ BAD_MANIFESTS = [
     ({"runs": [{"name": 3, "config": {}}]}, "run name must be a string, got 3"),
     ({"runs": [{"name": "m", "config": {}, "baseline": 5}]},
      "run baseline must be null or a run name, got 5"),
+    ({"runs": [{"name": "m", "config": {}, "baseline": "nobody"}]},
+     "run 'm': baseline 'nobody' names no run"),
 ]
 
 
@@ -543,18 +546,19 @@ class TestSuite:
                      activation="leaky_relu", bottleneck_factor=0.5),
     ])
     def test_ascend_csv_matches_engine(self, tmp_path, monkeypatch, spec):
-        # a plain lambda around the energy hides its closed-form input gradient
+        # the engine run takes each step's gradient and log-density from graphs
         bundle = tr.build_bundle(toy_config())
         item = {"kind": "ascend", "n_points": 3, "steps": 10, "lr": 0.1}
         params = mz.init_params(spec, 0)
-        assert hasattr(tr.make_energy_fn(spec, params), "input_grad")
         (tmp_path / "fast").mkdir()
         (tmp_path / "engine").mkdir()
         tr.run_analysis(item, spec, params, bundle, 0, str(tmp_path / "fast"))
-        make = tr.make_energy_fn
-        monkeypatch.setattr(tr, "make_energy_fn",
-                            lambda s, p: (lambda f: lambda x: f(x))(make(s, p)))
+        engine_grads = []
+        monkeypatch.setattr(tr, "input_grad",
+                            lambda *a: engine_grads.append(1) or engine_input_grad(*a))
+        monkeypatch.setattr(tr, "score_logdensity", lambda *a: -mz.energy(*a).value)
         tr.run_analysis(item, spec, params, bundle, 0, str(tmp_path / "engine"))
+        assert len(engine_grads) == 3 * 10
         fast = (tmp_path / "fast" / "ascend.csv").read_bytes()
         assert fast == (tmp_path / "engine" / "ascend.csv").read_bytes()
 
