@@ -4,10 +4,14 @@ Adam, the experiment suite and its analyses."""
 from __future__ import annotations
 
 import math
+import multiprocessing
 import numbers
 import os
+import signal
+import threading
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import partial
+from multiprocessing.connection import wait
 
 import numpy as np
 
@@ -505,6 +509,101 @@ def _run_label(name: str, config: RunConfig, embedded: bool) -> str:
     return name + "-S" * (config.gamma == 1.0) + "-E" * embedded
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity outside Linux
+        return os.cpu_count() or 1
+
+
+def _worker_count(n_jobs: int) -> int:
+    """Processes that train ``n_jobs`` runs: one per usable CPU and at most
+    one per run. 1, meaning this process, where there is no ``fork``, or
+    where other threads run, which makes forking unsafe."""
+    if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
+        return 1
+    return max(1, min(_usable_cpus(), n_jobs))
+
+
+def _train_job(config: RunConfig, bundle: SplitBundle | None, out_dir: str | None = None,
+               run: dict | None = None):
+    """One job of ``train_many``: ``train``, then, given ``out_dir`` and
+    ``run``, add ``run`` to the report's run block and save the run in
+    ``out_dir``. Returns the result, or the exception the run raised."""
+    try:
+        result = train(config, bundle)
+        if out_dir is not None:
+            result.report.run.update(run)
+            save_run(result, out_dir)
+        return result
+    except Exception as exc:  # isolate failing runs
+        return exc
+
+
+def _worker(conn, job: tuple, mask: set):
+    """A forked worker: run one job and send back its outcome, a result
+    without the bundle the parent already holds. ``mask`` is the parent's
+    signal mask."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's, which kills us
+    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    out = _train_job(*job)
+    if isinstance(out, TrainResult) and job[1] is not None:
+        out.bundle = None
+    conn.send(out)
+
+
+def train_many(jobs: list[tuple]) -> list:
+    """Run each ``(config, bundle[, out_dir, run])`` job as ``_train_job``
+    does; returns the results, or the exceptions the runs raised, in input
+    order.
+
+    Jobs train in forked worker processes, one per usable CPU and at most
+    one per job, or in this process when that is one. A worker inherits
+    its job, bundle included, and sends back the result, to which the
+    job's bundle is re-attached. A worker that dies makes its run a
+    RuntimeError. Any BaseException here, such as KeyboardInterrupt, kills
+    and joins every worker before it propagates.
+    """
+    workers = _worker_count(len(jobs))
+    if workers == 1:
+        return [_train_job(*job) for job in jobs]
+    fork = multiprocessing.get_context("fork")
+    out, queue, running, started = [None] * len(jobs), list(enumerate(jobs)), {}, []
+    try:
+        while queue or running:
+            while queue and len(running) < workers:
+                i, job = queue.pop(0)
+                reader, writer = fork.Pipe(duplex=False)
+                # every signal blocked from before the fork until the worker is
+                # in ``started``, so an alarm or Ctrl-C cannot fall in between
+                mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
+                try:
+                    proc = fork.Process(target=_worker, args=(writer, job, mask), daemon=True)
+                    proc.start()
+                    started.append(proc)
+                finally:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                writer.close()
+                running[reader] = i, proc
+            for reader in wait(list(running)):
+                i, proc = running.pop(reader)
+                try:
+                    out[i] = reader.recv()
+                except EOFError:  # the worker died before it sent anything
+                    proc.join()
+                    out[i] = RuntimeError(f"the worker process exited with code "
+                                          f"{proc.exitcode} before its run finished")
+                reader.close()
+                proc.join()
+                if isinstance(out[i], TrainResult) and jobs[i][1] is not None:
+                    out[i].bundle = jobs[i][1]
+    finally:
+        for proc in started:
+            proc.kill()
+            proc.join()
+    return out
+
+
 def run_experiment_suite(manifest: dict, out_root: str) -> dict:
     """Execute a manifest of runs and follow-up analyses.
 
@@ -516,6 +615,10 @@ def run_experiment_suite(manifest: dict, out_root: str) -> dict:
     that names no run, or an analysis that is invalid or names no run, is
     a ConfigError before any training; a failing run or analysis is
     recorded in the summary's errors, and the suite continues.
+
+    Runs train through ``train_many`` in waves: every run whose
+    ``embed_from`` run, if any, has finished. Outputs do not depend on how
+    many workers train them.
     """
     manifest = check_fields(_MANIFEST, manifest, "suite")
     runs = [check_fields(_SUITE_RUN, item, "run") for item in manifest["runs"]]
@@ -542,30 +645,41 @@ def run_experiment_suite(manifest: dict, out_root: str) -> dict:
             raise ConfigError(f"run {item['name']!r}: {exc}") from None
     os.makedirs(out_root, exist_ok=True)
     results: dict[str, TrainResult] = {}
-    errors: dict[str, str] = {}
+    failed: dict[str, Exception] = {}
     bundles: dict[str, SplitBundle] = {}
 
-    for item in runs:
-        name, config = item["name"], configs[item["name"]]
-        try:
-            embedded = item["embed_from"] is not None
-            if embedded:
-                source = results.get(item["embed_from"])
-                if source is None:
-                    raise ConfigError(f"embed_from run {item['embed_from']!r} unavailable")
-                bundle = embed_dataset(source.spec, source.params, source.bundle)
+    def job(item: dict) -> tuple:
+        name, config, source = item["name"], configs[item["name"]], item["embed_from"]
+        if source is not None:
+            if source not in results:
+                raise ConfigError(f"embed_from run {source!r} unavailable")
+            bundle = embed_dataset(results[source].spec, results[source].params,
+                                   results[source].bundle)
+        else:
+            key = repr(sorted(({"seed": config.seed} | config.data).items()))
+            if key not in bundles:
+                bundles[key] = build_bundle(config)
+            bundle = bundles[key]
+        run = {"label": _run_label(name, config, source is not None), "name": name}
+        return config, bundle, os.path.join(out_root, name), run
+
+    waiting = runs
+    while waiting:
+        done = results.keys() | failed.keys()
+        wave = [i for i in waiting if i["embed_from"] in done | {None}]
+        waiting = [i for i in waiting if i not in wave]
+        jobs = {}
+        for item in wave:
+            try:
+                jobs[item["name"]] = job(item)
+            except Exception as exc:
+                failed[item["name"]] = exc
+        for name, out in zip(jobs, train_many(list(jobs.values()))):
+            if isinstance(out, Exception):
+                failed[name] = out
             else:
-                key = repr(sorted(({"seed": config.seed} | config.data).items()))
-                if key not in bundles:
-                    bundles[key] = build_bundle(config)
-                bundle = bundles[key]
-            result = train(config, bundle=bundle)
-            result.report.run["label"] = _run_label(name, config, embedded)
-            result.report.run["name"] = name
-            save_run(result, os.path.join(out_root, name))
-            results[name] = result
-        except Exception as exc:  # isolate failing runs
-            errors[name] = f"{type(exc).__name__}: {exc}"
+                results[name] = out
+    errors = {n: f"{type(failed[n]).__name__}: {failed[n]}" for n in run_names if n in failed}
 
     rows = []
     for item in (i for i in runs if i["name"] in results):

@@ -225,6 +225,17 @@ class TestCriterion6FlowSanity:
               ok, f"margin {flow_ll - base_ll:.3f} nats, integral {integral:.5f}")
 
 
+def train_all(configs):
+    """``train`` each config, in worker processes, on one bundle built from
+    the first: the configs share their data block. Raises the first error."""
+    bundle = tr.build_bundle(configs[0])
+    results = tr.train_many([(config, bundle) for config in configs])
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return results
+
+
 def toy_moons_config(objective, seed, **kw):
     d = dict(
         objective=objective,
@@ -248,8 +259,7 @@ class TestCriterion7ToyOodSeparation:
     ])
     def test_median_ap(self, objective, kw):
         aps = []
-        for seed in range(5):
-            result = tr.train(toy_moons_config(objective, seed, **kw))
+        for result in train_all([toy_moons_config(objective, seed, **kw) for seed in range(5)]):
             nat = [r for r in result.report.results if r["group"] == "natural"][0]
             aps.append(nat["auc_pr"])
         med = float(np.median(aps))
@@ -269,17 +279,14 @@ def supervision_runs(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("blobs") / "blobs.csv")
     dt.write_csv(path, dt.LabeledTable(feats, labels))
 
-    results = {0.0: [], 1.0: []}
-    for gamma in (0.0, 1.0):
-        for seed in range(5):
-            cfg = tr.RunConfig.from_dict(dict(
-                objective="cd", gamma=gamma, seed=seed,
-                data={"kind": "csv", "path": path, "removed_classes": [0], "seed": 11},
-                steps=500, warmup_steps=50, batch_size=64, eval_interval=50,
-                hidden=[32, 32], sgld_steps=30, sgld_noise_std=0.1,
-            ))
-            results[gamma].append(tr.train(cfg))
-    return results
+    configs = [tr.RunConfig.from_dict(dict(
+        objective="cd", gamma=gamma, seed=seed,
+        data={"kind": "csv", "path": path, "removed_classes": [0], "seed": 11},
+        steps=500, warmup_steps=50, batch_size=64, eval_interval=50,
+        hidden=[32, 32], sgld_steps=30, sgld_noise_std=0.1,
+    )) for gamma in (0.0, 1.0) for seed in range(5)]
+    results = train_all(configs)
+    return {0.0: results[:5], 1.0: results[5:]}
 
 
 class TestCriterion8SupervisionTrend:
@@ -359,13 +366,15 @@ class TestCriterion10Generators:
 
 
 class TestCriterion11Reproducibility:
+    CONFIG = dict(
+        objective="cd",
+        data={"kind": "two_moons", "n": 300, "noise_std": 0.1, "seed": 7},
+        seed=0, steps=20, warmup_steps=5, batch_size=32, eval_interval=10,
+        hidden=[16, 16], sgld_steps=5, sgld_noise_std=0.1,
+    )
+
     def test_suite_byte_identical(self, tmp_path):
-        cfg = dict(
-            objective="cd",
-            data={"kind": "two_moons", "n": 300, "noise_std": 0.1, "seed": 7},
-            seed=0, steps=20, warmup_steps=5, batch_size=32, eval_interval=10,
-            hidden=[16, 16], sgld_steps=5, sgld_noise_std=0.1,
-        )
+        cfg = self.CONFIG
         manifest = {
             "runs": [
                 {"name": "base", "config": cfg},
@@ -378,17 +387,56 @@ class TestCriterion11Reproducibility:
         outs = [str(tmp_path / "a"), str(tmp_path / "b")]
         for out in outs:
             tr.run_experiment_suite(json.loads(json.dumps(manifest)), out)
-
-        files = []
-        for root, _, names in os.walk(outs[0]):
-            for name in names:
-                files.append(os.path.relpath(os.path.join(root, name), outs[0]))
-        assert files
-        mismatched = []
-        for rel in sorted(files):
-            a = open(os.path.join(outs[0], rel), "rb").read()
-            b = open(os.path.join(outs[1], rel), "rb").read()
-            if a != b:
-                mismatched.append(rel)
+        files, mismatched = _compare_trees(*outs)
         _line(11, "suite outputs byte-identical across consecutive runs",
               not mismatched, f"{len(files)} files" + (f", mismatched {mismatched}" if mismatched else ""))
+
+    def test_suite_byte_identical_across_worker_counts(self, tmp_path, monkeypatch):
+        cfg = self.CONFIG
+        # a CSV without removed classes leaves cd no OOD rows to select on,
+        # so that run raises once it trains, in its worker
+        path = str(tmp_path / "blobs.csv")
+        rng = np.random.default_rng(11)
+        dt.write_csv(path, dt.LabeledTable(rng.normal(size=(200, 2)), rng.integers(0, 2, 200)))
+        manifest = {
+            "runs": [
+                {"name": "base", "config": cfg},
+                {"name": "sup", "config": dict(cfg, gamma=1.0), "baseline": "base"},
+                {"name": "emb", "config": dict(cfg, seed=1, hidden=[8]), "embed_from": "sup"},
+                {"name": "bad", "config": dict(cfg, data={"kind": "csv", "path": path})},
+                # its data file is read, and found missing, before any run trains
+                {"name": "absent", "config": dict(cfg, data={"kind": "csv", "path": path + "x"})},
+                {"name": "emb-bad", "config": cfg, "embed_from": "bad"},
+                {"name": "seed2", "config": dict(cfg, seed=2), "baseline": "base"},
+            ],
+            "analyses": [
+                {"kind": "norm_sweep", "model": "emb", "radii": [0, 1, 5], "name": "sweep"},
+                {"kind": "ascend", "model": "sup", "n_points": 2, "steps": 3, "name": "climb"},
+            ],
+        }
+        outs, summaries = [str(tmp_path / "w1"), str(tmp_path / "w2")], []
+        for workers, out in zip((1, 2), outs):
+            monkeypatch.setattr(tr, "_usable_cpus", lambda: workers)
+            summaries.append(tr.run_experiment_suite(json.loads(json.dumps(manifest)), out))
+        errors = summaries[0]["errors"]
+        assert list(errors) == ["bad", "absent", "emb-bad"]  # in manifest order, as in serial
+        assert errors["bad"].startswith("ConfigError: objective 'cd' selects")
+        assert errors["emb-bad"] == "ConfigError: embed_from run 'bad' unavailable"
+        files, mismatched = _compare_trees(*outs)
+        ok = not mismatched and summaries[0] == summaries[1]
+        _line(11, "suite outputs byte-identical at 1 and 2 worker processes", ok,
+              f"{len(files)} files" + (f", mismatched {mismatched}" if mismatched else ""))
+
+
+def _compare_trees(a, b):
+    """(every file under ``a``, relative, and those whose bytes differ in
+    ``b``); both trees must hold the same files."""
+    def tree(top):
+        return sorted(os.path.relpath(os.path.join(root, name), top)
+                      for root, _, names in os.walk(top) for name in names)
+
+    files = tree(a)
+    assert files and files == tree(b)
+    mismatched = [rel for rel in files if open(os.path.join(a, rel), "rb").read()
+                  != open(os.path.join(b, rel), "rb").read()]
+    return files, mismatched

@@ -1,7 +1,13 @@
 import csv
 import dataclasses
 import json
+import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -723,6 +729,86 @@ class TestSuite:
             tr.run_experiment_suite(manifest, str(out))
         assert named in str(err.value)
         assert not out.exists()
+
+
+class _Interrupt(BaseException):
+    """Raised from a SIGALRM handler, as the benchmark's wall-clock guard
+    raises its OpTimeout."""
+
+
+class TestWorkers:
+    """Suite runs in forked workers: no worker outlives its suite, and
+    dying or interrupted workers end in errors, never in a hang."""
+
+    @staticmethod
+    def _runs(n):
+        return [{"name": f"s{seed}", "config": toy_config(steps=5, eval_interval=5,
+                                                          seed=seed).to_dict()}
+                for seed in range(n)]
+
+    def test_worker_count(self, monkeypatch, time_limit):
+        with time_limit(10):
+            monkeypatch.setattr(tr, "_usable_cpus", lambda: 10_000)
+            assert tr._worker_count(3) == 3
+            # forking a process that runs other threads is unsafe
+            stop = threading.Event()
+            thread = threading.Thread(target=stop.wait)
+            thread.start()
+            try:
+                assert tr._worker_count(3) == 1
+            finally:
+                stop.set()
+                thread.join()
+            monkeypatch.setattr(tr, "_usable_cpus", lambda: 1)
+            assert tr._worker_count(3) == 1
+
+    def test_dead_worker_is_an_error(self, tmp_path, monkeypatch, time_limit):
+        train = tr.train
+
+        def dying(config, bundle=None):
+            if config.seed == 1:
+                os._exit(1)
+            return train(config, bundle)
+
+        # forked workers see the patched train
+        monkeypatch.setattr(tr, "train", dying)
+        monkeypatch.setattr(tr, "_usable_cpus", lambda: 2)
+        with time_limit(60):
+            summary = tr.run_experiment_suite({"runs": self._runs(3)}, str(tmp_path / "out"))
+        assert summary["runs"] == ["s0", "s2"]
+        assert summary["errors"] == {
+            "s1": "RuntimeError: the worker process exited with code 1 before its run finished"}
+        assert multiprocessing.active_children() == []
+
+    def test_interrupt_kills_every_worker(self, tmp_path, monkeypatch, time_limit):
+        monkeypatch.setattr(tr, "train", lambda config, bundle=None: time.sleep(60))
+        monkeypatch.setattr(tr, "_usable_cpus", lambda: 2)
+        with time_limit(30):
+            guard = signal.getsignal(signal.SIGALRM)
+
+            def interrupt(signum, frame):
+                # hand the alarm back to time_limit, with what is left of it
+                signal.signal(signal.SIGALRM, guard)
+                signal.setitimer(signal.ITIMER_REAL, left)
+                raise _Interrupt
+
+            signal.signal(signal.SIGALRM, interrupt)
+            left = signal.setitimer(signal.ITIMER_REAL, 0.5)[0] - 0.5
+            started = time.perf_counter()
+            with pytest.raises(_Interrupt):
+                tr.run_experiment_suite({"runs": self._runs(3)}, str(tmp_path / "out"))
+            assert time.perf_counter() - started < 10
+            assert multiprocessing.active_children() == []
+
+    def test_one_blas_thread_by_default(self):
+        src = os.path.dirname(os.path.dirname(tr.__file__))
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        code = f"import ebmlab, os; print(*(os.environ[n] for n in {names!r}))"
+        env = {k: v for k, v in os.environ.items() if k not in names} | {"PYTHONPATH": src}
+        for given, want in (({}, "1 1 1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2 1 1")):
+            out = subprocess.run([sys.executable, "-c", code], env=env | given, check=True,
+                                 capture_output=True, text=True).stdout
+            assert out.split() == want.split()
 
 
 @pytest.fixture(scope="module")
