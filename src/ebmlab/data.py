@@ -261,6 +261,18 @@ def make_two_moons(n: int, noise_std: float, rng: np.random.Generator) -> Labele
 MAX_OOD_ROUNDS = 100
 
 
+def _nearest_distance(cand: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Distance from each 2-D candidate to its nearest point, summing the
+    squares one coordinate at a time, as the sum over the last axis of the
+    (len(cand), len(points), 2) difference tensor does, without that tensor.
+    Its temporaries are freed before the next round draws."""
+    d2, diff = (cand[:, k:k + 1] - points[:, k] for k in (0, 1))
+    d2 *= d2
+    diff *= diff
+    d2 += diff
+    return np.sqrt(d2.min(axis=1))
+
+
 def two_moons_split(n: int, noise_std: float, margin: float, exclusion: float,
                     seed: int) -> SplitBundle:
     """Two moons split 70/10/20 into train/val/test, with uniform OOD parts
@@ -283,8 +295,7 @@ def two_moons_split(n: int, noise_std: float, margin: float, exclusion: float,
     for _ in range(MAX_OOD_ROUNDS):
         cand = rng.uniform(lo, hi, size=(want, table.dim))
         if exclusion > 0:
-            d2 = ((cand[:, None, :] - table.features[None, :, :]) ** 2).sum(axis=2)
-            cand = cand[np.sqrt(d2.min(axis=1)) >= exclusion]
+            cand = cand[_nearest_distance(cand, table.features) >= exclusion]
         chunks.append(cand)
         got += len(cand)
         if got >= want:

@@ -205,36 +205,54 @@ def mlp_forward(spec: ModelSpec, params, x) -> tuple[ad.Node, ad.Node]:
     return ad.add(ad.matmul(h, pn["head.W"]), pn["head.b"]), h
 
 
+def _hidden_values(spec: ModelSpec, params, x):
+    """The hidden layers of ``mlp_forward`` in numpy: (penultimate
+    activations, parameter arrays, back), where ``back(g)`` maps an adjoint
+    of the penultimate activations to the input adjoint as ``ad.grad``
+    would, overwriting ``g``, which must be a fresh array."""
+    p = _param_arrays(params)
+    h = np.asarray(x, dtype=np.float64)
+    _check_batch(h, spec.input_dim)
+    factors = []  # per activation, a function giving its vjp's factor
+    for i in range(len(spec.hidden)):
+        h, f = _activation_np(spec, _affine(h, p, f"layer{i}"))
+        factors.append(f)
+        if spec.has_bottleneck:
+            d, f = _activation_np(spec, _affine(h, p, f"layer{i}.bn_down"))
+            factors.append(f)
+            h = _affine(d, p, f"layer{i}.bn_up")
+
+    def back(g):
+        # ad.matmul's vjp is g @ W.T; ad.add passes g through unchanged.
+        # Each factor multiplies the fresh matmul result in place.
+        rest = iter(reversed(factors))
+        for i in reversed(range(len(spec.hidden))):
+            if spec.has_bottleneck:
+                g = g @ p[f"layer{i}.bn_up.W"].T
+                g *= next(rest)()
+                g = g @ p[f"layer{i}.bn_down.W"].T
+            g *= next(rest)()
+            g = g @ p[f"layer{i}.W"].T
+        return g
+
+    return h, p, back
+
+
 def mlp_values(spec: ModelSpec, params, x):
     """``mlp_forward``'s two values in numpy, plus ``back(g)``, which maps an
     adjoint of the head output to the input adjoint as ``ad.grad`` would:
     (head output, penultimate activations, back)."""
     if spec.head == "flow":
         raise ModelError("mlp_values does not apply to flow heads")
-    p = _param_arrays(params)
-    h = np.asarray(x, dtype=np.float64)
-    _check_batch(h, spec.input_dim)
-    # forward: keep the factor each activation's vjp will multiply by
-    factors = []
-    for i in range(len(spec.hidden)):
-        h, f = _activation_np(spec, h @ p[f"layer{i}.W"] + p[f"layer{i}.b"])
-        factors.append(f)
-        if spec.has_bottleneck:
-            d, f = _activation_np(spec, h @ p[f"layer{i}.bn_down.W"] + p[f"layer{i}.bn_down.b"])
-            factors.append(f)
-            h = d @ p[f"layer{i}.bn_up.W"] + p[f"layer{i}.bn_up.b"]
+    h, p, back = _hidden_values(spec, params, x)
+    return _affine(h, p, "head"), h, lambda g: back(g @ p["head.W"].T)
 
-    def back(g):
-        # ad.matmul's vjp is g @ W.T; ad.add passes g through unchanged
-        g, rest = g @ p["head.W"].T, iter(reversed(factors))
-        for i in reversed(range(len(spec.hidden))):
-            if spec.has_bottleneck:
-                g = (g @ p[f"layer{i}.bn_up.W"].T) * next(rest)
-                g = g @ p[f"layer{i}.bn_down.W"].T
-            g = (g * next(rest)) @ p[f"layer{i}.W"].T
-        return g
 
-    return h @ p["head.W"] + p["head.b"], h, back
+def _affine(h: np.ndarray, p: dict[str, np.ndarray], name: str) -> np.ndarray:
+    """``ad.add(ad.matmul(h, W), b)``'s value, the add in place."""
+    a = h @ p[f"{name}.W"]
+    a += p[f"{name}.b"]
+    return a
 
 
 def classifier_embed(spec: ModelSpec, params, x) -> np.ndarray:
@@ -260,8 +278,9 @@ def radial_forward(z0, alpha_hat, beta_hat, x):
     _check_batch(x, z0.shape[0])
     n, d = x.shape
     # unconstrained layer parameters -> alpha > 0, beta >= -alpha
-    alpha, s_alpha = _softplus(np.asarray(alpha_hat, dtype=np.float64))
-    softplus_b, s_beta = _softplus(np.asarray(beta_hat, dtype=np.float64))
+    alpha_hat = np.asarray(alpha_hat, dtype=np.float64)
+    beta_hat = np.asarray(beta_hat, dtype=np.float64)
+    alpha, softplus_b = _softplus(alpha_hat), _softplus(beta_hat)
     beta = -alpha + softplus_b
     diff = x + -z0
     s = (diff * diff).sum(axis=1, keepdims=True) + 1e-24
@@ -289,7 +308,8 @@ def radial_forward(z0, alpha_hat, beta_hat, x):
         g_diff = (g_y * m + g_s * diff) + g_s * diff
         g_beta = (g_m * h).sum(axis=(0, 1)) + (-g_inner * hhr).sum(axis=(0, 1))
         g_alpha = -g_beta + g_apr.sum(axis=(0, 1))
-        return g_y + g_diff, -g_diff.sum(axis=(0,)), g_alpha * s_alpha, g_beta * s_beta
+        return (g_y + g_diff, -g_diff.sum(axis=(0,)), g_alpha * _sigmoid(alpha_hat),
+                g_beta * _sigmoid(beta_hat))
 
     return x + m * diff, logdet, back
 
@@ -346,22 +366,29 @@ def energy(spec: ModelSpec, params, x) -> ad.Node:
     raise ModelError(f"no energy for head {spec.head!r}")
 
 
-def _softplus(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``ad.softplus(a)``'s value and its vjp's factor, the value of ``ad.sigmoid(a)``."""
-    return np.maximum(a, 0.0) + np.log1p(np.exp(-np.abs(a))), 1.0 / (1.0 + np.exp(-a))
+def _softplus(a: np.ndarray) -> np.ndarray:
+    """``ad.softplus(a)``'s value."""
+    return np.maximum(a, 0.0) + np.log1p(np.exp(-np.abs(a)))
 
 
-def _activation_np(spec: ModelSpec, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The activation's value at ``a`` and the factor its vjp multiplies the
-    adjoint by, computed as the ``ad.relu``/``ad.softplus``/``ad.leaky_relu``
-    primitives compute them."""
-    if spec.activation == "relu":
-        mask = (a > 0).astype(np.float64)
-        return a * mask, mask
+def _sigmoid(a: np.ndarray) -> np.ndarray:
+    """``ad.sigmoid(a)``'s value, the factor of ``ad.softplus``'s vjp."""
+    return 1.0 / (1.0 + np.exp(-a))
+
+
+def _activation_np(spec: ModelSpec, a: np.ndarray):
+    """The activation's value at ``a``, overwriting ``a`` where that is
+    exact, and a function giving the factor its vjp multiplies the adjoint
+    by, computed as the ``ad.relu``/``ad.softplus``/``ad.leaky_relu``
+    primitives compute them. Softplus's factor is computed only when called."""
     if spec.activation == "softplus":
-        return _softplus(a)
-    factor = np.where(a > 0, 1.0, spec.leaky_slope)
-    return a * factor, factor
+        return _softplus(a), lambda: _sigmoid(a)
+    if spec.activation == "relu":
+        factor = (a > 0).astype(np.float64)
+    else:
+        factor = np.where(a > 0, 1.0, spec.leaky_slope)
+    a *= factor
+    return a, lambda: factor
 
 
 def _logsumexp(logits: np.ndarray) -> np.ndarray:
@@ -375,18 +402,23 @@ def input_grad(spec: ModelSpec, params, x) -> np.ndarray:
     every head with an energy; builds no graph nodes.
 
     Equals ``ad.grad(ad.reduce_sum(energy(spec, params, x)), [x])`` byte
-    for byte (non-finite rows included): an MLP runs ``mlp_values``'s
-    backward, a flow its fused node's backward, each from the adjoint the
-    engine would hand it. ``params`` is a ParameterSet or a dict of nodes.
+    for byte (non-finite rows included): an MLP runs the backward of its
+    numpy hidden layers, a flow its fused node's backward, each from the
+    adjoint the engine would hand it. ``params`` is a ParameterSet or a dict of nodes.
     """
     if spec.head == "flow":
         logp, backward = _flow(spec, params, x)
         return backward(-np.ones(logp.shape))[0]  # the adjoint of log p under sum(-log p)
-    out, _, back = mlp_values(spec, params, x)
-    # adjoint of the head output under sum(E): ones for an energy head; for
-    # E = -logsumexp, -1 times the softmax exp(logits - lse) (ad.logsumexp's vjp)
     if spec.head == "energy":
-        return back(np.ones((out.shape[0], 1)))  # inner dimension 1: exact in any layout
+        # The head output is not needed. Under sum(E) its adjoint is ones, so
+        # ad.matmul's vjp ones @ head.W.T (inner dimension 1) has entries
+        # 1.0 * w = w exactly, added to a GEMM's zeroed accumulator: w + 0.0,
+        # which turns a -0.0 weight into +0.0.
+        h, p, back = _hidden_values(spec, params, x)
+        return back(np.repeat(p["head.W"].T + 0.0, h.shape[0], axis=0))
+    out, _, back = mlp_values(spec, params, x)
+    # for E = -logsumexp, the adjoint of the head output is -1 times the
+    # softmax exp(logits - lse) (ad.logsumexp's vjp)
     if spec.head == "logits":
         return back(-1.0 * np.exp(out + -_logsumexp(out)))
     raise ModelError(f"no energy for head {spec.head!r}")

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from ebmlab import data as dt
 from ebmlab import models as mz
+from ebmlab.rng import stream
 
 
 class TestLoadCsv:
@@ -324,6 +325,45 @@ class TestTwoMoons:
         noisy = dt.make_two_moons(5000, 0.1, rng)
         radii = np.linalg.norm(noisy.features[noisy.labels == 0], axis=1)
         assert abs(radii.mean() - 1.0) < 0.05
+
+
+def reference_moons_ood(n, noise_std, margin, exclusion, seed):
+    """``two_moons_split``'s OOD test and validation rows, drawn as it draws
+    them but filtered with the full (want, n, 2) distance tensor, and the
+    number of rounds drawn."""
+    rng = stream(seed, "data")
+    table = dt.make_two_moons(n, noise_std, rng)
+    rng.permutation(n)
+    n_ood = n - round(0.7 * n) - round(0.1 * n)
+    want = n_ood + max(n_ood // 5, 10)
+    lo = table.features.min(axis=0) - margin
+    hi = table.features.max(axis=0) + margin
+    chunks = []
+    while sum(map(len, chunks)) < want:
+        cand = rng.uniform(lo, hi, size=(want, 2))
+        if exclusion > 0:
+            d2 = ((cand[:, None, :] - table.features[None, :, :]) ** 2).sum(axis=2)
+            cand = cand[np.sqrt(d2.min(axis=1)) >= exclusion]
+        chunks.append(cand)
+    ood = np.concatenate(chunks)[:want]
+    return ood[:n_ood], ood[n_ood:], len(chunks)
+
+
+class TestTwoMoonsSplit:
+    @pytest.mark.parametrize("n,radius,seed,rounds", [
+        (300, 0.0, 7, 1), (300, 0.3, 7, 3), (2000, 0.3, 5, 3), (101, 0.8, 2, 10),
+    ])
+    def test_ood_rows_keep_the_exclusion_radius(self, n, radius, seed, rounds):
+        bundle = dt.two_moons_split(n, 0.1, margin=0.5, exclusion=radius, seed=seed)
+        ood_test, ood_val, drawn = reference_moons_ood(n, 0.1, 0.5, radius, seed)
+        assert drawn == rounds
+        assert bundle.ood_test.features.tobytes() == ood_test.tobytes()
+        assert bundle.ood_val.features.tobytes() == ood_val.tobytes()
+        data = np.vstack([bundle.id_train.features, bundle.id_val.features,
+                          bundle.id_test.features])
+        for ood in (bundle.ood_test.features, bundle.ood_val.features):
+            gaps = np.linalg.norm(ood[:, None, :] - data[None, :, :], axis=2)
+            assert gaps.min() >= radius
 
 
 class TestStandardize:

@@ -247,6 +247,18 @@ class TestInputGrad:
         assert np.array_equal(np.isnan(got), np.isnan(expected))
         assert np.array_equal(got, expected, equal_nan=True)
 
+    @pytest.mark.parametrize("hidden", [[], [4]])
+    def test_negative_zero_head_weight_matches_engine(self, hidden):
+        # the engine's ones @ head.W.T turns a -0.0 weight into +0.0; with no
+        # hidden layer that product is the input gradient itself
+        spec = mz.ModelSpec(input_dim=3, hidden=hidden, head="energy")
+        pset = perturbed_params(spec)
+        pset.arrays()["head.W"][:2] = -0.0
+        for n in (1, 5):
+            x = np.random.default_rng(n).normal(size=(n, 3))
+            expected = engine_input_grad(spec, pset, x)
+            assert mz.input_grad(spec, pset, x).tobytes() == expected.tobytes()
+
     def test_builds_no_nodes(self, monkeypatch):
         # scores and embeddings build none either, for every head
         specs = [closed_form_spec("logits", "softplus", 0.5),

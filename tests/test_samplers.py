@@ -5,7 +5,7 @@ import pytest
 
 from ebmlab import models as mz
 from ebmlab import samplers as sp
-from test_models import engine_input_grad
+from test_models import engine_input_grad, perturbed_params
 
 
 def quadratic_logp(x):
@@ -101,10 +101,12 @@ class TestClosedFormInputGradient:
         mz.ModelSpec(input_dim=2, hidden=[16, 16], head="energy"),
         mz.ModelSpec(input_dim=2, hidden=[16, 16], head="logits", n_classes=3,
                      activation="softplus", bottleneck_factor=0.5),
+        mz.ModelSpec(input_dim=2, hidden=[64, 64, 64], head="energy"),  # the benchmark's train-cd
     ])
     def test_sgld_endpoints_match_engine(self, spec):
-        pset = mz.init_params(spec, 0)
-        cfg = sp.SgldConfig(steps=20, step_size=0.5, noise_std=0.1)
+        # train-cd's chain, on parameters whose activations take both branches
+        pset = perturbed_params(spec)
+        cfg = sp.SgldConfig(steps=30, step_size=1.0, noise_std=0.1)
         x0 = np.random.default_rng(1).uniform(-2.0, 2.0, size=(64, 2))
         fast = sp.sgld_chain(functools.partial(mz.input_grad, spec, pset), x0, cfg,
                              np.random.default_rng(2))
