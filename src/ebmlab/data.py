@@ -3,9 +3,15 @@ generators (noise, constant, out-of-domain, smoothness ladder, two moons)."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
+import hashlib
+import json
 import math
+import os
+import uuid
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,8 +64,6 @@ class SplitBundle:
     id_test: LabeledTable
     ood_val: LabeledTable
     ood_test: LabeledTable
-    mean: np.ndarray | None = None  # id_train statistics once standardized
-    std: np.ndarray | None = None
     removed_classes: list[int] = field(default_factory=list)
 
     def parts(self) -> dict[str, LabeledTable]:
@@ -73,10 +77,77 @@ class SplitBundle:
         }
 
 
+_CACHE_VERSION = 1
+
+
 def load_csv(path: str, label_column: str | None = None) -> LabeledTable:
     """CSV with a header row, skipping empty lines and lines starting with ``#``;
     the label column (if named) may be integer or categorical. Rows numpy cannot
-    parse, or whose cell count is not the header's, abort with their line numbers."""
+    parse, or whose cell count is not the header's, abort with their line numbers.
+
+    A parsed table is kept beside the file in ``<path>.ebmlab-cache.npz``, keyed
+    by the cache version, numpy's version, ``label_column`` and the sha256 of the
+    file's bytes; a later call with the same key reads it instead of parsing.
+    The cache never changes a result or an error: a sidecar that is missing,
+    unreadable or keyed otherwise is parsed over, and one that cannot be
+    written is skipped."""
+    sidecar = f"{path}.ebmlab-cache.npz"
+    digest = _file_sha256(path)
+    key = json.dumps([_CACHE_VERSION, np.__version__, label_column, digest])
+    cached = _read_cache(sidecar, key, label_column)
+    if cached is not None:
+        return LabeledTable(*cached, source=path)
+    table = _parse_csv(path, label_column)
+    if _file_sha256(path) == digest:  # the bytes parsed are the bytes keyed
+        _write_cache(sidecar, key, table)
+    return table
+
+
+def _file_sha256(path: str) -> str:
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            h.update(block)
+    return h.hexdigest()
+
+
+def _read_cache(sidecar: str, key: str, label_column: str | None):
+    """(features, labels, class_names) from a sidecar holding ``key``, else
+    None. Object arrays are refused, never unpickled."""
+    try:
+        npz = np.load(sidecar, allow_pickle=False)
+        if not isinstance(npz, np.lib.npyio.NpzFile):
+            return None
+        with npz:
+            if str(npz["key"]) != key:
+                return None
+            if label_column is None:
+                return npz["features"], None, None
+            return npz["features"], npz["labels"], json.loads(str(npz["class_names"]))
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+        return None
+
+
+def _write_cache(sidecar: str, key: str, table: LabeledTable):
+    """Write the sidecar to a new temporary file in its directory (with the
+    umask's mode) and rename it into place. A failed write is ignored and
+    leaves no temporary file."""
+    tmp = f"{sidecar}.{uuid.uuid4().hex}.tmp"
+    arrays = {"key": np.array(key), "features": table.features}
+    if table.labels is not None:
+        arrays.update(labels=table.labels, class_names=np.array(json.dumps(table.class_names)))
+    try:
+        with open(tmp, "xb") as fh:
+            np.savez(fh, **arrays)
+        os.replace(tmp, sidecar)
+    except OSError:
+        pass
+    finally:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)  # gone already after a successful rename
+
+
+def _parse_csv(path: str, label_column: str | None) -> LabeledTable:
     with open(path, "r", encoding="utf-8") as fh:  # "\r\n" and "\r" read as "\n"
         lines = fh.readlines()
     numbers = [n for n, ln in enumerate(lines, start=1)
@@ -322,7 +393,7 @@ def standardize(bundle: SplitBundle) -> SplitBundle:
         return LabeledTable((part.features - mean) / std, part.labels, part.class_names, part.source)
 
     return SplitBundle(**{k: tf(part) for k, part in bundle.parts().items()},
-                       mean=mean, std=std, removed_classes=list(bundle.removed_classes))
+                       removed_classes=list(bundle.removed_classes))
 
 
 def embed_dataset(spec: ModelSpec, params, bundle: SplitBundle) -> SplitBundle:

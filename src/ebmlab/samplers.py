@@ -43,9 +43,10 @@ def sgld_chain(grad_fn, x0, config: SgldConfig, rng: np.random.Generator) -> np.
         g = grad_fn(x)
         if not np.all(np.isfinite(g)):
             raise SamplerError(f"non-finite energy gradient at SGLD step {step}")
-        x = x - 0.5 * config.step_size * g
+        # in place: x is the chain's own copy, while g may be the caller's
+        x -= 0.5 * config.step_size * g
         if config.noise_std > 0:
-            x = x + config.noise_std * rng.normal(size=x.shape)
+            x += config.noise_std * rng.normal(size=x.shape)
     return x
 
 

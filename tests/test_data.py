@@ -1,3 +1,6 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -152,6 +155,195 @@ class TestLoadCsv:
     def test_nan_features_rejected(self):
         with pytest.raises(dt.DataError):
             dt.LabeledTable(np.array([[1.0, np.nan]]))
+
+
+SIDECAR = "t.csv.ebmlab-cache.npz"
+
+
+def _spring():
+    raise AssertionError("the sidecar was unpickled")
+
+
+class _Trap:
+    def __reduce__(self):
+        return _spring, ()
+
+
+def _assert_same_table(got, want):
+    assert got.features.dtype == want.features.dtype
+    assert got.features.shape == want.features.shape
+    assert got.features.tobytes() == want.features.tobytes()
+    if want.labels is None:
+        assert got.labels is None
+    else:
+        assert got.labels.dtype == want.labels.dtype
+        assert got.labels.tobytes() == want.labels.tobytes()
+    assert got.class_names == want.class_names
+    assert [type(c) for c in got.class_names or []] == [str] * len(want.class_names or [])
+    assert got.source == want.source
+
+
+class TestCsvCache:
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """One entry per np.loadtxt call made from here on."""
+        calls, real = [], np.loadtxt
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counted)
+        return calls
+
+    @pytest.mark.parametrize("text, label_column", [
+        ("a,b,label\n1.5,2,7\n3,-4.25,3\n0.1,1e300,7\n", "label"),
+        ('a,label\n1,"iris, setosa"\n2,virginica\n3,"say ""hi"""\n', "label"),
+        ("a,b\n1,2\n3,4\n", None),
+    ], ids=["integer", "categorical", "unlabeled"])
+    def test_hit_is_byte_equal_and_parses_nothing(self, tmp_path, monkeypatch, text,
+                                                  label_column):
+        p = tmp_path / "t.csv"
+        p.write_text(text)
+        parsed = dt.load_csv(str(p), label_column)
+        assert sorted(os.listdir(tmp_path)) == ["t.csv", SIDECAR]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("parsed on a cache hit")
+
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        _assert_same_table(dt.load_csv(str(p), label_column), parsed)
+
+    def test_sidecar_mode_follows_the_umask(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("a,b\n1,2\n")
+        old = os.umask(0o027)
+        try:
+            dt.load_csv(str(p))
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((tmp_path / SIDECAR).stat().st_mode) == 0o640
+
+    def test_new_bytes_of_the_same_size_and_mtime_are_parsed(self, tmp_path, parses):
+        p = tmp_path / "t.csv"
+        p.write_text("a,b\n1,2\n3,4\n")
+        dt.load_csv(str(p))
+        before = p.stat()
+        p.write_text("a,b\n1,2\n3,5\n")
+        os.utime(p, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = p.stat()
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        n = len(parses)
+        assert dt.load_csv(str(p)).features.tolist() == [[1.0, 2.0], [3.0, 5.0]]
+        assert len(parses) > n
+        n = len(parses)
+        assert dt.load_csv(str(p)).features.tolist() == [[1.0, 2.0], [3.0, 5.0]]
+        assert len(parses) == n
+
+    def test_another_label_column_is_parsed(self, tmp_path, parses):
+        p = tmp_path / "t.csv"
+        p.write_text("a,b,label\n1,5,0\n2,6,1\n")
+        dt.load_csv(str(p), "label")
+        n = len(parses)
+        table = dt.load_csv(str(p), "b")
+        assert len(parses) > n
+        assert table.features.tolist() == [[1.0, 0.0], [2.0, 1.0]]
+        assert table.class_names == ["5", "6"]
+        n = len(parses)
+        assert dt.load_csv(str(p)).features.shape == (2, 3)
+        assert len(parses) > n
+
+    @pytest.mark.parametrize("attr", ["_CACHE_VERSION", "np.__version__"])
+    def test_another_cache_or_numpy_version_is_parsed(self, tmp_path, monkeypatch, parses,
+                                                      attr):
+        p = tmp_path / "t.csv"
+        p.write_text("a,b\n1,2\n")
+        dt.load_csv(str(p))
+        owner, name = (np, "__version__") if attr.startswith("np.") else (dt, attr)
+        monkeypatch.setattr(owner, name, "0")
+        n = len(parses)
+        dt.load_csv(str(p))
+        assert len(parses) > n
+
+    def test_bytes_rewritten_after_hashing_are_not_cached(self, tmp_path, monkeypatch):
+        p = tmp_path / "t.csv"
+        p.write_text("a,b\n1,2\n")
+        parse = dt._parse_csv
+
+        def rewritten_first(path, label_column):
+            p.write_text("a,b\n1,3\n")
+            return parse(path, label_column)
+
+        monkeypatch.setattr(dt, "_parse_csv", rewritten_first)
+        assert dt.load_csv(str(p)).features.tolist() == [[1.0, 3.0]]
+        assert os.listdir(tmp_path) == ["t.csv"]
+        monkeypatch.undo()
+        p.write_text("a,b\n1,2\n")
+        assert dt.load_csv(str(p)).features.tolist() == [[1.0, 2.0]]
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "object array", "npy"])
+    def test_broken_sidecar_is_parsed_over_and_rewritten(self, tmp_path, parses, damage):
+        p = tmp_path / "t.csv"
+        p.write_text("a,label\n1,x\n2,y\n")
+        want = dt.load_csv(str(p), "label")
+        sidecar = tmp_path / SIDECAR
+        good = sidecar.read_bytes()
+        if damage == "truncated":
+            sidecar.write_bytes(good[:len(good) // 2])
+        elif damage == "garbage":
+            sidecar.write_bytes(b"not a cache\n")
+        elif damage == "object array":
+            # the stored key still matches, so only refusing to unpickle
+            # keeps _Trap from running
+            with np.load(sidecar) as npz:
+                arrays = dict(npz)
+            arrays["features"] = np.array([_Trap()], dtype=object)
+            np.savez(sidecar, **arrays)
+        else:
+            with open(sidecar, "wb") as fh:
+                np.save(fh, want.features)
+        n = len(parses)
+        _assert_same_table(dt.load_csv(str(p), "label"), want)
+        assert len(parses) > n
+        n = len(parses)
+        _assert_same_table(dt.load_csv(str(p), "label"), want)
+        assert len(parses) == n
+
+    def test_unwritable_sidecar_is_skipped(self, tmp_path, parses):
+        # a directory in the sidecar's place: chmod would not stop root
+        p = tmp_path / "t.csv"
+        p.write_text("a,label\n1,x\n2,y\n")
+        (tmp_path / SIDECAR).mkdir()
+        for _ in range(2):
+            n = len(parses)
+            table = dt.load_csv(str(p), "label")
+            assert len(parses) > n
+            assert table.features.tolist() == [[1.0], [2.0]]
+            assert table.class_names == ["x", "y"]
+        assert sorted(os.listdir(tmp_path)) == ["t.csv", SIDECAR]
+        assert (tmp_path / SIDECAR).is_dir()
+
+    @pytest.mark.parametrize("text, message", [
+        ("a,b\n1,2\nx,4\n", "{p}: unparseable rows at lines [3]"),
+        ("a,b\n1,2\ninf,4\n", "non-finite features after ingestion"),
+    ])
+    def test_failed_parse_writes_no_sidecar(self, tmp_path, text, message):
+        p = tmp_path / "t.csv"
+        p.write_text(text)
+        for _ in range(2):
+            with pytest.raises(dt.DataError) as err:
+                dt.load_csv(str(p))
+            assert str(err.value) == message.format(p=p)
+            assert os.listdir(tmp_path) == ["t.csv"]
+
+    def test_missing_file_error_unchanged(self, tmp_path):
+        p = str(tmp_path / "t.csv")
+        with pytest.raises(FileNotFoundError) as want:
+            open(p, encoding="utf-8")
+        with pytest.raises(FileNotFoundError) as got:
+            dt.load_csv(p)
+        assert str(got.value) == str(want.value)
+        assert os.listdir(tmp_path) == []
 
 
 class TestClassRemovalSplit:
@@ -381,23 +573,20 @@ class TestStandardize:
     def test_other_parts_use_train_stats(self):
         raw = self._bundle()
         sb = dt.standardize(raw)
-        expected = (raw.ood_test.features - sb.mean) / sb.std
-        assert np.array_equal(sb.ood_test.features, expected)
+        mean, std = raw.id_train.features.mean(axis=0), raw.id_train.features.std(axis=0)
+        for name, part in sb.parts().items():
+            expected = (raw.parts()[name].features - mean) / std
+            assert np.array_equal(part.features, expected), name
 
     def test_constant_column_floor(self):
+        # column 0 is 1 on every kept row and 2 on the removed class's rows
         feats = np.ones((40, 2))
         feats[:, 1] = np.arange(40)
+        feats[20:, 0] = 2.0
         table = dt.LabeledTable(feats, np.array([0] * 20 + [1] * 20))
         sb = dt.standardize(dt.class_removal_split(table, [1], seed=0))
         assert np.all(np.isfinite(sb.id_train.features))
-        assert sb.std[0] == 1e-8
-
-    def test_unstandardize_round_trip(self):
-        # the recorded statistics undo the z-scoring
-        raw = self._bundle(3)
-        sb = dt.standardize(raw)
-        back = sb.id_test.features * sb.std + sb.mean
-        assert np.allclose(back, raw.id_test.features, atol=1e-12)
+        assert np.all(sb.ood_test.features[:, 0] == 1.0 / 1e-8)
 
 
 class TestEmbedDataset:

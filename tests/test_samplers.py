@@ -86,6 +86,22 @@ class TestSgldChain:
             sp.sgld_chain(bad, np.array([[-1.0]]),
                           sp.SgldConfig(steps=3, noise_std=0.0), np.random.default_rng(0))
 
+    def test_caller_arrays_left_unchanged(self):
+        # the chain updates its own copy of x0 in place and only reads the
+        # gradient, which a grad_fn may share between calls
+        x0 = np.array([[1.0, -2.0], [0.5, 3.0]])
+        g = np.array([[0.25, -1.0], [2.0, 0.5]])
+        x0_before, g_before = x0.copy(), g.copy()
+        cfg = sp.SgldConfig(steps=3, step_size=0.5, noise_std=0.1)
+        out = sp.sgld_chain(lambda x: g, x0, cfg, np.random.default_rng(0))
+        assert x0.tobytes() == x0_before.tobytes()
+        assert g.tobytes() == g_before.tobytes()
+        rng, x = np.random.default_rng(0), x0_before
+        for _ in range(cfg.steps):
+            x = x - 0.5 * cfg.step_size * g_before
+            x = x + cfg.noise_std * rng.normal(size=x.shape)
+        assert out.tobytes() == x.tobytes()
+
     def test_seed_determinism(self):
         cfg = sp.SgldConfig(steps=30)
         a = sp.sgld_chain(quadratic_grad, np.ones((3, 2)), cfg, np.random.default_rng(5))
