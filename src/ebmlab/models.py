@@ -5,7 +5,8 @@ This module decides how E(x) and dE/dx are computed for every head with an
 energy. Values and input gradients (``score_logdensity``, ``input_grad``,
 ``classifier_embed``, ``mlp_values``) run in numpy, without a graph, doing
 the engine's float operations in its order; tests prove them byte-equal to
-the engine. Graphs (``energy``, ``mlp_forward``, ``flow_logdensity``, one
+the engine. Scoring and embedding run a large batch's hidden layers in row
+blocks. Graphs (``energy``, ``mlp_forward``, ``flow_logdensity``, one
 first-order ``ad.fused`` node for the radial stack) are built only for
 parameter and second-order gradients.
 """
@@ -205,12 +206,11 @@ def mlp_forward(spec: ModelSpec, params, x) -> tuple[ad.Node, ad.Node]:
     return ad.add(ad.matmul(h, pn["head.W"]), pn["head.b"]), h
 
 
-def _hidden_values(spec: ModelSpec, params, x):
-    """The hidden layers of ``mlp_forward`` in numpy: (penultimate
-    activations, parameter arrays, back), where ``back(g)`` maps an adjoint
+def _hidden_values(spec: ModelSpec, p: dict[str, np.ndarray], x):
+    """The hidden layers of ``mlp_forward`` in numpy on the parameter arrays
+    ``p``: (penultimate activations, back), where ``back(g)`` maps an adjoint
     of the penultimate activations to the input adjoint as ``ad.grad``
     would, overwriting ``g``, which must be a fresh array."""
-    p = _param_arrays(params)
     h = np.asarray(x, dtype=np.float64)
     _check_batch(h, spec.input_dim)
     factors = []  # per activation, a function giving its vjp's factor
@@ -235,7 +235,7 @@ def _hidden_values(spec: ModelSpec, params, x):
             g = g @ p[f"layer{i}.W"].T
         return g
 
-    return h, p, back
+    return h, back
 
 
 def mlp_values(spec: ModelSpec, params, x):
@@ -244,8 +244,48 @@ def mlp_values(spec: ModelSpec, params, x):
     (head output, penultimate activations, back)."""
     if spec.head == "flow":
         raise ModelError("mlp_values does not apply to flow heads")
-    h, p, back = _hidden_values(spec, params, x)
+    p = _param_arrays(params)
+    h, back = _hidden_values(spec, p, x)
     return _affine(h, p, "head"), h, lambda g: back(g @ p["head.W"].T)
+
+
+# Rows per block of a value-only MLP pass over a large batch, or a
+# multiple of it; a multiple of the BLAS kernels' row unroll
+_BLOCK_ROWS = 2048
+# OpenBLAS's AVX-512 kernels run a GEMM of at most this many multiply-adds
+# (M*N*K) on a small-matrix path, which rounds differently
+_SMALL_GEMM = 10**6
+
+
+def _block_rows(spec: ModelSpec) -> int:
+    """Rows per block of ``_mlp_outputs``: the least multiple of
+    ``_BLOCK_ROWS`` that gives each hidden GEMM of a block more than
+    ``_SMALL_GEMM`` multiply-adds."""
+    need = max([1] + [_SMALL_GEMM // math.prod(shape) + 1 for name, shape in spec.layer_plan()
+                      if name.endswith(".W") and name != "head.W"])
+    return -(-need // _BLOCK_ROWS) * _BLOCK_ROWS
+
+
+def _mlp_outputs(spec: ModelSpec, params, x):
+    """``mlp_values``'s (head output, penultimate activations) of an MLP
+    head, for callers that need no backward. A batch of at least two blocks
+    runs its hidden layers over consecutive row blocks, so each temporary
+    stays cache-sized; the head then runs on the whole batch. Every block
+    has ``_block_rows`` rows but the last, which takes the rest (fewer than
+    twice that). Each row keeps its place in the kernels' row groups and no
+    GEMM takes the small-matrix path, so the bytes are ``mlp_values``'s
+    (README, "Which kernel rewrites keep the bytes")."""
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[0] if x.ndim == 2 else 0
+    # the first test spares a small batch, such as an SGLD step, the rule
+    if n < 2 * _BLOCK_ROWS or n < 2 * (rows := _block_rows(spec)):
+        return mlp_values(spec, params, x)[:2]
+    p = _param_arrays(params)
+    h = np.empty((n, (spec.hidden or [spec.input_dim])[-1]))
+    starts = range(0, n - rows + 1, rows)
+    for a, b in zip(starts, [*starts[1:], n]):
+        h[a:b] = _hidden_values(spec, p, x[a:b])[0]
+    return _affine(h, p, "head"), h
 
 
 def _affine(h: np.ndarray, p: dict[str, np.ndarray], name: str) -> np.ndarray:
@@ -259,7 +299,7 @@ def classifier_embed(spec: ModelSpec, params, x) -> np.ndarray:
     """Penultimate activations of a classifier, as plain arrays."""
     if spec.head != "logits":
         raise ModelError("classifier_embed requires a logits head")
-    return mlp_values(spec, params, x)[1]
+    return _mlp_outputs(spec, params, x)[1]
 
 
 def radial_forward(z0, alpha_hat, beta_hat, x):
@@ -414,7 +454,8 @@ def input_grad(spec: ModelSpec, params, x) -> np.ndarray:
         # ad.matmul's vjp ones @ head.W.T (inner dimension 1) has entries
         # 1.0 * w = w exactly, added to a GEMM's zeroed accumulator: w + 0.0,
         # which turns a -0.0 weight into +0.0.
-        h, p, back = _hidden_values(spec, params, x)
+        p = _param_arrays(params)
+        h, back = _hidden_values(spec, p, x)
         return back(np.repeat(p["head.W"].T + 0.0, h.shape[0], axis=0))
     out, _, back = mlp_values(spec, params, x)
     # for E = -logsumexp, the adjoint of the head output is -1 times the
@@ -429,7 +470,7 @@ def score_logdensity(spec: ModelSpec, params, x) -> np.ndarray:
     ``-energy(...).value`` byte for byte, without graph nodes."""
     if spec.head == "flow":
         return _flow(spec, params, x)[0]
-    out, _, _ = mlp_values(spec, params, x)
+    out, _ = _mlp_outputs(spec, params, x)
     if spec.head == "energy":
         return -out[:, 0]
     if spec.head == "logits":

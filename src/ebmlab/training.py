@@ -44,10 +44,10 @@ from .models import (
     ModelSpec,
     ParameterSet,
     _atomic_write_json,
+    _mlp_outputs,
     init_params,
     input_grad,
     mlp_forward,
-    mlp_values,
     param_nodes,
     save_checkpoint,
 )
@@ -446,7 +446,7 @@ def train(config: RunConfig, bundle: SplitBundle | None = None) -> TrainResult:
             return selection_score(spec, pset, bundle)
         if selection_mode == "val_ll":
             return float(score_logdensity(spec, pset, bundle.id_val.features).mean())
-        logits = mlp_values(spec, pset, bundle.id_val.features)[0]
+        logits = _mlp_outputs(spec, pset, bundle.id_val.features)[0]
         return float((logits.argmax(axis=1) == bundle.id_val.labels).mean())
 
     for step in range(1, config.steps + 1):

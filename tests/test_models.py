@@ -293,6 +293,67 @@ class TestInputGrad:
             mz.input_grad(spec, mz.init_params(spec, 0), np.zeros(shape))
 
 
+def block_spec(head, activation, bottleneck, input_dim=8, hidden=(64, 48, 32)):
+    return mz.ModelSpec(input_dim=input_dim, hidden=list(hidden), activation=activation,
+                        head="energy" if head == "energy" else "logits",
+                        n_classes=None if head == "energy" else head,
+                        bottleneck_factor=bottleneck)
+
+
+B = mz._BLOCK_ROWS
+
+
+class TestRowBlocks:
+    """A batch of two blocks or more is scored and embedded over row blocks,
+    with the head on the whole batch; every row keeps the bytes of the
+    engine's single whole-batch pass. The specs after the grid are
+    ``eval-ood``'s model and two whose hidden GEMMs round differently on
+    OpenBLAS's small-matrix kernels in blocks that are too small: 16 -> 100
+    in 512-row blocks, and 16 -> 12 in ``B``-row ones, so its blocks have
+    ``4 * B`` rows."""
+
+    @pytest.mark.parametrize("edge", [(2, -1), (2, 0), (2, 1), (3, 17)])
+    @pytest.mark.parametrize("spec", [
+        *[block_spec(h, a, b) for h in ("energy", 2, 3, 4) for a in mz.ACTIVATIONS
+          for b in (None, 0.5)],
+        block_spec(3, "relu", None, hidden=(64, 64, 64)),
+        block_spec(4, "relu", None, input_dim=16, hidden=(100, 50)),
+        block_spec(2, "leaky_relu", None, input_dim=16, hidden=(12, 12)),
+    ], ids=lambda s: f"{s.head}{s.n_classes or ''}-{s.activation}-{s.bottleneck_factor}"
+                     f"-{s.input_dim}x{'x'.join(map(str, s.hidden))}")
+    def test_equal_to_engine_whole_batch(self, spec, edge):
+        blocks, extra = edge
+        n = blocks * mz._block_rows(spec) + extra
+        pset = perturbed_params(spec)
+        x = np.random.default_rng(n).normal(size=(n, spec.input_dim)) * 3.0
+        bad = np.zeros((4, spec.input_dim))
+        bad[0, 0], bad[1, -1], bad[2, 1], bad[3] = np.inf, -np.inf, np.nan, 1e300
+        x[1:5], x[-5:-1] = bad, bad  # in the first and the last block
+        with np.errstate(all="ignore"):
+            out, h = (node.value for node in mz.mlp_forward(spec, pset, x))
+            expected = ad.neg(mz.energy(spec, pset, x)).value
+            got_out, got_h = mz._mlp_outputs(spec, pset, x)
+            assert got_out.tobytes() == out.tobytes() and got_h.tobytes() == h.tobytes()
+            assert mz.score_logdensity(spec, pset, x).tobytes() == expected.tobytes()
+            if spec.head == "logits":
+                assert mz.classifier_embed(spec, pset, x).tobytes() == h.tobytes()
+
+    def test_block_rows(self):
+        assert mz._block_rows(block_spec(3, "relu", None, hidden=(64, 64, 64))) == B
+        # the 12 * 12 layer needs 10**6 // 144 + 1 = 6945 rows, rounded up to 4 * B
+        assert mz._block_rows(block_spec(2, "relu", None, input_dim=16, hidden=(12, 12))) == 4 * B
+
+    def test_small_batch_is_one_mlp_values_call(self, monkeypatch):
+        spec = block_spec(3, "relu", None, hidden=(64, 64, 64))
+        calls = []
+        hidden_values = mz._hidden_values
+        monkeypatch.setattr(mz, "_hidden_values",
+                            lambda *a: calls.append(len(a[2])) or hidden_values(*a))
+        for n in (2 * B - 1, 2 * B + 1):
+            mz.score_logdensity(spec, mz.init_params(spec, 0), np.zeros((n, 8)))
+        assert calls == [2 * B - 1, B, B + 1]
+
+
 class TestRadialFlow:
     def _layer(self, rng, d):
         z0 = rng.normal(size=d)
