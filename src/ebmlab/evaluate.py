@@ -78,6 +78,12 @@ def average_precision(labels, scores) -> float:
     return float(np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1])
 
 
+def _id_vs_ood_ap(id_scores: np.ndarray, ood_scores: np.ndarray) -> float:
+    """``average_precision`` of ID scores (label 1) followed by OOD scores (label 0)."""
+    labels = np.concatenate([np.ones(len(id_scores)), np.zeros(len(ood_scores))])
+    return average_precision(labels, np.concatenate([id_scores, ood_scores]))
+
+
 def _finite_scores(spec: ModelSpec, params, features, source: str) -> np.ndarray:
     """``score_logdensity`` of a set, which must be finite everywhere."""
     scores = score_logdensity(spec, params, features)
@@ -99,28 +105,20 @@ def ood_report(
     id_scores = _finite_scores(spec, params, bundle.id_test.features, "id_test")
     results = []
     for name in sorted(ood_sets):
-        ood_scores = _finite_scores(spec, params, ood_sets[name], name)
-        labels = np.concatenate([np.ones(len(id_scores)), np.zeros(len(ood_scores))])
-        ap = average_precision(labels, np.concatenate([id_scores, ood_scores]))
+        ap = _id_vs_ood_ap(id_scores, _finite_scores(spec, params, ood_sets[name], name))
         results.append({"ood_set": name, "auc_pr": ap, "group": groups.get(name, "natural")})
     selection = {}
     if bundle.ood_val.n > 0:
-        val_id = _finite_scores(spec, params, bundle.id_val.features, "id_val")
-        val_ood = _finite_scores(spec, params, bundle.ood_val.features, "ood_val")
-        labels = np.concatenate([np.ones(len(val_id)), np.zeros(len(val_ood))])
-        selection = {
-            "metric": "auc_pr(id_val vs ood_val)",
-            "auc_pr": average_precision(labels, np.concatenate([val_id, val_ood])),
-        }
+        ap = _id_vs_ood_ap(_finite_scores(spec, params, bundle.id_val.features, "id_val"),
+                           _finite_scores(spec, params, bundle.ood_val.features, "ood_val"))
+        selection = {"metric": "auc_pr(id_val vs ood_val)", "auc_pr": ap}
     return EvalReport(run=run_meta or {}, results=results, selection=selection)
 
 
 def selection_score(spec: ModelSpec, params, bundle: SplitBundle) -> float:
     """Model-selection AP: id_val against ood_val."""
-    val_id = score_logdensity(spec, params, bundle.id_val.features)
-    val_ood = score_logdensity(spec, params, bundle.ood_val.features)
-    labels = np.concatenate([np.ones(len(val_id)), np.zeros(len(val_ood))])
-    return average_precision(labels, np.concatenate([val_id, val_ood]))
+    return _id_vs_ood_ap(score_logdensity(spec, params, bundle.id_val.features),
+                         score_logdensity(spec, params, bundle.ood_val.features))
 
 
 def unit_directions_through(anchor: np.ndarray, points: np.ndarray) -> np.ndarray:

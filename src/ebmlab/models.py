@@ -3,12 +3,12 @@ flows, and classifiers with embedding extraction.
 
 This module decides how E(x) and dE/dx are computed for every head with an
 energy. Values and input gradients (``score_logdensity``, ``input_grad``,
-``classifier_embed``, ``mlp_values``) run in numpy, without a graph, doing
-the engine's float operations in its order; tests prove them byte-equal to
-the engine. Scoring and embedding run a large batch's hidden layers in row
-blocks. Graphs (``energy``, ``mlp_forward``, ``flow_logdensity``, one
-first-order ``ad.fused`` node for the radial stack) are built only for
-parameter and second-order gradients.
+``classifier_embed``) run in numpy on a ParameterSet, doing the engine's
+float operations in its order; tests prove them byte-equal to the engine.
+Scoring and embedding run a large batch's hidden layers in row blocks.
+Graphs (``energy``, ``mlp_forward``, ``flow_logdensity``: one first-order
+``ad.fused`` node for the radial stack) are built on ``param_nodes``
+leaves, only for parameter and second-order gradients.
 """
 
 from __future__ import annotations
@@ -108,11 +108,18 @@ class ParameterSet:
     values: np.ndarray
     offsets: list[tuple[str, int, tuple[int, ...]]]
     seed: int | None = None
+    _views: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def arrays(self) -> dict[str, np.ndarray]:
-        """Named views into ``values``, in layout order."""
-        return {n: self.values[start:start + math.prod(shape)].reshape(shape)
-                for n, start, shape in self.offsets}
+        """Named views into ``values``, in layout order. They are built once
+        per ``values`` array, so they see its in-place updates."""
+        if self._views is None or self._views[0] is not self.values:
+            self._views = self.values, {n: self.values[a:a + math.prod(shape)].reshape(shape)
+                                        for n, a, shape in self.offsets}
+        return self._views[1]
+
+    def __getstate__(self):
+        return {**self.__dict__, "_views": None}  # a pickle would copy the views
 
     def copy(self) -> "ParameterSet":
         return ParameterSet(self.values.copy(), list(self.offsets), self.seed)
@@ -158,16 +165,8 @@ def init_params(spec: ModelSpec, seed: int) -> ParameterSet:
 
 
 def param_nodes(pset: ParameterSet) -> dict[str, ad.Node]:
-    """Fresh leaf nodes over the current parameter values."""
-    return {name: ad.leaf(arr) for name, arr in _param_arrays(pset).items()}
-
-
-def _param_arrays(params) -> dict[str, np.ndarray]:
-    """Parameter values as the engine sees them: the values of a dict of
-    nodes, or the copies ``param_nodes`` makes of a ParameterSet."""
-    if isinstance(params, dict):
-        return {name: node.value for name, node in params.items()}
-    return {name: arr.copy() for name, arr in params.arrays().items()}
+    """Fresh leaf nodes over copies of the current parameter values."""
+    return {name: ad.leaf(arr.copy()) for name, arr in pset.arrays().items()}
 
 
 def _activation(spec: ModelSpec, h: ad.Node) -> ad.Node:
@@ -183,19 +182,12 @@ def _check_batch(x: np.ndarray, dim: int):
         raise ModelError(f"expected an (n, {dim}) batch, got shape {x.shape}")
 
 
-def _as_batch(x, dim: int) -> ad.Node:
-    """``x`` as a node holding an (n, dim) batch; any other shape is a ModelError."""
-    x = ad.as_node(x)
-    _check_batch(x.value, dim)
-    return x
-
-
-def mlp_forward(spec: ModelSpec, params, x) -> tuple[ad.Node, ad.Node]:
+def mlp_forward(spec: ModelSpec, pn: dict[str, ad.Node], x) -> tuple[ad.Node, ad.Node]:
     """Returns (head output (N, out), penultimate activations (N, H))."""
     if spec.head == "flow":
         raise ModelError("mlp_forward does not apply to flow heads")
-    pn = params if isinstance(params, dict) else param_nodes(params)
-    h = _as_batch(x, spec.input_dim)
+    h = ad.as_node(x)
+    _check_batch(h.value, spec.input_dim)
     for i in range(len(spec.hidden)):
         h = _activation(spec, ad.add(ad.matmul(h, pn[f"layer{i}.W"]), pn[f"layer{i}.b"]))
         if spec.has_bottleneck:
@@ -238,17 +230,6 @@ def _hidden_values(spec: ModelSpec, p: dict[str, np.ndarray], x):
     return h, back
 
 
-def mlp_values(spec: ModelSpec, params, x):
-    """``mlp_forward``'s two values in numpy, plus ``back(g)``, which maps an
-    adjoint of the head output to the input adjoint as ``ad.grad`` would:
-    (head output, penultimate activations, back)."""
-    if spec.head == "flow":
-        raise ModelError("mlp_values does not apply to flow heads")
-    p = _param_arrays(params)
-    h, back = _hidden_values(spec, p, x)
-    return _affine(h, p, "head"), h, lambda g: back(g @ p["head.W"].T)
-
-
 # Rows per block of a value-only MLP pass over a large batch, or a
 # multiple of it; a multiple of the BLAS kernels' row unroll
 _BLOCK_ROWS = 2048
@@ -266,25 +247,25 @@ def _block_rows(spec: ModelSpec) -> int:
     return -(-need // _BLOCK_ROWS) * _BLOCK_ROWS
 
 
-def _mlp_outputs(spec: ModelSpec, params, x):
-    """``mlp_values``'s (head output, penultimate activations) of an MLP
-    head, for callers that need no backward. A batch of at least two blocks
+def _mlp_outputs(spec: ModelSpec, pset: ParameterSet, x):
+    """``mlp_forward``'s values, (head output, penultimate activations), in
+    numpy, for callers that need no backward. A batch of at least two blocks
     runs its hidden layers over consecutive row blocks, so each temporary
     stays cache-sized; the head then runs on the whole batch. Every block
     has ``_block_rows`` rows but the last, which takes the rest (fewer than
     twice that). Each row keeps its place in the kernels' row groups and no
-    GEMM takes the small-matrix path, so the bytes are ``mlp_values``'s
+    GEMM takes the small-matrix path, so the bytes are those of one pass
     (README, "Which kernel rewrites keep the bytes")."""
-    x = np.asarray(x, dtype=np.float64)
+    x, p = np.asarray(x, dtype=np.float64), pset.arrays()
     n = x.shape[0] if x.ndim == 2 else 0
     # the first test spares a small batch, such as an SGLD step, the rule
     if n < 2 * _BLOCK_ROWS or n < 2 * (rows := _block_rows(spec)):
-        return mlp_values(spec, params, x)[:2]
-    p = _param_arrays(params)
-    h = np.empty((n, (spec.hidden or [spec.input_dim])[-1]))
-    starts = range(0, n - rows + 1, rows)
-    for a, b in zip(starts, [*starts[1:], n]):
-        h[a:b] = _hidden_values(spec, p, x[a:b])[0]
+        h = _hidden_values(spec, p, x)[0]
+    else:
+        h = np.empty((n, (spec.hidden or [spec.input_dim])[-1]))
+        starts = range(0, n - rows + 1, rows)
+        for a, b in zip(starts, [*starts[1:], n]):
+            h[a:b] = _hidden_values(spec, p, x[a:b])[0]
     return _affine(h, p, "head"), h
 
 
@@ -295,11 +276,11 @@ def _affine(h: np.ndarray, p: dict[str, np.ndarray], name: str) -> np.ndarray:
     return a
 
 
-def classifier_embed(spec: ModelSpec, params, x) -> np.ndarray:
+def classifier_embed(spec: ModelSpec, pset: ParameterSet, x) -> np.ndarray:
     """Penultimate activations of a classifier, as plain arrays."""
     if spec.head != "logits":
         raise ModelError("classifier_embed requires a logits head")
-    return _mlp_outputs(spec, params, x)[1]
+    return _mlp_outputs(spec, pset, x)[1]
 
 
 def radial_forward(z0, alpha_hat, beta_hat, x):
@@ -354,11 +335,10 @@ def radial_forward(z0, alpha_hat, beta_hat, x):
     return x + m * diff, logdet, back
 
 
-def _flow(spec: ModelSpec, params, x):
+def _flow(spec: ModelSpec, p: dict[str, np.ndarray], x):
     """The radial stack, data -> standard-normal base, in numpy on an (n, d)
     array: (log p(x), backward), where ``backward(g)`` maps an adjoint of
     log p(x) to those of x and of every flow parameter, in layout order."""
-    p = _param_arrays(params)
     z = np.asarray(x, dtype=np.float64)
     _check_batch(z, spec.input_dim)
     blocks = [p[name] for name, _ in spec.layer_plan()]
@@ -380,29 +360,29 @@ def _flow(spec: ModelSpec, params, x):
     return base + total, backward
 
 
-def flow_logdensity(spec: ModelSpec, params, x) -> ad.Node:
+def flow_logdensity(spec: ModelSpec, pn: dict[str, ad.Node], x) -> ad.Node:
     """log p(x) of the radial stack as one first-order ``ad.fused`` node,
-    whose parents are ``x`` and, for a dict of parameter nodes, every flow
-    leaf (``tests/test_models.py`` keeps the node-by-node reference)."""
+    whose parents are ``x`` and every flow leaf of ``pn``
+    (``tests/test_models.py`` keeps the node-by-node reference)."""
     if spec.head != "flow":
         raise ModelError("flow_logdensity requires a flow head")
-    x = _as_batch(x, spec.input_dim)
-    value, backward = _flow(spec, params, x.value)
-    leaves = [params[name] for name, _ in spec.layer_plan()] if isinstance(params, dict) else []
-    return ad.fused(value, [x, *leaves], lambda g: backward(g)[:1 + len(leaves)], "flow_logdensity")
+    x = ad.as_node(x)  # ``_flow`` checks its shape
+    value, backward = _flow(spec, {name: node.value for name, node in pn.items()}, x.value)
+    return ad.fused(value, [x, *(pn[name] for name, _ in spec.layer_plan())], backward,
+                    "flow_logdensity")
 
 
-def energy(spec: ModelSpec, params, x) -> ad.Node:
+def energy(spec: ModelSpec, pn: dict[str, ad.Node], x) -> ad.Node:
     """Per-row energy E(x) = -log p~(x) of an (n, d) batch, shape (n,), as a
     graph node: the energy head's output; -logsumexp of the logits for a
     logits head (JEM); -log p(x) for a flow. A vector head has no energy."""
     if spec.head == "energy":
-        out, _ = mlp_forward(spec, params, x)
+        out, _ = mlp_forward(spec, pn, x)
         return ad.reshape(out, (out.value.shape[0],))
     if spec.head == "logits":
-        return ad.neg(ad.logsumexp(mlp_forward(spec, params, x)[0], axis=-1))
+        return ad.neg(ad.logsumexp(mlp_forward(spec, pn, x)[0], axis=-1))
     if spec.head == "flow":
-        return ad.neg(flow_logdensity(spec, params, x))
+        return ad.neg(flow_logdensity(spec, pn, x))
     raise ModelError(f"no energy for head {spec.head!r}")
 
 
@@ -437,40 +417,40 @@ def _logsumexp(logits: np.ndarray) -> np.ndarray:
     return np.log(np.sum(np.exp(logits - m), axis=-1, keepdims=True)) + m
 
 
-def input_grad(spec: ModelSpec, params, x) -> np.ndarray:
+def input_grad(spec: ModelSpec, pset: ParameterSet, x) -> np.ndarray:
     """dE/dx of the summed energy of an (n, d) batch, shape (n, d), for
     every head with an energy; builds no graph nodes.
 
-    Equals ``ad.grad(ad.reduce_sum(energy(spec, params, x)), [x])`` byte
-    for byte (non-finite rows included): an MLP runs the backward of its
-    numpy hidden layers, a flow its fused node's backward, each from the
-    adjoint the engine would hand it. ``params`` is a ParameterSet or a dict of nodes.
+    Equals ``ad.grad(ad.reduce_sum(energy(spec, param_nodes(pset), x)),
+    [x])`` byte for byte (non-finite rows included): an MLP runs the
+    backward of its numpy hidden layers, a flow its fused node's backward,
+    each from the adjoint the engine would hand it.
     """
+    p = pset.arrays()
     if spec.head == "flow":
-        logp, backward = _flow(spec, params, x)
+        logp, backward = _flow(spec, p, x)
         return backward(-np.ones(logp.shape))[0]  # the adjoint of log p under sum(-log p)
+    if spec.head not in ("energy", "logits"):
+        raise ModelError(f"no energy for head {spec.head!r}")
+    h, back = _hidden_values(spec, p, x)
     if spec.head == "energy":
         # The head output is not needed. Under sum(E) its adjoint is ones, so
         # ad.matmul's vjp ones @ head.W.T (inner dimension 1) has entries
         # 1.0 * w = w exactly, added to a GEMM's zeroed accumulator: w + 0.0,
         # which turns a -0.0 weight into +0.0.
-        p = _param_arrays(params)
-        h, back = _hidden_values(spec, p, x)
         return back(np.repeat(p["head.W"].T + 0.0, h.shape[0], axis=0))
-    out, _, back = mlp_values(spec, params, x)
     # for E = -logsumexp, the adjoint of the head output is -1 times the
     # softmax exp(logits - lse) (ad.logsumexp's vjp)
-    if spec.head == "logits":
-        return back(-1.0 * np.exp(out + -_logsumexp(out)))
-    raise ModelError(f"no energy for head {spec.head!r}")
+    out = _affine(h, p, "head")
+    return back(-1.0 * np.exp(out + -_logsumexp(out)) @ p["head.W"].T)
 
 
-def score_logdensity(spec: ModelSpec, params, x) -> np.ndarray:
+def score_logdensity(spec: ModelSpec, pset: ParameterSet, x) -> np.ndarray:
     """Unnormalized log-density log p~(x) = -E(x) per row, for OOD scoring;
     ``-energy(...).value`` byte for byte, without graph nodes."""
     if spec.head == "flow":
-        return _flow(spec, params, x)[0]
-    out, _ = _mlp_outputs(spec, params, x)
+        return _flow(spec, pset.arrays(), x)[0]
+    out, _ = _mlp_outputs(spec, pset, x)
     if spec.head == "energy":
         return -out[:, 0]
     if spec.head == "logits":

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -30,13 +31,6 @@ class VeraConfig:
     latent_dim: int = 16
     gen_lr: float = 6e-4
     gen_betas: tuple[float, float] = (0.0, 0.9)
-
-
-def make_energy_fn(spec: ModelSpec, params):
-    """``models.energy`` with the parameters bound once: x -> E(x), shape
-    (n,), as a graph node for the losses below."""
-    pn = params if isinstance(params, dict) else param_nodes(params)
-    return lambda x: energy(spec, pn, x)
 
 
 def ssm_vr_loss(energy_fn, x, v) -> ad.Node:
@@ -83,8 +77,8 @@ def ce_loss(logits: ad.Node, labels) -> ad.Node:
     return ad.mean(ad.add(ad.logsumexp(logits, axis=1), ad.neg(picked)))
 
 
-def flow_nll(spec: ModelSpec, params, x) -> ad.Node:
-    return ad.mean(ad.neg(flow_logdensity(spec, params, x)))
+def flow_nll(spec: ModelSpec, leaves: dict[str, ad.Node], x) -> ad.Node:
+    return ad.mean(ad.neg(flow_logdensity(spec, leaves, x)))
 
 
 def jem_loss(base_loss: ad.Node, logits: ad.Node, labels, gamma: float) -> ad.Node:
@@ -120,7 +114,7 @@ def generator_spec(data_dim: int, cfg: VeraConfig) -> ModelSpec:
 
 def vera_step(
     spec: ModelSpec,
-    params,
+    leaves: dict[str, ad.Node],
     generator: ModelSpec,
     gen_pset: ParameterSet,
     x_data: np.ndarray,
@@ -130,8 +124,8 @@ def vera_step(
 ) -> VeraStep:
     """One VERA step: EBM and generator loss nodes plus the eta update.
 
-    ``params`` is a ParameterSet or a dict of parameter leaves; the EBM
-    loss is the CD loss of data against generator samples held constant.
+    ``leaves`` are the EBM's ``param_nodes`` leaves; the EBM loss is the
+    CD loss of data against generator samples held constant.
     The generator minimizes the energy of its samples minus an entropy
     surrogate whose gradient matches the importance-weighted posterior
     score estimator; eta follows one ascent step on the log-mean
@@ -152,7 +146,7 @@ def vera_step(
     x_gen_val = x_gen.value
 
     # EBM side: generated samples are constants
-    energy_theta = make_energy_fn(spec, params)
+    energy_theta = partial(energy, spec, leaves)
     ebm_loss = cd_loss(energy_theta, x_data, x_gen_val)
 
     # posterior samples z_k = z + eta*xi; eta as a leaf so the log-mean

@@ -45,6 +45,7 @@ from .models import (
     ParameterSet,
     _atomic_write_json,
     _mlp_outputs,
+    energy,
     init_params,
     input_grad,
     mlp_forward,
@@ -59,7 +60,6 @@ from .objectives import (
     flow_nll,
     generator_spec,
     jem_loss,
-    make_energy_fn,
     ssm_vr_loss,
     vera_step,
 )
@@ -315,12 +315,16 @@ def build_bundle(config: RunConfig) -> SplitBundle:
     return standardize(bundle)
 
 
+def _has_logits_head(config: RunConfig) -> bool:  # objective 'ce', or a CE term
+    return config.objective == "ce" or config.gamma > 0
+
+
 def build_model_spec(config: RunConfig, bundle: SplitBundle) -> ModelSpec:
     dim = bundle.id_train.dim
     if config.objective == "nf":
         return ModelSpec(input_dim=dim, head="flow", n_flow_layers=config.n_flow_layers)
     n_classes, head = None, "energy"
-    if config.objective == "ce" or config.gamma > 0:
+    if _has_logits_head(config):
         if bundle.id_train.labels is None:
             raise ConfigError("supervised training requires labels")
         n_classes, head = int(bundle.id_train.labels.max()) + 1, "logits"
@@ -353,9 +357,9 @@ class TrainResult:
     history: dict
 
 
-def _param_grads(loss: ad.Node, leaves: dict[str, ad.Node], pset: ParameterSet) -> np.ndarray:
-    """Gradient of ``loss`` w.r.t. ``param_nodes(pset)`` leaves, flat in
-    ``pset``'s layout (``param_nodes`` lists the blocks in layout order)."""
+def _param_grads(loss: ad.Node, leaves: dict[str, ad.Node]) -> np.ndarray:
+    """Gradient of ``loss`` w.r.t. ``param_nodes`` leaves, flat in the
+    parameters' layout (``param_nodes`` lists the blocks in layout order)."""
     return np.concatenate([g.value.ravel() for g in ad.grad(loss, list(leaves.values()))])
 
 
@@ -366,7 +370,7 @@ def _objective(config: RunConfig, spec: ModelSpec, pset: ParameterSet,
     if config.objective == "ssm":
         proj_rng = stream(config.seed, "projection")
         return lambda leaves, xb, yb: ssm_vr_loss(
-            make_energy_fn(spec, leaves), xb, rademacher(proj_rng, xb.shape))
+            partial(energy, spec, leaves), xb, rademacher(proj_rng, xb.shape))
     if config.objective == "cd":
         lo, hi = x_train.min(axis=0), x_train.max(axis=0)
         buffer = ReplayBuffer(config.buffer_capacity, config.reinit_prob,
@@ -376,11 +380,12 @@ def _objective(config: RunConfig, spec: ModelSpec, pset: ParameterSet,
         buf_rng = stream(config.seed, "buffer")
 
         def cd_step_loss(leaves, xb, yb):
+            # ``pset`` holds the values of ``leaves`` until the loop's update
             starts, slots = buffer.draw(xb.shape[0], buf_rng)
-            samples = sgld_chain(partial(input_grad, spec, leaves), starts, sgld_cfg, sgld_rng)
+            samples = sgld_chain(partial(input_grad, spec, pset), starts, sgld_cfg, sgld_rng)
             buffer.write(slots, samples)
             xb_noisy = xb + math.sqrt(config.data_noise_var) * data_rng.normal(size=xb.shape)
-            return cd_loss(make_energy_fn(spec, leaves), xb_noisy, samples)
+            return cd_loss(partial(energy, spec, leaves), xb_noisy, samples)
 
         return cd_step_loss
     if config.objective == "vera":
@@ -396,7 +401,7 @@ def _objective(config: RunConfig, spec: ModelSpec, pset: ParameterSet,
             # ``leaves``, which hold the parameters before the EBM update
             nonlocal eta
             vs = vera_step(spec, leaves, generator, gen_pset, xb, vera_cfg, eta, vera_rng)
-            g_gen = _param_grads(vs.gen_loss, vs.gen_leaves, gen_pset)
+            g_gen = _param_grads(vs.gen_loss, vs.gen_leaves)
             step = gen_adam.t + 1  # the loop's step: one generator update per step
             gen_pset.values -= gen_adam.step(
                 g_gen, warmup_lr(vera_cfg.gen_lr, step, config.warmup_steps))
@@ -461,7 +466,7 @@ def train(config: RunConfig, bundle: SplitBundle | None = None) -> TrainResult:
         if not np.isfinite(loss_val):
             history["diverged"] = True
             break
-        grad_flat = _param_grads(loss, leaves, pset)
+        grad_flat = _param_grads(loss, leaves)
         if config.objective == "ce" and config.weight_decay > 0:
             grad_flat = grad_flat + config.weight_decay * pset.values
         pset.values -= adam.step(grad_flat, warmup_lr(config.base_lr, step, config.warmup_steps))
@@ -611,10 +616,11 @@ def run_experiment_suite(manifest: dict, out_root: str) -> dict:
     every AP plus the percent improvement over a declared baseline run.
     Runs with one resolved data config share one bundle. A repeated name,
     a run config ``RunConfig`` rejects (its data and VERA blocks
-    included), an ``embed_from`` that names no earlier run, a ``baseline``
-    that names no run, or an analysis that is invalid or names no run, is
-    a ConfigError before any training; a failing run or analysis is
-    recorded in the summary's errors, and the suite continues.
+    included), an ``embed_from`` that names no earlier run or one without
+    a classifier head, a ``baseline`` that names no run, or an analysis
+    that is invalid or names no run, is a ConfigError before any training;
+    a failing run or analysis is recorded in the summary's errors, and the
+    suite continues.
 
     Runs train through ``train_many`` in waves: every run whose
     ``embed_from`` run, if any, has finished. Outputs do not depend on how
@@ -637,6 +643,9 @@ def run_experiment_suite(manifest: dict, out_root: str) -> dict:
         if item["embed_from"] is not None and item["embed_from"] not in configs:
             raise ConfigError(f"run {item['name']!r}: embed_from {item['embed_from']!r} "
                               "names no earlier run")
+        if item["embed_from"] is not None and not _has_logits_head(configs[item["embed_from"]]):
+            raise ConfigError(f"run {item['name']!r}: embed_from run {item['embed_from']!r} has "
+                              "no classifier head; give it objective 'ce' or gamma > 0")
         if item["baseline"] is not None and item["baseline"] not in run_names:
             raise ConfigError(f"run {item['name']!r}: baseline {item['baseline']!r} names no run")
         try:
@@ -737,8 +746,8 @@ def run_analysis(item: dict, spec: ModelSpec, params, bundle: SplitBundle, seed:
         rows = [[c, int(v), series] for series, cnt in sorted(counts.items())
                 for c, v in zip(centers, cnt)]
     else:
-        pn, rows = param_nodes(params), []  # copied once, not at every step
-        logp, grad = partial(score_logdensity, spec, pn), partial(input_grad, spec, pn)
+        logp, grad = partial(score_logdensity, spec, params), partial(input_grad, spec, params)
+        rows = []
         for i, x0 in enumerate(bundle.id_test.features[:p["n_points"]]):
             traj = likelihood_ascent(logp, grad, x0[None], p["steps"], p["lr"])
             rows.extend([t, lp, f"point{i}"] for t, lp in enumerate(traj.logdensity))

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -62,20 +63,20 @@ class TestCriterion1Differentiation:
                 vp, vm = pset.copy(), pset.copy()
                 vp.values[i] += h
                 vm.values[i] -= h
-                fd[i] = (mz.energy(spec, vp, x).value.mean()
-                         - mz.energy(spec, vm, x).value.mean()) / (2 * h)
+                fd[i] = (mz.energy(spec, mz.param_nodes(vp), x).value.mean()
+                         - mz.energy(spec, mz.param_nodes(vm), x).value.mean()) / (2 * h)
             worst_param = max(worst_param, _rel_err(flat, fd))
 
             xn = ad.leaf(x)
-            (gx,) = ad.grad(ad.mean(mz.energy(spec, pset, xn)), [xn])
+            (gx,) = ad.grad(ad.mean(mz.energy(spec, leaves, xn)), [xn])
             fdx = np.zeros_like(x)
             for i in range(x.shape[0]):
                 for j in range(x.shape[1]):
                     xp, xm = x.copy(), x.copy()
                     xp[i, j] += h
                     xm[i, j] -= h
-                    fdx[i, j] = (mz.energy(spec, pset, xp).value.mean()
-                                 - mz.energy(spec, pset, xm).value.mean()) / (2 * h)
+                    fdx[i, j] = (mz.energy(spec, leaves, xp).value.mean()
+                                 - mz.energy(spec, leaves, xm).value.mean()) / (2 * h)
             worst_input = max(worst_input, _rel_err(gx.value, fdx))
         ok = worst_param < 1e-6 and worst_input < 1e-6
         _line(1, "first-order gradients vs finite differences", ok,
@@ -93,14 +94,15 @@ class TestCriterion1Differentiation:
             v = rademacher(rng, x.shape)
 
             leaves = mz.param_nodes(pset)
-            loss = obj.ssm_vr_loss(obj.make_energy_fn(spec, leaves), x, v)
+            loss = obj.ssm_vr_loss(partial(mz.energy, spec, leaves), x, v)
             grads = ad.grad(loss, list(leaves.values()))
             flat = np.concatenate([g.value.ravel() for g in grads])
 
             def loss_at(values):
                 q = pset.copy()
                 q.values[:] = values
-                return float(obj.ssm_vr_loss(obj.make_energy_fn(spec, q), x, v).value)
+                return float(obj.ssm_vr_loss(partial(mz.energy, spec, mz.param_nodes(q)), x,
+                                             v).value)
 
             fd = np.zeros_like(flat)
             for i in range(pset.values.size):
@@ -213,13 +215,12 @@ class TestCriterion6FlowSanity:
         for step in range(1, 1001):
             xb = train_x[rng.integers(0, len(train_x), size=128)]
             leaves = mz.param_nodes(pset)
-            g = tr._param_grads(obj.flow_nll(spec, leaves, xb), leaves, pset)
+            g = tr._param_grads(obj.flow_nll(spec, leaves, xb), leaves)
             pset.values -= adam.step(g, tr.warmup_lr(1e-2, step, 100))
-        flow_ll = float(mz.flow_logdensity(spec, pset, test_x).value.mean())
+        flow_ll = float(mz.score_logdensity(spec, pset, test_x).mean())
 
         grid = np.linspace(-20.0, 20.0, 20001)
-        integral = float(np.trapezoid(
-            np.exp(mz.flow_logdensity(spec, pset, grid[:, None]).value), grid))
+        integral = float(np.trapezoid(np.exp(mz.score_logdensity(spec, pset, grid[:, None])), grid))
         ok = flow_ll - base_ll >= 0.05 and abs(integral - 1.0) <= 1e-3
         _line(6, "radial flow beats single-Gaussian MLE and normalizes",
               ok, f"margin {flow_ll - base_ll:.3f} nats, integral {integral:.5f}")
@@ -394,7 +395,8 @@ class TestCriterion11Reproducibility:
     def test_suite_byte_identical_across_worker_counts(self, tmp_path, monkeypatch):
         cfg = self.CONFIG
         # a CSV without removed classes leaves cd no OOD rows to select on,
-        # so that run raises once it trains, in its worker
+        # so that run raises once it trains, in its worker; its gamma gives
+        # it the classifier head that emb-bad's embed_from needs
         path = str(tmp_path / "blobs.csv")
         rng = np.random.default_rng(11)
         dt.write_csv(path, dt.LabeledTable(rng.normal(size=(200, 2)), rng.integers(0, 2, 200)))
@@ -403,7 +405,7 @@ class TestCriterion11Reproducibility:
                 {"name": "base", "config": cfg},
                 {"name": "sup", "config": dict(cfg, gamma=1.0), "baseline": "base"},
                 {"name": "emb", "config": dict(cfg, seed=1, hidden=[8]), "embed_from": "sup"},
-                {"name": "bad", "config": dict(cfg, data={"kind": "csv", "path": path})},
+                {"name": "bad", "config": dict(cfg, gamma=1.0, data={"kind": "csv", "path": path})},
                 # its data file is read, and found missing, before any run trains
                 {"name": "absent", "config": dict(cfg, data={"kind": "csv", "path": path + "x"})},
                 {"name": "emb-bad", "config": cfg, "embed_from": "bad"},

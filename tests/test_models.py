@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -13,6 +14,11 @@ def small_energy_spec(**kw):
     defaults = dict(input_dim=3, hidden=[8, 8], head="energy")
     defaults.update(kw)
     return mz.ModelSpec(**defaults)
+
+
+def graph_energy(spec, pset, x):
+    """``energy``'s node on fresh leaves over ``pset``."""
+    return mz.energy(spec, mz.param_nodes(pset), x)
 
 
 class TestModelSpec:
@@ -37,13 +43,60 @@ class TestModelSpec:
         assert shapes["layer0.bn_down.W"] == (10, 3)  # ceil(0.25*10)
 
 
+class TestParameterSet:
+    """``arrays`` gives views into ``values`` that are built once."""
+
+    def test_views_see_in_place_updates(self):
+        pset = mz.init_params(small_energy_spec(), 0)
+        views = pset.arrays()
+        pset.values -= 1.0  # as the training loop's Adam update
+        assert pset.arrays() is views
+        assert np.array_equal(np.concatenate([v.ravel() for v in views.values()]), pset.values)
+        assert all(np.shares_memory(v, pset.values) for v in views.values())
+
+    def test_copy_and_pickle_get_their_own_views(self):
+        pset = mz.init_params(small_energy_spec(), 0)
+        pset.arrays()
+        for other in (pset.copy(), pickle.loads(pickle.dumps(pset))):
+            other.values += 1.0
+            views = other.arrays()
+            assert views["head.W"][0, 0] == pset.arrays()["head.W"][0, 0] + 1.0
+            assert all(np.shares_memory(v, other.values) for v in views.values())
+            assert not any(np.shares_memory(v, pset.values) for v in views.values())
+
+    def test_views_follow_a_new_values_array(self):
+        pset = mz.init_params(small_energy_spec(), 0)
+        pset.arrays()
+        pset.values = pset.values * 2.0
+        assert all(np.shares_memory(v, pset.values) for v in pset.arrays().values())
+
+    @pytest.mark.parametrize("head", ["energy", "logits", "flow"])
+    def test_numpy_paths_do_not_write_parameters(self, head):
+        if head == "flow":
+            spec, pset = perturbed_flow(3, 3)
+        else:
+            spec = closed_form_spec(head, "softplus", 0.5)
+            pset = perturbed_params(spec)
+        values = pset.values.copy()
+        values.flags.writeable = False
+        frozen = mz.ParameterSet(values, pset.offsets)
+        for n in (1, 64, 2 * mz._block_rows(spec) + 1):
+            x = np.random.default_rng(n).normal(size=(n, 3))
+            assert np.array_equal(mz.score_logdensity(spec, frozen, x),
+                                  mz.score_logdensity(spec, pset, x))
+            assert np.array_equal(mz.input_grad(spec, frozen, x), mz.input_grad(spec, pset, x))
+            if head == "logits":
+                assert np.array_equal(mz.classifier_embed(spec, frozen, x),
+                                      mz.classifier_embed(spec, pset, x))
+
+
 class TestMlpEnergy:
     def test_zero_params_zero_energy(self):
         spec = small_energy_spec()
         pset = mz.init_params(spec, 0)
         pset.values[:] = 0.0
         for x in (np.zeros((1, 3)), np.ones((1, 3)), np.array([[3.0, -2.0, 0.5]])):
-            assert mz.energy(spec, pset, x).value == 0.0
+            assert graph_energy(spec, pset, x).value == 0.0
 
     def test_single_linear_layer(self):
         # w=[1,2], b=0.5: relu is inactive on the head, so E = w.x + b
@@ -54,13 +107,13 @@ class TestMlpEnergy:
         arrays["layer0.b"][:] = 0.5
         arrays["head.W"][:] = 1.0
         arrays["head.b"][:] = 0.0
-        assert mz.energy(spec, pset, np.array([[1.0, 1.0]])).value == pytest.approx(3.5)
+        assert graph_energy(spec, pset, np.array([[1.0, 1.0]])).value == pytest.approx(3.5)
 
     def test_dimension_mismatch(self):
         spec = small_energy_spec()
         pset = mz.init_params(spec, 0)
         with pytest.raises(mz.ModelError):
-            mz.energy(spec, pset, np.zeros((1, 4)))
+            graph_energy(spec, pset, np.zeros((1, 4)))
 
     def test_against_straight_line_evaluator(self):
         # independent plain-numpy reimplementation
@@ -74,7 +127,7 @@ class TestMlpEnergy:
         for i in range(3):
             h = np.maximum(h @ p[f"layer{i}.W"] + p[f"layer{i}.b"], 0.0)
         expected = (h @ p["head.W"] + p["head.b"]).ravel()
-        got = mz.energy(spec, pset, x).value
+        got = graph_energy(spec, pset, x).value
         assert np.abs(got - expected).max() < 1e-12
 
     def test_bottleneck_factor_one_is_plain_net(self):
@@ -83,8 +136,8 @@ class TestMlpEnergy:
         p1 = mz.init_params(plain, 9)
         p2 = mz.init_params(with_bn, 9)
         x = np.random.default_rng(1).normal(size=(4, 3))
-        assert np.array_equal(mz.energy(plain, p1, x).value,
-                              mz.energy(with_bn, p2, x).value)
+        assert np.array_equal(graph_energy(plain, p1, x).value,
+                              graph_energy(with_bn, p2, x).value)
 
     def test_bottleneck_changes_plan(self):
         spec = small_energy_spec(bottleneck_factor=0.5)
@@ -131,7 +184,7 @@ class TestEnergy:
         spec = mz.ModelSpec(input_dim=3, hidden=[6], head="logits", n_classes=4)
         pset = mz.init_params(spec, 3)
         x = np.random.default_rng(5).normal(size=(7, 3)) * 3.0
-        logits = mz.mlp_forward(spec, pset, x)[0].value
+        logits = mz.mlp_forward(spec, mz.param_nodes(pset), x)[0].value
         m = np.max(logits, axis=-1, keepdims=True)
         expected = np.squeeze(np.log(np.sum(np.exp(logits - m), axis=-1, keepdims=True)) + m, -1)
         assert mz.score_logdensity(spec, pset, x).tobytes() == expected.tobytes()
@@ -148,22 +201,22 @@ class TestEnergy:
         ]
         for spec, expected in cases:
             pset = mz.init_params(spec, 1)
-            e = mz.energy(spec, pset, x).value
+            e = graph_energy(spec, pset, x).value
             assert e.shape == (5,)
-            assert np.array_equal(e, expected(spec, pset))
+            assert np.array_equal(e, expected(spec, mz.param_nodes(pset)))
             assert np.array_equal(mz.score_logdensity(spec, pset, x), -e)
 
     def test_vector_head_has_no_energy(self):
         spec = mz.ModelSpec(input_dim=2, hidden=[4], head="vector", n_outputs=2)
         with pytest.raises(mz.ModelError):
-            mz.energy(spec, mz.init_params(spec, 0), np.zeros((1, 2)))
+            graph_energy(spec, mz.init_params(spec, 0), np.zeros((1, 2)))
 
     @pytest.mark.parametrize("shape", [(3,), (), (2, 1, 3), (2, 4)])
     def test_only_n_by_d_batches(self, shape):
         for spec in (small_energy_spec(), mz.ModelSpec(input_dim=3, head="flow",
                                                        n_flow_layers=1)):
             with pytest.raises(mz.ModelError):
-                mz.energy(spec, mz.init_params(spec, 0), np.zeros(shape))
+                graph_energy(spec, mz.init_params(spec, 0), np.zeros(shape))
         with pytest.raises(mz.ModelError):
             mz.radial_forward(np.zeros(3), 0.1, 0.1, np.zeros(shape))
 
@@ -173,9 +226,9 @@ class TestEnergy:
         ("flow", None, None),
     ])
     def test_numpy_values_equal_graph(self, head, activation, bottleneck, n):
-        """``score_logdensity``, ``mlp_values`` and ``classifier_embed`` give
-        the graph's bytes, non-finite rows included; a flow is checked
-        against the node-by-node reference."""
+        """``score_logdensity``, the one-block ``_mlp_outputs`` and
+        ``classifier_embed`` give the graph's bytes, non-finite rows
+        included; a flow is checked against the node-by-node reference."""
         if head == "flow":
             spec, pset = perturbed_flow(3, 3)
         else:
@@ -183,23 +236,24 @@ class TestEnergy:
             pset = perturbed_params(spec)
         x = np.random.default_rng(n).normal(size=(n, 3)) * 3.0
         bad = np.array([[np.inf, 0.0, 0.0], [0.0, 0.0, -np.inf], [0.0, np.nan, 0.0], [1e300] * 3])
+        leaves = mz.param_nodes(pset)
         for xs in (x, np.vstack([x, bad])):
             with np.errstate(all="ignore"):
-                graph = (engine_flow_logdensity(spec, pset, xs) if head == "flow"
-                         else ad.neg(mz.energy(spec, pset, xs)))
+                graph = (engine_flow_logdensity(spec, leaves, xs) if head == "flow"
+                         else ad.neg(mz.energy(spec, leaves, xs)))
                 assert mz.score_logdensity(spec, pset, xs).tobytes() == graph.value.tobytes()
                 if head == "flow":
                     continue
-                out, h = (node.value for node in mz.mlp_forward(spec, pset, xs))
-                got_out, got_h, _ = mz.mlp_values(spec, pset, xs)
+                out, h = (node.value for node in mz.mlp_forward(spec, leaves, xs))
+                got_out, got_h = mz._mlp_outputs(spec, pset, xs)
                 assert got_out.tobytes() == out.tobytes() and got_h.tobytes() == h.tobytes()
                 if head == "logits":
                     assert mz.classifier_embed(spec, pset, xs).tobytes() == h.tobytes()
 
 
-def engine_input_grad(spec, params, x):
+def engine_input_grad(spec, pset, x):
     xn = ad.leaf(x)
-    (g,) = ad.grad(ad.reduce_sum(mz.energy(spec, params, xn)), [xn])
+    (g,) = ad.grad(ad.reduce_sum(graph_energy(spec, pset, xn)), [xn])
     return g.value
 
 
@@ -231,8 +285,6 @@ class TestInputGrad:
         expected = engine_input_grad(spec, pset, x)
         assert expected.shape == (n, 3)
         assert np.array_equal(mz.input_grad(spec, pset, x), expected)
-        nodes = mz.param_nodes(pset)
-        assert np.array_equal(mz.input_grad(spec, nodes, x), engine_input_grad(spec, nodes, x))
 
     @pytest.mark.parametrize("activation", ["relu", "leaky_relu", "softplus"])
     @pytest.mark.parametrize("head", ["energy", "logits"])
@@ -264,7 +316,6 @@ class TestInputGrad:
         specs = [closed_form_spec("logits", "softplus", 0.5),
                  closed_form_spec("energy", "relu", None), perturbed_flow(2, 3)[0]]
         psets = [perturbed_params(spec) for spec in specs]
-        nodes = [mz.param_nodes(pset) for pset in psets]
         created = []
         init = ad.Node.__init__
 
@@ -273,10 +324,9 @@ class TestInputGrad:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(ad.Node, "__init__", counting_init)
-        for spec, pset, leaves in zip(specs, psets, nodes):
-            for params in (leaves, pset):
-                mz.input_grad(spec, params, np.ones((4, 3)))
-                mz.score_logdensity(spec, params, np.ones((4, 3)))
+        for spec, pset in zip(specs, psets):
+            mz.input_grad(spec, pset, np.ones((4, 3)))
+            mz.score_logdensity(spec, pset, np.ones((4, 3)))
         mz.classifier_embed(specs[0], psets[0], np.ones((4, 3)))
         assert created == []
 
@@ -330,8 +380,8 @@ class TestRowBlocks:
         bad[0, 0], bad[1, -1], bad[2, 1], bad[3] = np.inf, -np.inf, np.nan, 1e300
         x[1:5], x[-5:-1] = bad, bad  # in the first and the last block
         with np.errstate(all="ignore"):
-            out, h = (node.value for node in mz.mlp_forward(spec, pset, x))
-            expected = ad.neg(mz.energy(spec, pset, x)).value
+            out, h = (node.value for node in mz.mlp_forward(spec, mz.param_nodes(pset), x))
+            expected = ad.neg(graph_energy(spec, pset, x)).value
             got_out, got_h = mz._mlp_outputs(spec, pset, x)
             assert got_out.tobytes() == out.tobytes() and got_h.tobytes() == h.tobytes()
             assert mz.score_logdensity(spec, pset, x).tobytes() == expected.tobytes()
@@ -343,7 +393,7 @@ class TestRowBlocks:
         # the 12 * 12 layer needs 10**6 // 144 + 1 = 6945 rows, rounded up to 4 * B
         assert mz._block_rows(block_spec(2, "relu", None, input_dim=16, hidden=(12, 12))) == 4 * B
 
-    def test_small_batch_is_one_mlp_values_call(self, monkeypatch):
+    def test_small_batch_is_one_hidden_values_call(self, monkeypatch):
         spec = block_spec(3, "relu", None, hidden=(64, 64, 64))
         calls = []
         hidden_values = mz._hidden_values
@@ -412,27 +462,27 @@ class TestFlowDensity:
         pset = mz.init_params(spec, 0)
         for i in range(k):
             pset.arrays()[f"flow{i}.z0"][:] = 0.0  # beta == 0 already at init
-        return spec, pset
+        return spec, mz.param_nodes(pset)
 
     def test_identity_flow_at_origin(self):
-        spec, pset = self._identity_flow(2)
-        assert mz.flow_logdensity(spec, pset, np.zeros((1, 2))).value == pytest.approx(
+        spec, leaves = self._identity_flow(2)
+        assert mz.flow_logdensity(spec, leaves, np.zeros((1, 2))).value == pytest.approx(
             -math.log(2 * math.pi), abs=1e-9
         )
 
     def test_identity_flow_general_point(self):
-        spec, pset = self._identity_flow(3)
+        spec, leaves = self._identity_flow(3)
         rng = np.random.default_rng(0)
         x = rng.normal(size=(5, 3))
         expected = -0.5 * (x**2).sum(axis=1) - 1.5 * math.log(2 * math.pi)
-        assert np.allclose(mz.flow_logdensity(spec, pset, x).value, expected, atol=1e-9)
+        assert np.allclose(mz.flow_logdensity(spec, leaves, x).value, expected, atol=1e-9)
 
     def test_1d_density_integrates_to_one(self):
         spec = mz.ModelSpec(input_dim=1, head="flow", n_flow_layers=1)
         pset = mz.init_params(spec, 5)
         pset.arrays()["flow0.beta_hat"][...] = 1.5  # non-trivial transform
         grid = np.linspace(-20, 20, 20001)
-        logp = mz.flow_logdensity(spec, pset, grid[:, None]).value
+        logp = mz.flow_logdensity(spec, mz.param_nodes(pset), grid[:, None]).value
         integral = np.trapezoid(np.exp(logp), grid)
         assert integral == pytest.approx(1.0, abs=1e-3)
 
@@ -455,8 +505,7 @@ def engine_radial_layer(z0, alpha_hat, beta_hat, x):
     return y, ad.reshape(logdet, (x.value.shape[0],))
 
 
-def engine_flow_logdensity(spec, params, x):
-    pn = params if isinstance(params, dict) else mz.param_nodes(params)
+def engine_flow_logdensity(spec, pn, x):
     z = ad.as_node(x)
     total = ad.constant(np.zeros(z.value.shape[0]))
     for k in range(spec.n_flow_layers):
@@ -468,21 +517,21 @@ def engine_flow_logdensity(spec, params, x):
     return ad.add(base, total)
 
 
-def flow_results(spec, params, x, fused=True):
+def flow_results(spec, pset, x, fused=True):
     """The log-density, the ``flow_nll`` parameter gradient and the input
-    gradient of the summed energy: through the package, or (``fused=False``)
-    through the node-by-node reference."""
+    gradient of the summed energy, on leaves over ``pset``: through the
+    package, or (``fused=False``) through the node-by-node reference."""
     if fused:
         logdensity, nll, energy = mz.flow_logdensity, obj.flow_nll, mz.energy
     else:
         logdensity = engine_flow_logdensity
         nll = lambda *a: ad.mean(ad.neg(engine_flow_logdensity(*a)))
         energy = lambda *a: ad.neg(engine_flow_logdensity(*a))
-    leaves = params if isinstance(params, dict) else mz.param_nodes(params)
+    leaves = mz.param_nodes(pset)
     param_grad = [g.value for g in ad.grad(nll(spec, leaves, x), list(leaves.values()))]
     xn = ad.leaf(x)
-    (input_grad,) = ad.grad(ad.reduce_sum(energy(spec, params, xn)), [xn])
-    return [logdensity(spec, params, x).value, *param_grad, input_grad.value]
+    (input_grad,) = ad.grad(ad.reduce_sum(energy(spec, leaves, xn)), [xn])
+    return [logdensity(spec, leaves, x).value, *param_grad, input_grad.value]
 
 
 def perturbed_flow(n_layers, d, seed=0):
@@ -501,12 +550,11 @@ class TestFusedFlow:
     def test_equals_engine(self, n_layers, d, n):
         spec, pset = perturbed_flow(n_layers, d, seed=10 * n_layers + d)
         x = np.random.default_rng(n).normal(size=(n, d)) * 2.0
-        for params in (pset, mz.param_nodes(pset)):
-            expected = flow_results(spec, params, x, fused=False)
-            got = flow_results(spec, params, x)
-            assert [a.shape for a in got] == [a.shape for a in expected]
-            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
-            assert np.array_equal(mz.input_grad(spec, params, x), expected[-1])
+        expected = flow_results(spec, pset, x, fused=False)
+        got = flow_results(spec, pset, x)
+        assert [a.shape for a in got] == [a.shape for a in expected]
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+        assert np.array_equal(mz.input_grad(spec, pset, x), expected[-1])
 
     def test_nonfinite_rows_match_engine(self):
         spec, pset = perturbed_flow(3, 2)
@@ -545,8 +593,7 @@ class TestFusedFlow:
 
         monkeypatch.setattr(ad.Node, "__init__", counting_init)
         mz.flow_logdensity(spec, leaves, x)
-        mz.flow_logdensity(spec, pset, x)
-        assert len(created) == 2
+        assert len(created) == 1
 
 
 class TestClassifierEmbed:
@@ -576,7 +623,7 @@ class TestClassifierEmbed:
         spec, pset = self._clf()
         emb = mz.classifier_embed(spec, pset, np.random.default_rng(1).normal(size=(6, 4)))
         espec = mz.ModelSpec(input_dim=emb.shape[1], hidden=[4], head="energy")
-        e = mz.energy(espec, mz.init_params(espec, 1), emb)
+        e = graph_energy(espec, mz.init_params(espec, 1), emb)
         assert e.value.shape == (6,)
 
 
@@ -591,8 +638,8 @@ class TestCheckpoint:
         assert meta == {"note": "t"}
         assert np.array_equal(pset.values, pset2.values)
         x = np.random.default_rng(0).normal(size=(4, 3))
-        a = mz.mlp_forward(spec, pset, x)[0].value
-        b = mz.mlp_forward(spec2, pset2, x)[0].value
+        a = mz.mlp_forward(spec, mz.param_nodes(pset), x)[0].value
+        b = mz.mlp_forward(spec2, mz.param_nodes(pset2), x)[0].value
         assert a.tobytes() == b.tobytes()
 
     def test_version_mismatch_rejected(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -46,7 +47,7 @@ class TestSsmVr:
         pset = mz.init_params(spec, 11)
 
         def energy_np(x):
-            return mz.energy(spec, pset, x).value
+            return mz.energy(spec, mz.param_nodes(pset), x).value
 
         def score_np(x):
             h = 1e-5
@@ -64,7 +65,7 @@ class TestSsmVr:
         jvp = (score_np(x + h * v) - score_np(x - h * v)) / (2 * h)
         expected = ((jvp * v).sum(axis=1) + 0.5 * (score_np(x) ** 2).sum(axis=1)).mean()
 
-        loss = obj.ssm_vr_loss(obj.make_energy_fn(spec, pset), x, v)
+        loss = obj.ssm_vr_loss(partial(mz.energy, spec, mz.param_nodes(pset)), x, v)
         assert loss.value == pytest.approx(expected, abs=1e-5)
 
     def test_rademacher_expectation_matches_trace(self):
@@ -72,7 +73,7 @@ class TestSsmVr:
         # the loss approaches -tr(H) + 0.5|dE/dx|^2
         spec = mz.ModelSpec(input_dim=2, hidden=[4], activation="softplus", head="energy")
         pset = mz.init_params(spec, 3)
-        energy_fn = obj.make_energy_fn(spec, pset)
+        energy_fn = partial(mz.energy, spec, mz.param_nodes(pset))
         x = np.array([[0.4, -0.7]])
 
         # exact Hessian diagonal from two nested input gradients
@@ -99,14 +100,14 @@ class TestSsmVr:
         v = rngmod.rademacher(rng, x.shape)
 
         leaves = mz.param_nodes(pset)
-        loss = obj.ssm_vr_loss(obj.make_energy_fn(spec, leaves), x, v)
+        loss = obj.ssm_vr_loss(partial(mz.energy, spec, leaves), x, v)
         grads = ad.grad(loss, list(leaves.values()))
         flat = np.concatenate([g.value.ravel() for g in grads])
 
         def loss_at(values):
             q = pset.copy()
             q.values[:] = values
-            return obj.ssm_vr_loss(obj.make_energy_fn(spec, q), x, v).value
+            return obj.ssm_vr_loss(partial(mz.energy, spec, mz.param_nodes(q)), x, v).value
 
         h = 1e-5
         for i in range(pset.values.size):
@@ -138,7 +139,7 @@ class TestCdLoss:
     def test_translation_invariance(self):
         spec = mz.ModelSpec(input_dim=2, hidden=[5], head="energy")
         pset = mz.init_params(spec, 2)
-        energy_fn = obj.make_energy_fn(spec, pset)
+        energy_fn = partial(mz.energy, spec, mz.param_nodes(pset))
         rng = np.random.default_rng(4)
         xd = rng.normal(size=(6, 2))
         xs = rng.normal(size=(6, 2))
@@ -218,7 +219,8 @@ class TestFlowNll:
         pset = mz.init_params(spec, 0)
         x = np.random.default_rng(0).normal(size=(8, 2))
         expected = (0.5 * (x**2).sum(axis=1) + math.log(2 * math.pi)).mean()
-        assert obj.flow_nll(spec, pset, x).value == pytest.approx(expected, abs=1e-9)
+        nll = obj.flow_nll(spec, mz.param_nodes(pset), x).value
+        assert nll == pytest.approx(expected, abs=1e-9)
 
     def test_gradient_matches_fd(self):
         spec = mz.ModelSpec(input_dim=1, head="flow", n_flow_layers=1)
@@ -233,7 +235,8 @@ class TestFlowNll:
             vp.values[i] += h
             vm = pset.copy()
             vm.values[i] -= h
-            fd = (obj.flow_nll(spec, vp, x).value - obj.flow_nll(spec, vm, x).value) / (2 * h)
+            fd = (obj.flow_nll(spec, mz.param_nodes(vp), x).value
+                  - obj.flow_nll(spec, mz.param_nodes(vm), x).value) / (2 * h)
             assert flat[i] == pytest.approx(fd, abs=1e-4)
 
 
@@ -266,8 +269,9 @@ class TestJemLoss:
         spec = mz.ModelSpec(input_dim=2, hidden=[4], head="logits", n_classes=3)
         pset = mz.init_params(spec, 5)
         x = np.random.default_rng(3).normal(size=(4, 2))
-        e = obj.make_energy_fn(spec, pset)(ad.constant(x)).value
-        logits = mz.mlp_forward(spec, pset, x)[0].value
+        leaves = mz.param_nodes(pset)
+        e = mz.energy(spec, leaves, ad.constant(x)).value
+        logits = mz.mlp_forward(spec, leaves, x)[0].value
         m = logits.max(axis=1)
         assert np.allclose(e, -(m + np.log(np.exp(logits - m[:, None]).sum(axis=1))), atol=1e-12)
 
@@ -279,8 +283,8 @@ def linear_gen_setup(d=2, latent=2, noise_std=0.1, k=50, seed=0, **cfg_kw):
     gen_spec = mz.ModelSpec(input_dim=latent, hidden=[], head="vector", n_outputs=d)
     gen_params = mz.init_params(gen_spec, seed)
     spec = mz.ModelSpec(input_dim=d, hidden=[8], head="energy")
-    params = mz.init_params(spec, seed + 1)
-    return spec, params, gen_spec, gen_params, cfg
+    leaves = mz.param_nodes(mz.init_params(spec, seed + 1))
+    return spec, leaves, gen_spec, gen_params, cfg
 
 
 class TestVera:
@@ -298,14 +302,11 @@ class TestVera:
         spec, params, gen_spec, gen_params, cfg = linear_gen_setup()
         rng = np.random.default_rng(1)
         x = rng.normal(size=(16, 2))
-        ebm_leaves = mz.param_nodes(params)
-        step = obj.vera_step(spec, ebm_leaves, gen_spec, gen_params, x, cfg, eta=0.1, rng=rng)
-        ref = obj.cd_loss(obj.make_energy_fn(spec, params), x, step.x_gen)
+        step = obj.vera_step(spec, params, gen_spec, gen_params, x, cfg, eta=0.1, rng=rng)
+        ref = obj.cd_loss(partial(mz.energy, spec, params), x, step.x_gen)
         assert step.ebm_loss.value == pytest.approx(ref.value, abs=1e-12)
-        ga = ad.grad(step.ebm_loss, list(ebm_leaves.values()))
-        leaves = mz.param_nodes(params)
-        gb = ad.grad(obj.cd_loss(obj.make_energy_fn(spec, leaves), x, step.x_gen),
-                     list(leaves.values()))
+        ga = ad.grad(step.ebm_loss, list(params.values()))
+        gb = ad.grad(ref, list(params.values()))
         for a, b in zip(ga, gb):
             assert np.allclose(a.value, b.value, atol=1e-12)
 

@@ -562,7 +562,8 @@ class TestSuite:
         engine_grads = []
         monkeypatch.setattr(tr, "input_grad",
                             lambda *a: engine_grads.append(1) or engine_input_grad(*a))
-        monkeypatch.setattr(tr, "score_logdensity", lambda *a: -mz.energy(*a).value)
+        monkeypatch.setattr(tr, "score_logdensity",
+                            lambda spec, pset, x: -mz.energy(spec, mz.param_nodes(pset), x).value)
         tr.run_analysis(item, spec, params, bundle, 0, str(tmp_path / "engine"))
         assert len(engine_grads) == 3 * 10
         fast = (tmp_path / "fast" / "ascend.csv").read_bytes()
@@ -663,6 +664,9 @@ class TestSuite:
          "run 'emb': embed_from 'nobody' names no earlier run"),
         ([{"name": "emb", "config": {}, "embed_from": "ok"}, {"name": "ok", "config": {}}],
          "run 'emb': embed_from 'ok' names no earlier run"),
+        ([{"name": "ssm", "config": {"objective": "ssm"}},
+          {"name": "emb", "config": {}, "embed_from": "ssm"}],
+         "run 'emb': embed_from run 'ssm' has no classifier head"),
     ] + [([{"name": "ok", "config": {}}, {"name": "bad", "config": patch}], f"run 'bad': {named}")
          for patch, named in BAD_BLOCKS])
     def test_bad_run_rejected_before_training(self, tmp_path, monkeypatch, runs, named):
