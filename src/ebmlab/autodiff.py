@@ -306,30 +306,3 @@ def grad(output: Node, leaves: Sequence[Node]) -> list[Node]:
         out.append(g if g is not None else constant(np.zeros_like(lf.value)))
     return out
 
-
-def check_gradient(f: Callable[[np.ndarray], float], point, step: float = 1e-4):
-    """Central-difference check; returns (max relative error, per-coord table)."""
-    if step <= 0:
-        raise AutodiffError("step must be positive")
-    point = np.asarray(point, dtype=np.float64)
-    x = leaf(point)
-    out = f(x)
-    if not isinstance(out, Node):
-        raise AutodiffError("f must build a graph node from its Node argument")
-    (g,) = grad(out, [x])
-    analytic = g.value
-    flat = point.ravel()
-    numeric = np.zeros_like(flat)
-    for i in range(flat.size):
-        hi, lo = flat.copy(), flat.copy()
-        hi[i] += step
-        lo[i] -= step
-        f_hi = f(constant(hi.reshape(point.shape))).value
-        f_lo = f(constant(lo.reshape(point.shape))).value
-        if not (np.isfinite(f_hi) and np.isfinite(f_lo)):
-            raise AutodiffError(f"non-finite evaluation at coordinate {i}")
-        numeric[i] = (f_hi - f_lo) / (2.0 * step)
-    numeric = numeric.reshape(point.shape)
-    denom = np.maximum(np.abs(analytic), np.abs(numeric))
-    rel = np.abs(analytic - numeric) / np.where(denom > 1e-8, denom, 1.0)
-    return float(rel.max()), rel

@@ -12,7 +12,7 @@ import math
 import os
 import uuid
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +64,6 @@ class SplitBundle:
     id_test: LabeledTable
     ood_val: LabeledTable
     ood_test: LabeledTable
-    removed_classes: list[int] = field(default_factory=list)
 
     def parts(self) -> dict[str, LabeledTable]:
         """The five splits by field name, in field order."""
@@ -266,7 +265,6 @@ def class_removal_split(
         id_test=id_part(te_idx),
         ood_val=ood_part(ood_val_idx),
         ood_test=ood_part(ood_test_idx),
-        removed_classes=removed,
     )
 
 
@@ -392,8 +390,7 @@ def standardize(bundle: SplitBundle) -> SplitBundle:
     def tf(part: LabeledTable) -> LabeledTable:
         return LabeledTable((part.features - mean) / std, part.labels, part.class_names, part.source)
 
-    return SplitBundle(**{k: tf(part) for k, part in bundle.parts().items()},
-                       removed_classes=list(bundle.removed_classes))
+    return SplitBundle(**{k: tf(part) for k, part in bundle.parts().items()})
 
 
 def embed_dataset(spec: ModelSpec, params, bundle: SplitBundle) -> SplitBundle:
@@ -402,5 +399,4 @@ def embed_dataset(spec: ModelSpec, params, bundle: SplitBundle) -> SplitBundle:
         emb = classifier_embed(spec, params, part.features)
         return LabeledTable(emb, part.labels, part.class_names, part.source + ":embedded")
 
-    return SplitBundle(**{k: tf(part) for k, part in bundle.parts().items()},
-                       removed_classes=list(bundle.removed_classes))
+    return SplitBundle(**{k: tf(part) for k, part in bundle.parts().items()})

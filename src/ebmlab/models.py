@@ -5,7 +5,8 @@ This module decides how E(x) and dE/dx are computed for every head with an
 energy. Values and input gradients (``score_logdensity``, ``input_grad``,
 ``classifier_embed``) run in numpy on a ParameterSet, doing the engine's
 float operations in its order; tests prove them byte-equal to the engine.
-Scoring and embedding run a large batch's hidden layers in row blocks.
+Scoring and embedding equal the engine run over fixed row blocks of hidden
+layers, with the head on the whole batch.
 Graphs (``energy``, ``mlp_forward``, ``flow_logdensity``: one first-order
 ``ad.fused`` node for the radial stack) are built on ``param_nodes``
 leaves, only for parameter and second-order gradients.
@@ -17,7 +18,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -230,42 +231,23 @@ def _hidden_values(spec: ModelSpec, p: dict[str, np.ndarray], x):
     return h, back
 
 
-# Rows per block of a value-only MLP pass over a large batch, or a
-# multiple of it; a multiple of the BLAS kernels' row unroll
+# Rows per block of a value-only MLP pass; a multiple of BLAS row unrolls
 _BLOCK_ROWS = 2048
-# OpenBLAS's AVX-512 kernels run a GEMM of at most this many multiply-adds
-# (M*N*K) on a small-matrix path, which rounds differently
-_SMALL_GEMM = 10**6
-
-
-def _block_rows(spec: ModelSpec) -> int:
-    """Rows per block of ``_mlp_outputs``: the least multiple of
-    ``_BLOCK_ROWS`` that gives each hidden GEMM of a block more than
-    ``_SMALL_GEMM`` multiply-adds."""
-    need = max([1] + [_SMALL_GEMM // math.prod(shape) + 1 for name, shape in spec.layer_plan()
-                      if name.endswith(".W") and name != "head.W"])
-    return -(-need // _BLOCK_ROWS) * _BLOCK_ROWS
 
 
 def _mlp_outputs(spec: ModelSpec, pset: ParameterSet, x):
     """``mlp_forward``'s values, (head output, penultimate activations), in
-    numpy, for callers that need no backward. A batch of at least two blocks
-    runs its hidden layers over consecutive row blocks, so each temporary
-    stays cache-sized; the head then runs on the whole batch. Every block
-    has ``_block_rows`` rows but the last, which takes the rest (fewer than
-    twice that). Each row keeps its place in the kernels' row groups and no
-    GEMM takes the small-matrix path, so the bytes are those of one pass
-    (README, "Which kernel rewrites keep the bytes")."""
+    numpy, for callers that need no backward. The hidden layers run over
+    consecutive ``_BLOCK_ROWS``-row blocks, the last taking the rest (fewer
+    than twice that), so each temporary stays cache-sized; the head then
+    runs on the whole batch. The bytes are the engine's, run the same way."""
     x, p = np.asarray(x, dtype=np.float64), pset.arrays()
-    n = x.shape[0] if x.ndim == 2 else 0
-    # the first test spares a small batch, such as an SGLD step, the rule
-    if n < 2 * _BLOCK_ROWS or n < 2 * (rows := _block_rows(spec)):
-        h = _hidden_values(spec, p, x)[0]
-    else:
-        h = np.empty((n, (spec.hidden or [spec.input_dim])[-1]))
-        starts = range(0, n - rows + 1, rows)
-        for a, b in zip(starts, [*starts[1:], n]):
-            h[a:b] = _hidden_values(spec, p, x[a:b])[0]
+    _check_batch(x, spec.input_dim)
+    n = x.shape[0]
+    h = np.empty((n, (spec.hidden or [spec.input_dim])[-1]))
+    starts = range(0, max(n - _BLOCK_ROWS + 1, 1), _BLOCK_ROWS)
+    for a, b in zip(starts, [*starts[1:], n]):
+        h[a:b] = _hidden_values(spec, p, x[a:b])[0]
     return _affine(h, p, "head"), h
 
 
@@ -277,7 +259,8 @@ def _affine(h: np.ndarray, p: dict[str, np.ndarray], name: str) -> np.ndarray:
 
 
 def classifier_embed(spec: ModelSpec, pset: ParameterSet, x) -> np.ndarray:
-    """Penultimate activations of a classifier, as plain arrays."""
+    """Penultimate activations of a classifier, as plain arrays: the
+    engine's, computed over ``_mlp_outputs``'s row blocks."""
     if spec.head != "logits":
         raise ModelError("classifier_embed requires a logits head")
     return _mlp_outputs(spec, pset, x)[1]
@@ -447,7 +430,8 @@ def input_grad(spec: ModelSpec, pset: ParameterSet, x) -> np.ndarray:
 
 def score_logdensity(spec: ModelSpec, pset: ParameterSet, x) -> np.ndarray:
     """Unnormalized log-density log p~(x) = -E(x) per row, for OOD scoring;
-    ``-energy(...).value`` byte for byte, without graph nodes."""
+    ``-energy(...).value`` byte for byte, without graph nodes, an MLP's with
+    its hidden layers run over ``_mlp_outputs``'s row blocks."""
     if spec.head == "flow":
         return _flow(spec, pset.arrays(), x)[0]
     out, _ = _mlp_outputs(spec, pset, x)
@@ -477,12 +461,21 @@ def load_checkpoint(path: str) -> tuple[ModelSpec, ParameterSet, dict]:
             f"checkpoint schema version {doc.get('schema_version')} "
             f"!= supported {CHECKPOINT_SCHEMA_VERSION}"
         )
-    spec = ModelSpec(**doc["spec"])
+    raw = doc.get("spec")
+    keys, names = set(raw) if isinstance(raw, dict) else set(), {f.name for f in fields(ModelSpec)}
+    if keys != names:
+        raise ModelError(f"checkpoint spec: unknown keys {sorted(keys - names)}, "
+                         f"missing keys {sorted(names - keys)}")
+    spec = ModelSpec(**raw)
     values = np.asarray(doc["parameters"], dtype=np.float64)
     offsets, pos = _layout(spec)
     if pos != values.size:
         raise ModelError(f"parameter count {values.size} does not match spec ({pos})")
-    return spec, ParameterSet(values, offsets, doc.get("seed")), doc.get("metadata", {})
+    pset = ParameterSet(values, offsets, doc.get("seed"))
+    for name, arr in pset.arrays().items():
+        if not np.isfinite(arr).all():
+            raise ModelError(f"checkpoint parameter {name} is not finite")
+    return spec, pset, doc.get("metadata", {})
 
 
 def _atomic_write_json(path: str, doc: dict):

@@ -393,7 +393,8 @@ class TestClassRemovalSplit:
         kept_labels = np.concatenate([bundle.id_train.labels, bundle.id_val.labels,
                                       bundle.id_test.labels])
         assert sorted(set(kept_labels.tolist())) == [0, 1, 2]
-        assert bundle.removed_classes == [0, 3]
+        ood_labels = np.concatenate([bundle.ood_val.labels, bundle.ood_test.labels])
+        assert set(ood_labels.tolist()) == {0, 3}
 
     def test_reproducible(self):
         table = self._table(150)

@@ -1,5 +1,7 @@
+import json
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -80,7 +82,7 @@ class TestParameterSet:
         values = pset.values.copy()
         values.flags.writeable = False
         frozen = mz.ParameterSet(values, pset.offsets)
-        for n in (1, 64, 2 * mz._block_rows(spec) + 1):
+        for n in (1, 64, 2 * mz._BLOCK_ROWS + 1):
             x = np.random.default_rng(n).normal(size=(n, 3))
             assert np.array_equal(mz.score_logdensity(spec, frozen, x),
                                   mz.score_logdensity(spec, pset, x))
@@ -353,14 +355,28 @@ def block_spec(head, activation, bottleneck, input_dim=8, hidden=(64, 48, 32)):
 B = mz._BLOCK_ROWS
 
 
+def engine_on_blocks(spec, pset, x):
+    """The engine's hidden layers on each block of ``x``: ``len(x) // B``
+    blocks (at least one) of ``B`` rows, the last taking the rest. Then its
+    head and energy on the whole batch. Returns (head output, penultimate
+    activations, log-density)."""
+    leaves, n = mz.param_nodes(pset), len(x)
+    edges = [k * B for k in range(max(n // B, 1))] + [n]
+    h = np.concatenate([mz.mlp_forward(spec, leaves, x[a:b])[1].value
+                        for a, b in zip(edges, edges[1:])])
+    out = ad.add(ad.matmul(ad.leaf(h), leaves["head.W"]), leaves["head.b"])
+    energy = (ad.reshape(out, (n,)) if spec.head == "energy"
+              else ad.neg(ad.logsumexp(out, axis=-1)))
+    return out.value, h, ad.neg(energy).value
+
+
 class TestRowBlocks:
-    """A batch of two blocks or more is scored and embedded over row blocks,
-    with the head on the whole batch; every row keeps the bytes of the
-    engine's single whole-batch pass. The specs after the grid are
-    ``eval-ood``'s model and two whose hidden GEMMs round differently on
-    OpenBLAS's small-matrix kernels in blocks that are too small: 16 -> 100
-    in 512-row blocks, and 16 -> 12 in ``B``-row ones, so its blocks have
-    ``4 * B`` rows."""
+    """A batch is scored and embedded over fixed ``B``-row blocks of hidden
+    layers, with the head on the whole batch; every row keeps the bytes of
+    the engine applied to the same blocks. The specs after the grid are
+    ``eval-ood``'s model and two with narrow layers, 16 -> 100 and
+    16 -> 12, whose block GEMMs are small enough that some BLAS builds
+    take separate small-matrix kernels for them."""
 
     @pytest.mark.parametrize("edge", [(2, -1), (2, 0), (2, 1), (3, 17)])
     @pytest.mark.parametrize("spec", [
@@ -371,37 +387,32 @@ class TestRowBlocks:
         block_spec(2, "leaky_relu", None, input_dim=16, hidden=(12, 12)),
     ], ids=lambda s: f"{s.head}{s.n_classes or ''}-{s.activation}-{s.bottleneck_factor}"
                      f"-{s.input_dim}x{'x'.join(map(str, s.hidden))}")
-    def test_equal_to_engine_whole_batch(self, spec, edge):
+    def test_equal_to_engine_block_by_block(self, spec, edge):
         blocks, extra = edge
-        n = blocks * mz._block_rows(spec) + extra
+        n = blocks * B + extra
         pset = perturbed_params(spec)
         x = np.random.default_rng(n).normal(size=(n, spec.input_dim)) * 3.0
         bad = np.zeros((4, spec.input_dim))
         bad[0, 0], bad[1, -1], bad[2, 1], bad[3] = np.inf, -np.inf, np.nan, 1e300
         x[1:5], x[-5:-1] = bad, bad  # in the first and the last block
         with np.errstate(all="ignore"):
-            out, h = (node.value for node in mz.mlp_forward(spec, mz.param_nodes(pset), x))
-            expected = ad.neg(graph_energy(spec, pset, x)).value
+            out, h, expected = engine_on_blocks(spec, pset, x)
             got_out, got_h = mz._mlp_outputs(spec, pset, x)
             assert got_out.tobytes() == out.tobytes() and got_h.tobytes() == h.tobytes()
             assert mz.score_logdensity(spec, pset, x).tobytes() == expected.tobytes()
             if spec.head == "logits":
                 assert mz.classifier_embed(spec, pset, x).tobytes() == h.tobytes()
 
-    def test_block_rows(self):
-        assert mz._block_rows(block_spec(3, "relu", None, hidden=(64, 64, 64))) == B
-        # the 12 * 12 layer needs 10**6 // 144 + 1 = 6945 rows, rounded up to 4 * B
-        assert mz._block_rows(block_spec(2, "relu", None, input_dim=16, hidden=(12, 12))) == 4 * B
-
     def test_small_batch_is_one_hidden_values_call(self, monkeypatch):
-        spec = block_spec(3, "relu", None, hidden=(64, 64, 64))
         calls = []
         hidden_values = mz._hidden_values
         monkeypatch.setattr(mz, "_hidden_values",
                             lambda *a: calls.append(len(a[2])) or hidden_values(*a))
-        for n in (2 * B - 1, 2 * B + 1):
-            mz.score_logdensity(spec, mz.init_params(spec, 0), np.zeros((n, 8)))
-        assert calls == [2 * B - 1, B, B + 1]
+        wide = block_spec(3, "relu", None, hidden=(64, 64, 64))
+        narrow = block_spec(2, "leaky_relu", None, input_dim=16, hidden=(12, 12))
+        for spec, n in [(wide, 2 * B - 1), (wide, 2 * B + 1), (narrow, 2 * B + 1)]:
+            mz.score_logdensity(spec, mz.init_params(spec, 0), np.zeros((n, spec.input_dim)))
+        assert calls == [2 * B - 1, B, B + 1, B, B + 1]
 
 
 class TestRadialFlow:
@@ -627,6 +638,32 @@ class TestClassifierEmbed:
         assert e.value.shape == (6,)
 
 
+# each fault ``damage_checkpoint`` makes, and what ``load_checkpoint`` says
+CHECKPOINT_FAULTS = {
+    "inf-parameter": "checkpoint parameter head.b is not finite",
+    "nan-parameter": "checkpoint parameter layer0.W is not finite",
+    "unknown-key": "checkpoint spec: unknown keys ['width'], missing keys []",
+    "missing-key": "checkpoint spec: unknown keys [], missing keys ['activation']",
+    "no-spec": "missing keys ['activation', 'bottleneck_factor', 'head', 'hidden'",
+}
+
+
+def damage_checkpoint(doc, damage):
+    """A checkpoint document with one fault: a non-finite first or last
+    parameter, a spec key ``ModelSpec`` lacks, a missing one, or no spec."""
+    if damage == "inf-parameter":
+        doc["parameters"][-1] = float("inf")
+    elif damage == "nan-parameter":
+        doc["parameters"][0] = float("nan")
+    elif damage == "unknown-key":
+        doc["spec"]["width"] = 8
+    elif damage == "missing-key":
+        del doc["spec"]["activation"]
+    else:
+        del doc["spec"]
+    return doc
+
+
 class TestCheckpoint:
     def test_round_trip_bit_identical(self, tmp_path):
         spec = mz.ModelSpec(input_dim=3, hidden=[5, 4], head="logits", n_classes=2)
@@ -642,13 +679,22 @@ class TestCheckpoint:
         b = mz.mlp_forward(spec2, mz.param_nodes(pset2), x)[0].value
         assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("damage", CHECKPOINT_FAULTS)
+    def test_damaged_checkpoint_rejected(self, tmp_path, damage):
+        path = str(tmp_path / "c.json")
+        mz.save_checkpoint(path, small_energy_spec(), mz.init_params(small_energy_spec(), 0))
+        with open(path) as fh:
+            doc = damage_checkpoint(json.load(fh), damage)
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with pytest.raises(mz.ModelError, match=re.escape(CHECKPOINT_FAULTS[damage])):
+            mz.load_checkpoint(path)
+
     def test_version_mismatch_rejected(self, tmp_path):
         spec = small_energy_spec()
         pset = mz.init_params(spec, 0)
         path = str(tmp_path / "c.json")
         mz.save_checkpoint(path, spec, pset)
-        import json
-
         doc = json.load(open(path))
         doc["schema_version"] = 99
         json.dump(doc, open(path, "w"))

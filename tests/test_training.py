@@ -18,7 +18,7 @@ from ebmlab import objectives as obj
 from ebmlab import training as tr
 from ebmlab.data import DataError, LabeledTable, SplitBundle, write_csv
 from ebmlab.evaluate import EvalReport
-from test_models import engine_input_grad
+from test_models import CHECKPOINT_FAULTS, damage_checkpoint, engine_input_grad
 
 
 def write_toy_csv(path, dim=4, n=200, seed=0):
@@ -247,7 +247,8 @@ class TestBuildBundle:
         bundle = tr.build_bundle(cfg)
         total = sum(p.n for p in bundle.parts().values())
         assert total == 100
-        assert bundle.removed_classes == [2]
+        ood_labels = np.concatenate([bundle.ood_val.labels, bundle.ood_test.labels])
+        assert set(ood_labels.tolist()) == {2}
 
 
 class TestBuildModelSpec:
@@ -1041,3 +1042,15 @@ class TestCli:
         assert code == 1
         assert named in capsys.readouterr().err
         assert not any(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("command", ["evaluate", "diagnose-norm", "ascend"])
+    @pytest.mark.parametrize("damage", ["nan-parameter", "unknown-key"])
+    def test_damaged_checkpoint_exits_1(self, trained_checkpoint, tmp_path, capsys, command,
+                                        damage):
+        with open(trained_checkpoint) as fh:
+            doc = damage_checkpoint(json.load(fh), damage)
+        ckpt = write_json(tmp_path / "checkpoint.json", doc)
+        out = tmp_path / "out"
+        assert cli.main([command, "--checkpoint", ckpt, "--out", str(out)]) == 1
+        assert f"config error: {CHECKPOINT_FAULTS[damage]}" in capsys.readouterr().err
+        assert not out.exists()
