@@ -2,8 +2,7 @@
 
 Gradients are built as graph nodes themselves, so differentiating a
 gradient expression (needed for Hessian-vector quadratic forms that stay
-differentiable w.r.t. parameters) works to any depth, except through a
-``fused`` node (below). Everything is
+differentiable w.r.t. parameters) works to any depth. Everything is
 float64; adding a primitive requires a derivative rule built from
 existing primitives plus a finite-difference test.
 
@@ -12,14 +11,11 @@ Graphs are built only through the named primitives below (``add``,
 on a graph is a call that a tracer wrapping this module can see and count.
 
 This engine is the oracle for every derivative in ebmlab. Graphs are
-built only where a parameter gradient or a second-order one is taken (the
-losses, the JEM composite, VERA's generator and eta, SSM's double
-backward); values and input gradients run in numpy in ``models``, tested
-byte-equal to this engine. ``models.flow_logdensity`` enters the radial
-flow as one ``fused`` node. A ``fused`` node is first-order only: a second
-``grad`` through its adjoints raises an AutodiffError that names it
-(``flow_logdensity has no second derivative``). Nothing in ebmlab takes
-one; SSM, the one second-order objective, has no flow head.
+built only where an MLP's parameter gradient or a second-order one is
+taken (the losses, the JEM composite, VERA's generator and eta, SSM's
+double backward); values and input gradients run in numpy in ``models``,
+and so does the radial flow with its parameter gradient, each tested
+byte-equal to this engine.
 """
 
 from __future__ import annotations
@@ -248,19 +244,6 @@ def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Node:
 
     out.vjp = vjp
     return out
-
-
-def fused(value, parents: Sequence[Node], backward: Callable, name: str) -> Node:
-    """One node for a computation done outside the engine.
-
-    ``backward(g)`` maps the output adjoint's value to one adjoint array per
-    parent. The adjoints are first-order only: differentiating through one
-    raises an AutodiffError that names ``name``.
-    """
-    def refuse(g):
-        raise AutodiffError(f"{name} has no second derivative: its adjoints are first-order only")
-
-    return Node(value, parents, lambda g: tuple(Node(a, (), refuse) for a in backward(g.value)))
 
 
 def _toposort(output: Node) -> list[Node]:

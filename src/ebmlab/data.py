@@ -28,7 +28,6 @@ class DataError(Exception):
 class LabeledTable:
     features: np.ndarray
     labels: np.ndarray | None = None
-    class_names: list[str] | None = None
     source: str = ""
 
     def __post_init__(self):
@@ -52,7 +51,6 @@ class LabeledTable:
         return LabeledTable(
             self.features[idx],
             None if self.labels is None else self.labels[idx],
-            self.class_names,
             self.source,
         )
 
@@ -76,7 +74,7 @@ class SplitBundle:
         }
 
 
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
 
 
 def load_csv(path: str, label_column: str | None = None) -> LabeledTable:
@@ -111,8 +109,8 @@ def _file_sha256(path: str) -> str:
 
 
 def _read_cache(sidecar: str, key: str, label_column: str | None):
-    """(features, labels, class_names) from a sidecar holding ``key``, else
-    None. Object arrays are refused, never unpickled."""
+    """(features, labels) from a sidecar holding ``key``, else None. Object
+    arrays are refused, never unpickled."""
     try:
         npz = np.load(sidecar, allow_pickle=False)
         if not isinstance(npz, np.lib.npyio.NpzFile):
@@ -121,8 +119,8 @@ def _read_cache(sidecar: str, key: str, label_column: str | None):
             if str(npz["key"]) != key:
                 return None
             if label_column is None:
-                return npz["features"], None, None
-            return npz["features"], npz["labels"], json.loads(str(npz["class_names"]))
+                return npz["features"], None
+            return npz["features"], npz["labels"]
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
         return None
 
@@ -134,7 +132,7 @@ def _write_cache(sidecar: str, key: str, table: LabeledTable):
     tmp = f"{sidecar}.{uuid.uuid4().hex}.tmp"
     arrays = {"key": np.array(key), "features": table.features}
     if table.labels is not None:
-        arrays.update(labels=table.labels, class_names=np.array(json.dumps(table.class_names)))
+        arrays["labels"] = table.labels
     try:
         with open(tmp, "xb") as fh:
             np.savez(fh, **arrays)
@@ -172,16 +170,15 @@ def _parse_csv(path: str, label_column: str | None) -> LabeledTable:
         raise DataError(f"{path}: unparseable rows at lines {bad_lines}" if bad_lines
                         else f"{path}: {exc}") from None
     features = np.column_stack([table[f"c{i}"] for i in range(len(header)) if i != label_idx])
-    labels = class_names = None
+    labels = None
     if label_idx is not None:
         names, inverse = np.unique(table[f"c{label_idx}"].astype(str), return_inverse=True)
         try:
             names = np.array([int(name) for name in names])
         except ValueError:
             pass  # categorical labels
-        classes, codes = np.unique(names, return_inverse=True)
-        labels, class_names = codes[inverse], [str(c) for c in classes]
-    return LabeledTable(features, labels, class_names, source=path)
+        labels = np.unique(names, return_inverse=True)[1][inverse]
+    return LabeledTable(features, labels, source=path)
 
 
 def _rejected_lines(parse, rows: list[str], numbers: list[int]) -> list[int]:
@@ -247,16 +244,12 @@ def class_removal_split(
     n_va = round(id_fracs[1] * n_id)
     tr_idx, va_idx, te_idx = id_idx[:n_tr], id_idx[n_tr:n_tr + n_va], id_idx[n_tr + n_va:]
 
-    names = [table.class_names[c] if table.class_names else str(c) for c in kept]
-
     def ood_part(idx):
-        return LabeledTable(table.features[idx], table.labels[idx], table.class_names,
-                            "removed-classes")
+        return LabeledTable(table.features[idx], table.labels[idx], "removed-classes")
 
     def id_part(idx):
         part = table.take(idx)
         part.labels = np.searchsorted(kept, part.labels)
-        part.class_names = names
         return part
 
     return SplitBundle(
@@ -324,7 +317,7 @@ def make_two_moons(n: int, noise_std: float, rng: np.random.Generator) -> Labele
         feats = feats + noise_std * rng.normal(size=feats.shape)
     labels = np.concatenate([np.zeros(n_outer, dtype=np.int64), np.ones(n_inner, dtype=np.int64)])
     perm = rng.permutation(n)
-    return LabeledTable(feats[perm], labels[perm], ["outer", "inner"], source="two-moons")
+    return LabeledTable(feats[perm], labels[perm], source="two-moons")
 
 
 MAX_OOD_ROUNDS = 100
@@ -388,7 +381,7 @@ def standardize(bundle: SplitBundle) -> SplitBundle:
     std = np.maximum(bundle.id_train.features.std(axis=0), 1e-8)
 
     def tf(part: LabeledTable) -> LabeledTable:
-        return LabeledTable((part.features - mean) / std, part.labels, part.class_names, part.source)
+        return LabeledTable((part.features - mean) / std, part.labels, part.source)
 
     return SplitBundle(**{k: tf(part) for k, part in bundle.parts().items()})
 
@@ -397,6 +390,6 @@ def embed_dataset(spec: ModelSpec, params, bundle: SplitBundle) -> SplitBundle:
     """Map every part through the classifier's penultimate layer."""
     def tf(part: LabeledTable) -> LabeledTable:
         emb = classifier_embed(spec, params, part.features)
-        return LabeledTable(emb, part.labels, part.class_names, part.source + ":embedded")
+        return LabeledTable(emb, part.labels, part.source + ":embedded")
 
     return SplitBundle(**{k: tf(part) for k, part in bundle.parts().items()})

@@ -6,16 +6,17 @@ energy. Values and input gradients (``score_logdensity``, ``input_grad``,
 ``classifier_embed``) run in numpy on a ParameterSet, doing the engine's
 float operations in its order; tests prove them byte-equal to the engine.
 Scoring and embedding equal the engine run over fixed row blocks of hidden
-layers, with the head on the whole batch.
-Graphs (``energy``, ``mlp_forward``, ``flow_logdensity``: one first-order
-``ad.fused`` node for the radial stack) are built on ``param_nodes``
-leaves, only for parameter and second-order gradients.
+layers, with the head on the whole batch. The radial flow runs in numpy
+only (``_flow``), parameter adjoints included. Graphs (``energy``,
+``mlp_forward``) cover MLP heads, on ``param_nodes`` leaves, only for
+parameter and second-order gradients.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import tempfile
 from dataclasses import dataclass, field, fields, asdict
@@ -49,6 +50,10 @@ class ModelSpec:
     bottleneck_factor: float | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _of_type(value, f.type):
+                raise ModelError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.input_dim < 1:
             raise ModelError("input_dim must be >= 1")
         if any(h < 1 for h in self.hidden):
@@ -100,6 +105,16 @@ class ModelSpec:
         plan.append(("head.W", (prev, out)))
         plan.append(("head.b", (out,)))
         return plan
+
+
+def _of_type(value, annotation: str) -> bool:
+    """Whether ``value`` has a ``ModelSpec`` field's annotated type (no bool)."""
+    if annotation.endswith(" | None"):
+        return value is None or _of_type(value, annotation[:-len(" | None")])
+    if annotation == "list[int]":
+        return isinstance(value, (list, tuple)) and all(_of_type(v, "int") for v in value)
+    kind = {"int": numbers.Integral, "float": numbers.Real, "str": str}[annotation]
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass
@@ -343,30 +358,17 @@ def _flow(spec: ModelSpec, p: dict[str, np.ndarray], x):
     return base + total, backward
 
 
-def flow_logdensity(spec: ModelSpec, pn: dict[str, ad.Node], x) -> ad.Node:
-    """log p(x) of the radial stack as one first-order ``ad.fused`` node,
-    whose parents are ``x`` and every flow leaf of ``pn``
-    (``tests/test_models.py`` keeps the node-by-node reference)."""
-    if spec.head != "flow":
-        raise ModelError("flow_logdensity requires a flow head")
-    x = ad.as_node(x)  # ``_flow`` checks its shape
-    value, backward = _flow(spec, {name: node.value for name, node in pn.items()}, x.value)
-    return ad.fused(value, [x, *(pn[name] for name, _ in spec.layer_plan())], backward,
-                    "flow_logdensity")
-
-
 def energy(spec: ModelSpec, pn: dict[str, ad.Node], x) -> ad.Node:
     """Per-row energy E(x) = -log p~(x) of an (n, d) batch, shape (n,), as a
     graph node: the energy head's output; -logsumexp of the logits for a
-    logits head (JEM); -log p(x) for a flow. A vector head has no energy."""
+    logits head (JEM). A vector head has no energy."""
     if spec.head == "energy":
         out, _ = mlp_forward(spec, pn, x)
         return ad.reshape(out, (out.value.shape[0],))
     if spec.head == "logits":
         return ad.neg(ad.logsumexp(mlp_forward(spec, pn, x)[0], axis=-1))
-    if spec.head == "flow":
-        return ad.neg(flow_logdensity(spec, pn, x))
-    raise ModelError(f"no energy for head {spec.head!r}")
+    raise ModelError("energy graphs cover MLP heads; a flow is scored with score_logdensity"
+                     if spec.head == "flow" else f"no energy for head {spec.head!r}")
 
 
 def _softplus(a: np.ndarray) -> np.ndarray:
@@ -404,10 +406,10 @@ def input_grad(spec: ModelSpec, pset: ParameterSet, x) -> np.ndarray:
     """dE/dx of the summed energy of an (n, d) batch, shape (n, d), for
     every head with an energy; builds no graph nodes.
 
-    Equals ``ad.grad(ad.reduce_sum(energy(spec, param_nodes(pset), x)),
-    [x])`` byte for byte (non-finite rows included): an MLP runs the
-    backward of its numpy hidden layers, a flow its fused node's backward,
-    each from the adjoint the engine would hand it.
+    Equals the engine's ``ad.grad`` of the summed energy graph w.r.t. ``x``
+    byte for byte (non-finite rows included): an MLP runs the backward of
+    its numpy hidden layers, a flow the backward of ``_flow``, each from the
+    adjoint the engine would hand it.
     """
     p = pset.arrays()
     if spec.head == "flow":
@@ -456,6 +458,8 @@ def save_checkpoint(path: str, spec: ModelSpec, pset: ParameterSet, metadata: di
 def load_checkpoint(path: str) -> tuple[ModelSpec, ParameterSet, dict]:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ModelError(f"checkpoint must be a JSON object, got {type(doc).__name__}")
     if doc.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
         raise ModelError(
             f"checkpoint schema version {doc.get('schema_version')} "
@@ -467,7 +471,15 @@ def load_checkpoint(path: str) -> tuple[ModelSpec, ParameterSet, dict]:
         raise ModelError(f"checkpoint spec: unknown keys {sorted(keys - names)}, "
                          f"missing keys {sorted(names - keys)}")
     spec = ModelSpec(**raw)
-    values = np.asarray(doc["parameters"], dtype=np.float64)
+    try:
+        values = np.array(doc.get("parameters"))
+    except ValueError:  # ragged nested lists
+        values = np.array(None)
+    if values.ndim != 1 or values.dtype.kind not in "iuf":
+        raise ModelError("checkpoint parameters must be a list of numbers")
+    values = values.astype(np.float64, copy=False)
+    if not isinstance(doc.get("metadata", {}), dict):
+        raise ModelError("checkpoint metadata must be a JSON object")
     offsets, pos = _layout(spec)
     if pos != values.size:
         raise ModelError(f"parameter count {values.size} does not match spec ({pos})")

@@ -11,7 +11,7 @@ from functools import partial
 import numpy as np
 
 from . import autodiff as ad
-from .models import ModelSpec, ParameterSet, energy, flow_logdensity, mlp_forward, param_nodes
+from .models import ModelSpec, ParameterSet, _flow, energy, mlp_forward, param_nodes
 
 
 class ObjectiveError(Exception):
@@ -77,8 +77,15 @@ def ce_loss(logits: ad.Node, labels) -> ad.Node:
     return ad.mean(ad.add(ad.logsumexp(logits, axis=1), ad.neg(picked)))
 
 
-def flow_nll(spec: ModelSpec, leaves: dict[str, ad.Node], x) -> ad.Node:
-    return ad.mean(ad.neg(flow_logdensity(spec, leaves, x)))
+def flow_nll(spec: ModelSpec, pset: ParameterSet, x) -> tuple[float, np.ndarray]:
+    """A flow's mean NLL on an (n, d) batch and its flat parameter gradient,
+    in numpy, by the engine's float operations for ``mean(neg(log p))``."""
+    if spec.head != "flow":
+        raise ObjectiveError("flow_nll requires a flow head")
+    logp, backward = _flow(spec, pset.arrays(), x)
+    n = logp.shape[0]
+    adjoints = backward(np.full(n, -(1.0 / n)))[1:]  # mean's 1/n through neg
+    return float((-logp).sum() * (1.0 / n)), np.concatenate([np.ravel(a) for a in adjoints])
 
 
 def jem_loss(base_loss: ad.Node, logits: ad.Node, labels, gamma: float) -> ad.Node:

@@ -365,13 +365,17 @@ def _param_grads(loss: ad.Node, leaves: dict[str, ad.Node]) -> np.ndarray:
 
 def _objective(config: RunConfig, spec: ModelSpec, pset: ParameterSet,
                x_train: np.ndarray, data_rng: np.random.Generator):
-    """Per-run state of the configured objective, as ``loss(leaves, xb,
-    yb)``, which builds the objective's loss node on the parameter leaves."""
+    """Per-run state of the configured objective, as ``step(xb, yb)``: the
+    loss value and its flat parameter gradient, from numpy for a flow, else
+    from the engine on ``loss(leaves, xb, yb)``'s node (+ gamma * CE)."""
+    if config.objective == "nf":
+        return lambda xb, yb: flow_nll(spec, pset, xb)
     if config.objective == "ssm":
         proj_rng = stream(config.seed, "projection")
-        return lambda leaves, xb, yb: ssm_vr_loss(
-            partial(energy, spec, leaves), xb, rademacher(proj_rng, xb.shape))
-    if config.objective == "cd":
+
+        def loss(leaves, xb, yb):
+            return ssm_vr_loss(partial(energy, spec, leaves), xb, rademacher(proj_rng, xb.shape))
+    elif config.objective == "cd":
         lo, hi = x_train.min(axis=0), x_train.max(axis=0)
         buffer = ReplayBuffer(config.buffer_capacity, config.reinit_prob,
                               lambda rng, k: rng.uniform(lo, hi, size=(k, x_train.shape[1])))
@@ -379,16 +383,14 @@ def _objective(config: RunConfig, spec: ModelSpec, pset: ParameterSet,
         sgld_rng = stream(config.seed, "sgld")
         buf_rng = stream(config.seed, "buffer")
 
-        def cd_step_loss(leaves, xb, yb):
+        def loss(leaves, xb, yb):
             # ``pset`` holds the values of ``leaves`` until the loop's update
             starts, slots = buffer.draw(xb.shape[0], buf_rng)
             samples = sgld_chain(partial(input_grad, spec, pset), starts, sgld_cfg, sgld_rng)
             buffer.write(slots, samples)
             xb_noisy = xb + math.sqrt(config.data_noise_var) * data_rng.normal(size=xb.shape)
             return cd_loss(partial(energy, spec, leaves), xb_noisy, samples)
-
-        return cd_step_loss
-    if config.objective == "vera":
+    elif config.objective == "vera":
         vera_cfg = VeraConfig(**config.vera)
         generator = generator_spec(x_train.shape[1], vera_cfg)
         gen_pset = init_params(generator, config.seed + 1)
@@ -396,7 +398,7 @@ def _objective(config: RunConfig, spec: ModelSpec, pset: ParameterSet,
         vera_rng = stream(config.seed, "vera")
         eta = vera_cfg.eta_init
 
-        def vera_step_loss(leaves, xb, yb):
+        def loss(leaves, xb, yb):
             # the generator steps first: its loss reads the EBM through
             # ``leaves``, which hold the parameters before the EBM update
             nonlocal eta
@@ -407,20 +409,27 @@ def _objective(config: RunConfig, spec: ModelSpec, pset: ParameterSet,
                 g_gen, warmup_lr(vera_cfg.gen_lr, step, config.warmup_steps))
             eta = vs.eta
             return vs.ebm_loss
+    else:
+        def loss(leaves, xb, yb):
+            return ce_loss(mlp_forward(spec, leaves, xb)[0], yb)
 
-        return vera_step_loss
-    if config.objective == "nf":
-        return lambda leaves, xb, yb: flow_nll(spec, leaves, xb)
-    return lambda leaves, xb, yb: ce_loss(mlp_forward(spec, leaves, xb)[0], yb)
+    def engine_step(xb, yb):
+        leaves = param_nodes(pset)
+        node = loss(leaves, xb, yb)
+        if config.gamma > 0:
+            node = jem_loss(node, mlp_forward(spec, leaves, xb)[0], yb, config.gamma)
+        return float(node.value), _param_grads(node, leaves)
+
+    return engine_step
 
 
 def train(config: RunConfig, bundle: SplitBundle | None = None) -> TrainResult:
     """Run the configured objective and keep the best-selection checkpoint.
 
     Every objective shares one loop: batch draw, warm-up lr, the
-    supervised composite ``loss + gamma * CE`` for the EBM objectives,
-    the finite-loss check, Adam, selection and patience. EBM objectives
-    select on ood_val AP every ``eval_interval`` steps; NF early-stops on
+    objective's step (its loss and gradient, with the supervised composite
+    ``+ gamma * CE`` for the EBM objectives), the finite-loss check, Adam,
+    selection and patience. EBM objectives select on ood_val AP every ``eval_interval`` steps; NF early-stops on
     validation log-likelihood and CE on validation accuracy, both with
     the configured patience.
     """
@@ -438,7 +447,7 @@ def train(config: RunConfig, bundle: SplitBundle | None = None) -> TrainResult:
     x_train = bundle.id_train.features
     y_train = bundle.id_train.labels
     n_train = x_train.shape[0]
-    step_loss = _objective(config, spec, pset, x_train, data_rng)
+    objective_step = _objective(config, spec, pset, x_train, data_rng)
 
     adam = Adam(pset.size)
     history = {"loss": [], "selection": [], "stopped_at": None, "diverged": False}
@@ -458,15 +467,10 @@ def train(config: RunConfig, bundle: SplitBundle | None = None) -> TrainResult:
         idx = data_rng.integers(0, n_train, size=min(config.batch_size, n_train))
         xb = x_train[idx]
         yb = y_train[idx] if y_train is not None else None
-        leaves = param_nodes(pset)
-        loss = step_loss(leaves, xb, yb)
-        if config.gamma > 0:
-            loss = jem_loss(loss, mlp_forward(spec, leaves, xb)[0], yb, config.gamma)
-        loss_val = float(loss.value)
+        loss_val, grad_flat = objective_step(xb, yb)
         if not np.isfinite(loss_val):
             history["diverged"] = True
             break
-        grad_flat = _param_grads(loss, leaves)
         if config.objective == "ce" and config.weight_decay > 0:
             grad_flat = grad_flat + config.weight_decay * pset.values
         pset.values -= adam.step(grad_flat, warmup_lr(config.base_lr, step, config.warmup_steps))

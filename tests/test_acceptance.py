@@ -214,8 +214,7 @@ class TestCriterion6FlowSanity:
         adam = tr.Adam(pset.size)
         for step in range(1, 1001):
             xb = train_x[rng.integers(0, len(train_x), size=128)]
-            leaves = mz.param_nodes(pset)
-            g = tr._param_grads(obj.flow_nll(spec, leaves, xb), leaves)
+            _, g = obj.flow_nll(spec, pset, xb)
             pset.values -= adam.step(g, tr.warmup_lr(1e-2, step, 100))
         flow_ll = float(mz.score_logdensity(spec, pset, test_x).mean())
 

@@ -31,7 +31,7 @@ class TestLoadCsv:
         p = tmp_path / "t.csv"
         p.write_text("a,label\n1,setosa\n2,virginica\n3,setosa\n")
         table = dt.load_csv(str(p), label_column="label")
-        assert table.class_names == ["setosa", "virginica"]
+        assert_sorted_name_codes(table.labels, ["setosa", "virginica", "setosa"])
         assert table.labels.tolist() == [0, 1, 0]
 
     def test_noncontiguous_int_labels_remapped(self, tmp_path):
@@ -98,7 +98,8 @@ class TestLoadCsv:
         p.write_text('a,label\n1,"iris, setosa"\n2,"say ""hi"""\n3,"iris, setosa"\n'
                      '4,"two\nlines"\n')
         table = dt.load_csv(str(p), label_column="label")
-        assert table.class_names == ["iris, setosa", 'say "hi"', "two\nlines"]
+        assert_sorted_name_codes(table.labels,
+                                 ["iris, setosa", 'say "hi"', "iris, setosa", "two\nlines"])
         assert table.labels.tolist() == [0, 1, 0, 2]
         assert table.features.ravel().tolist() == [1.0, 2.0, 3.0, 4.0]
 
@@ -119,7 +120,7 @@ class TestLoadCsv:
         table = dt.load_csv(str(p), label_column="label")
         assert table.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
         assert table.labels.tolist() == [1, 0]
-        assert table.class_names == ["3", "7"]
+        assert np.unique(table.labels).size == 2
 
     def test_single_data_row(self, tmp_path):
         p = tmp_path / "t.csv"
@@ -127,7 +128,7 @@ class TestLoadCsv:
         table = dt.load_csv(str(p), label_column="label")
         assert table.features.shape == (1, 2)
         assert table.labels.tolist() == [0]
-        assert table.class_names == ["x"]
+        assert_sorted_name_codes(table.labels, ["x"])
 
     def test_ragged_rows_reported_by_line(self, tmp_path):
         p = tmp_path / "t.csv"
@@ -164,6 +165,13 @@ def _spring():
     raise AssertionError("the sidecar was unpickled")
 
 
+def assert_sorted_name_codes(labels, names):
+    """``labels`` are the rows' categorical ``names`` as codes, one per
+    distinct name, numbered in sorted-name order."""
+    assert labels.tolist() == [sorted(set(names)).index(name) for name in names]
+    assert np.unique(labels).size == len(set(names))
+
+
 class _Trap:
     def __reduce__(self):
         return _spring, ()
@@ -178,8 +186,6 @@ def _assert_same_table(got, want):
     else:
         assert got.labels.dtype == want.labels.dtype
         assert got.labels.tobytes() == want.labels.tobytes()
-    assert got.class_names == want.class_names
-    assert [type(c) for c in got.class_names or []] == [str] * len(want.class_names or [])
     assert got.source == want.source
 
 
@@ -248,7 +254,8 @@ class TestCsvCache:
         table = dt.load_csv(str(p), "b")
         assert len(parses) > n
         assert table.features.tolist() == [[1.0, 0.0], [2.0, 1.0]]
-        assert table.class_names == ["5", "6"]
+        assert table.labels.tolist() == [0, 1]
+        assert np.unique(table.labels).size == 2
         n = len(parses)
         assert dt.load_csv(str(p)).features.shape == (2, 3)
         assert len(parses) > n
@@ -319,7 +326,7 @@ class TestCsvCache:
             table = dt.load_csv(str(p), "label")
             assert len(parses) > n
             assert table.features.tolist() == [[1.0], [2.0]]
-            assert table.class_names == ["x", "y"]
+            assert_sorted_name_codes(table.labels, ["x", "y"])
         assert sorted(os.listdir(tmp_path)) == ["t.csv", SIDECAR]
         assert (tmp_path / SIDECAR).is_dir()
 

@@ -198,8 +198,6 @@ class TestEnergy:
              lambda s, p: mz.mlp_forward(s, p, x)[0].value[:, 0]),
             (mz.ModelSpec(input_dim=2, hidden=[4], head="logits", n_classes=3),
              lambda s, p: -ad.logsumexp(mz.mlp_forward(s, p, x)[0], axis=1).value),
-            (mz.ModelSpec(input_dim=2, head="flow", n_flow_layers=2),
-             lambda s, p: -mz.flow_logdensity(s, p, x).value),
         ]
         for spec, expected in cases:
             pset = mz.init_params(spec, 1)
@@ -213,12 +211,21 @@ class TestEnergy:
         with pytest.raises(mz.ModelError):
             graph_energy(spec, mz.init_params(spec, 0), np.zeros((1, 2)))
 
+    def test_flow_head_has_no_energy_graph(self):
+        spec = mz.ModelSpec(input_dim=2, head="flow", n_flow_layers=2)
+        with pytest.raises(mz.ModelError, match="graphs cover MLP heads; a flow is scored with "
+                                                 "score_logdensity"):
+            graph_energy(spec, mz.init_params(spec, 0), np.zeros((1, 2)))
+
     @pytest.mark.parametrize("shape", [(3,), (), (2, 1, 3), (2, 4)])
     def test_only_n_by_d_batches(self, shape):
-        for spec in (small_energy_spec(), mz.ModelSpec(input_dim=3, head="flow",
-                                                       n_flow_layers=1)):
+        spec = small_energy_spec()
+        with pytest.raises(mz.ModelError):
+            graph_energy(spec, mz.init_params(spec, 0), np.zeros(shape))
+        flow = mz.ModelSpec(input_dim=3, head="flow", n_flow_layers=1)
+        for fn in (mz.score_logdensity, mz.input_grad, obj.flow_nll):
             with pytest.raises(mz.ModelError):
-                graph_energy(spec, mz.init_params(spec, 0), np.zeros(shape))
+                fn(flow, mz.init_params(flow, 0), np.zeros(shape))
         with pytest.raises(mz.ModelError):
             mz.radial_forward(np.zeros(3), 0.1, 0.1, np.zeros(shape))
 
@@ -254,8 +261,12 @@ class TestEnergy:
 
 
 def engine_input_grad(spec, pset, x):
+    """The engine's dE/dx of the summed energy: ``energy``'s graph, or for a
+    flow the node-by-node reference."""
     xn = ad.leaf(x)
-    (g,) = ad.grad(ad.reduce_sum(graph_energy(spec, pset, xn)), [xn])
+    e = (ad.neg(engine_flow_logdensity(spec, mz.param_nodes(pset), xn)) if spec.head == "flow"
+         else graph_energy(spec, pset, xn))
+    (g,) = ad.grad(ad.reduce_sum(e), [xn])
     return g.value
 
 
@@ -274,7 +285,7 @@ def perturbed_params(spec, seed=3):
 
 class TestInputGrad:
     """``input_grad`` is the engine's input gradient, byte for byte (flows:
-    ``TestFusedFlow``)."""
+    ``TestNumpyFlow``)."""
 
     @pytest.mark.parametrize("n", [1, 64])
     @pytest.mark.parametrize("bottleneck", [None, 0.5])
@@ -473,34 +484,34 @@ class TestFlowDensity:
         pset = mz.init_params(spec, 0)
         for i in range(k):
             pset.arrays()[f"flow{i}.z0"][:] = 0.0  # beta == 0 already at init
-        return spec, mz.param_nodes(pset)
+        return spec, pset
 
     def test_identity_flow_at_origin(self):
-        spec, leaves = self._identity_flow(2)
-        assert mz.flow_logdensity(spec, leaves, np.zeros((1, 2))).value == pytest.approx(
+        spec, pset = self._identity_flow(2)
+        assert mz.score_logdensity(spec, pset, np.zeros((1, 2)))[0] == pytest.approx(
             -math.log(2 * math.pi), abs=1e-9
         )
 
     def test_identity_flow_general_point(self):
-        spec, leaves = self._identity_flow(3)
+        spec, pset = self._identity_flow(3)
         rng = np.random.default_rng(0)
         x = rng.normal(size=(5, 3))
         expected = -0.5 * (x**2).sum(axis=1) - 1.5 * math.log(2 * math.pi)
-        assert np.allclose(mz.flow_logdensity(spec, leaves, x).value, expected, atol=1e-9)
+        assert np.allclose(mz.score_logdensity(spec, pset, x), expected, atol=1e-9)
 
     def test_1d_density_integrates_to_one(self):
         spec = mz.ModelSpec(input_dim=1, head="flow", n_flow_layers=1)
         pset = mz.init_params(spec, 5)
         pset.arrays()["flow0.beta_hat"][...] = 1.5  # non-trivial transform
         grid = np.linspace(-20, 20, 20001)
-        logp = mz.flow_logdensity(spec, mz.param_nodes(pset), grid[:, None]).value
+        logp = mz.score_logdensity(spec, pset, grid[:, None])
         integral = np.trapezoid(np.exp(logp), grid)
         assert integral == pytest.approx(1.0, abs=1e-3)
 
 
 def engine_radial_layer(z0, alpha_hat, beta_hat, x):
     """The radial layer built node by node on the engine: the reference the
-    fused ``flow_logdensity`` must equal byte for byte."""
+    numpy flow must equal byte for byte."""
     alpha = ad.softplus(alpha_hat)
     beta = ad.add(ad.neg(alpha), ad.softplus(beta_hat))
     diff = ad.add(x, ad.neg(z0))
@@ -528,21 +539,22 @@ def engine_flow_logdensity(spec, pn, x):
     return ad.add(base, total)
 
 
-def flow_results(spec, pset, x, fused=True):
-    """The log-density, the ``flow_nll`` parameter gradient and the input
-    gradient of the summed energy, on leaves over ``pset``: through the
-    package, or (``fused=False``) through the node-by-node reference."""
-    if fused:
-        logdensity, nll, energy = mz.flow_logdensity, obj.flow_nll, mz.energy
-    else:
-        logdensity = engine_flow_logdensity
-        nll = lambda *a: ad.mean(ad.neg(engine_flow_logdensity(*a)))
-        energy = lambda *a: ad.neg(engine_flow_logdensity(*a))
+def engine_flow_results(spec, pset, x):
+    """The node-by-node reference's log-density, flow NLL and its flat
+    parameter gradient, and the input gradient of the summed energy."""
     leaves = mz.param_nodes(pset)
-    param_grad = [g.value for g in ad.grad(nll(spec, leaves, x), list(leaves.values()))]
-    xn = ad.leaf(x)
-    (input_grad,) = ad.grad(ad.reduce_sum(energy(spec, leaves, xn)), [xn])
-    return [logdensity(spec, leaves, x).value, *param_grad, input_grad.value]
+    nll = ad.mean(ad.neg(engine_flow_logdensity(spec, leaves, x)))
+    param_grad = np.concatenate([g.value.ravel()
+                                 for g in ad.grad(nll, list(leaves.values()))])
+    return [engine_flow_logdensity(spec, leaves, x).value, np.asarray(float(nll.value)),
+            param_grad, engine_input_grad(spec, pset, x)]
+
+
+def numpy_flow_results(spec, pset, x):
+    """The same four results from the package, without the engine."""
+    value, grad = obj.flow_nll(spec, pset, x)
+    return [mz.score_logdensity(spec, pset, x), np.asarray(value), grad,
+            mz.input_grad(spec, pset, x)]
 
 
 def perturbed_flow(n_layers, d, seed=0):
@@ -552,8 +564,9 @@ def perturbed_flow(n_layers, d, seed=0):
     return spec, pset
 
 
-class TestFusedFlow:
-    """``flow_logdensity`` is one engine node equal to the node-by-node graph."""
+class TestNumpyFlow:
+    """The numpy radial flow (its log-density, ``flow_nll``'s value and
+    gradient, and ``input_grad``) equals the node-by-node graph."""
 
     @pytest.mark.parametrize("n", [1, 7, 64])
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -561,40 +574,26 @@ class TestFusedFlow:
     def test_equals_engine(self, n_layers, d, n):
         spec, pset = perturbed_flow(n_layers, d, seed=10 * n_layers + d)
         x = np.random.default_rng(n).normal(size=(n, d)) * 2.0
-        expected = flow_results(spec, pset, x, fused=False)
-        got = flow_results(spec, pset, x)
+        expected = engine_flow_results(spec, pset, x)
+        got = numpy_flow_results(spec, pset, x)
         assert [a.shape for a in got] == [a.shape for a in expected]
-        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
-        assert np.array_equal(mz.input_grad(spec, pset, x), expected[-1])
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, expected))
 
     def test_nonfinite_rows_match_engine(self):
         spec, pset = perturbed_flow(3, 2)
         x = np.random.default_rng(0).normal(size=(7, 2))
         x[1, 0], x[2, 1], x[3, 0], x[4], x[5, 1] = np.inf, -np.inf, np.nan, 1e300, 1e160
         with np.errstate(all="ignore"):
-            expected = flow_results(spec, pset, x, fused=False)
-            got = flow_results(spec, pset, x) + [mz.input_grad(spec, pset, x)]
-        expected.append(expected[-1])
+            expected = engine_flow_results(spec, pset, x)
+            got = numpy_flow_results(spec, pset, x)
         assert not np.all(np.isfinite(expected[0]))
         for a, b in zip(got, expected):
             assert np.array_equal(np.isnan(a), np.isnan(b))
             assert np.array_equal(a, b, equal_nan=True)
 
-    def test_second_derivative_refused(self):
-        spec, pset = perturbed_flow(2, 2)
-        leaves = mz.param_nodes(pset)
-        xn = ad.leaf(np.ones((3, 2)))
-        (gx,) = ad.grad(ad.reduce_sum(mz.energy(spec, leaves, xn)), [xn])
-        with pytest.raises(ad.AutodiffError, match="flow_logdensity has no second derivative"):
-            ad.grad(ad.reduce_sum(ad.square(gx)), list(leaves.values()))
-        with pytest.raises(ad.AutodiffError, match="flow_logdensity has no second derivative"):
-            ad.grad(ad.reduce_sum(gx), [xn])
-
     @pytest.mark.parametrize("n_layers", [1, 20])
-    def test_builds_one_node(self, monkeypatch, n_layers):
+    def test_flow_nll_builds_no_nodes(self, monkeypatch, n_layers):
         spec, pset = perturbed_flow(n_layers, 2)
-        leaves = mz.param_nodes(pset)
-        x = ad.constant(np.ones((4, 2)))
         created = []
         init = ad.Node.__init__
 
@@ -603,8 +602,8 @@ class TestFusedFlow:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(ad.Node, "__init__", counting_init)
-        mz.flow_logdensity(spec, leaves, x)
-        assert len(created) == 1
+        obj.flow_nll(spec, pset, np.ones((4, 2)))
+        assert created == []
 
 
 class TestClassifierEmbed:
@@ -645,12 +644,21 @@ CHECKPOINT_FAULTS = {
     "unknown-key": "checkpoint spec: unknown keys ['width'], missing keys []",
     "missing-key": "checkpoint spec: unknown keys [], missing keys ['activation']",
     "no-spec": "missing keys ['activation', 'bottleneck_factor', 'head', 'hidden'",
+    "str-input-dim": "input_dim must be of type int, got '3'",
+    "int-hidden": "hidden must be of type list[int], got 4",
+    "str-bottleneck": "bottleneck_factor must be of type float | None, got '0.5'",
+    "str-parameter": "checkpoint parameters must be a list of numbers",
+    "object-parameters": "checkpoint parameters must be a list of numbers",
+    "list-metadata": "checkpoint metadata must be a JSON object",
+    "list-document": "checkpoint must be a JSON object, got list",
 }
 
 
 def damage_checkpoint(doc, damage):
     """A checkpoint document with one fault: a non-finite first or last
-    parameter, a spec key ``ModelSpec`` lacks, a missing one, or no spec."""
+    parameter, a spec key ``ModelSpec`` lacks, a missing one, no spec, a
+    spec value or parameter of the wrong type, parameters or metadata that
+    are not what they should hold, or a document that is not an object."""
     if damage == "inf-parameter":
         doc["parameters"][-1] = float("inf")
     elif damage == "nan-parameter":
@@ -659,8 +667,22 @@ def damage_checkpoint(doc, damage):
         doc["spec"]["width"] = 8
     elif damage == "missing-key":
         del doc["spec"]["activation"]
-    else:
+    elif damage == "no-spec":
         del doc["spec"]
+    elif damage == "str-input-dim":
+        doc["spec"]["input_dim"] = "3"
+    elif damage == "int-hidden":
+        doc["spec"]["hidden"] = 4
+    elif damage == "str-bottleneck":
+        doc["spec"]["bottleneck_factor"] = "0.5"
+    elif damage == "str-parameter":
+        doc["parameters"][0] = "x"
+    elif damage == "object-parameters":
+        doc["parameters"] = {"layer0.W": doc["parameters"]}
+    elif damage == "list-metadata":
+        doc["metadata"] = [doc["metadata"]]
+    else:
+        doc = [doc]
     return doc
 
 

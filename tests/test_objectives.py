@@ -219,25 +219,28 @@ class TestFlowNll:
         pset = mz.init_params(spec, 0)
         x = np.random.default_rng(0).normal(size=(8, 2))
         expected = (0.5 * (x**2).sum(axis=1) + math.log(2 * math.pi)).mean()
-        nll = obj.flow_nll(spec, mz.param_nodes(pset), x).value
+        nll, grad = obj.flow_nll(spec, pset, x)
         assert nll == pytest.approx(expected, abs=1e-9)
+        assert grad.shape == (pset.size,)
 
     def test_gradient_matches_fd(self):
         spec = mz.ModelSpec(input_dim=1, head="flow", n_flow_layers=1)
         pset = mz.init_params(spec, 7)
         x = np.array([[0.3], [-1.2], [2.0]])
-        leaves = mz.param_nodes(pset)
-        grads = ad.grad(obj.flow_nll(spec, leaves, x), list(leaves.values()))
-        flat = np.concatenate([g.value.ravel() for g in grads])
+        _, flat = obj.flow_nll(spec, pset, x)
         h = 1e-6
         for i in range(pset.values.size):
             vp = pset.copy()
             vp.values[i] += h
             vm = pset.copy()
             vm.values[i] -= h
-            fd = (obj.flow_nll(spec, mz.param_nodes(vp), x).value
-                  - obj.flow_nll(spec, mz.param_nodes(vm), x).value) / (2 * h)
+            fd = (obj.flow_nll(spec, vp, x)[0] - obj.flow_nll(spec, vm, x)[0]) / (2 * h)
             assert flat[i] == pytest.approx(fd, abs=1e-4)
+
+    def test_mlp_head_rejected(self):
+        spec = mz.ModelSpec(input_dim=2, hidden=[4])
+        with pytest.raises(obj.ObjectiveError, match="flow_nll requires a flow head"):
+            obj.flow_nll(spec, mz.init_params(spec, 0), np.zeros((1, 2)))
 
 
 class TestJemLoss:

@@ -130,8 +130,8 @@ class TestClosedFormInputGradient:
                                np.random.default_rng(2))
         assert fast.tobytes() == engine.tobytes()
 
-    def test_flow_energy_runs_on_the_engine(self):
-        # a flow's input gradient is the backward of its fused engine node
+    def test_flow_chain_matches_engine(self):
+        # a flow's numpy input gradient against the node-by-node graph
         spec = mz.ModelSpec(input_dim=2, head="flow", n_flow_layers=2)
         pset = mz.init_params(spec, 0)
         logp = functools.partial(mz.score_logdensity, spec, pset)

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import multiprocessing
 import os
 import signal
@@ -12,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from ebmlab import autodiff as ad
 from ebmlab import cli
 from ebmlab import models as mz
 from ebmlab import objectives as obj
@@ -327,6 +329,31 @@ class TestTrain:
                                      vera={"n_posterior_samples": 3, "latent_dim": 4}))
         assert len(result.history["loss"]) == 5 and not result.history["diverged"]
         assert np.all(np.isfinite(result.params.values))
+
+    @pytest.mark.parametrize("objective, name", [("nf", "flow_nll"), ("ce", "ce_loss")])
+    def test_nonfinite_loss_stops_at_the_best_finite_checkpoint(self, monkeypatch, objective,
+                                                                 name):
+        # the numpy step (nf) and an engine objective's loss node (ce) turn
+        # non-finite at step k; selection runs every step
+        k = 4
+        config = dict(objective=objective, steps=10, eval_interval=1, n_flow_layers=3)
+        finite = tr.train(toy_config(**dict(config, steps=k - 1)))
+        calls, real = [], getattr(tr, name)
+
+        def diverging(*args):
+            calls.append(1)
+            out = real(*args)
+            if len(calls) < k:
+                return out
+            return (math.nan, out[1]) if objective == "nf" else ad.add(out, math.nan)
+
+        monkeypatch.setattr(tr, name, diverging)
+        result = tr.train(toy_config(**config))
+        assert result.history["diverged"] and len(calls) == k
+        assert len(result.history["loss"]) == k - 1
+        assert np.all(np.isfinite(result.params.values))
+        assert result.params.values.tobytes() == finite.params.values.tobytes()
+        assert result.report.to_dict() == finite.report.to_dict()
 
     def test_jem_gamma_one(self):
         result = tr.train(toy_config(gamma=1.0, steps=10))
@@ -1044,7 +1071,9 @@ class TestCli:
         assert not any(out.glob("*.csv"))
 
     @pytest.mark.parametrize("command", ["evaluate", "diagnose-norm", "ascend"])
-    @pytest.mark.parametrize("damage", ["nan-parameter", "unknown-key"])
+    @pytest.mark.parametrize("damage", ["nan-parameter", "unknown-key", "str-input-dim",
+                                        "int-hidden", "str-bottleneck", "str-parameter",
+                                        "object-parameters", "list-metadata", "list-document"])
     def test_damaged_checkpoint_exits_1(self, trained_checkpoint, tmp_path, capsys, command,
                                         damage):
         with open(trained_checkpoint) as fh:
