@@ -6,7 +6,9 @@ energy. Values and input gradients (``score_logdensity``, ``input_grad``,
 ``classifier_embed``) run in numpy on a ParameterSet, doing the engine's
 float operations in its order; tests prove them byte-equal to the engine.
 Scoring and embedding equal the engine run over fixed row blocks of hidden
-layers, with the head on the whole batch. The radial flow runs in numpy
+layers, with the head on the whole batch; a set's blocks run on up to one
+thread per usable CPU, and the bytes depend neither on that count nor on
+which thread runs a block. The radial flow runs in numpy
 only (``_flow``), parameter adjoints included. Graphs (``energy``,
 ``mlp_forward``) cover MLP heads, on ``param_nodes`` leaves, only for
 parameter and second-order gradients.
@@ -14,6 +16,8 @@ parameter and second-order gradients.
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import json
 import math
 import numbers
@@ -214,61 +218,128 @@ def mlp_forward(spec: ModelSpec, pn: dict[str, ad.Node], x) -> tuple[ad.Node, ad
     return ad.add(ad.matmul(h, pn["head.W"]), pn["head.b"]), h
 
 
-def _hidden_values(spec: ModelSpec, p: dict[str, np.ndarray], x):
+@functools.cache
+def _hidden_maps(depth: int, bottleneck: bool) -> tuple[tuple[str, bool], ...]:
+    """(parameter block, activated) of each affine map of ``depth`` hidden
+    layers, with or without bottlenecks, in ``mlp_forward``'s order."""
+    parts = [("", True)] + [(".bn_down", True), (".bn_up", False)] * bottleneck
+    return tuple((f"layer{i}{part}", act) for i in range(depth) for part, act in parts)
+
+
+def _hidden_values(spec: ModelSpec, p: dict[str, np.ndarray], x, bufs=None):
     """The hidden layers of ``mlp_forward`` in numpy on the parameter arrays
     ``p``: (penultimate activations, back), where ``back(g)`` maps an adjoint
     of the penultimate activations to the input adjoint as ``ad.grad``
-    would, overwriting ``g``, which must be a fresh array."""
+    would, overwriting ``g``, which must be a fresh array.
+
+    Given ``bufs``, an ``(out, scratch)`` pair as ``_hidden_blocks`` makes it,
+    a value-only pass that allocates no array: the affine maps write
+    alternately into ``scratch``'s first two flat buffers, the last one into
+    ``out``, the activations run in place through the rest of ``scratch``,
+    and ``(out, None)`` is returned. The float operations are the same."""
     h = np.asarray(x, dtype=np.float64)
     _check_batch(h, spec.input_dim)
+    out, scratch = bufs or (None, None)
+    maps = _hidden_maps(len(spec.hidden), spec.has_bottleneck)
     factors = []  # per activation, a function giving its vjp's factor
-    for i in range(len(spec.hidden)):
-        h, f = _activation_np(spec, _affine(h, p, f"layer{i}"))
-        factors.append(f)
-        if spec.has_bottleneck:
-            d, f = _activation_np(spec, _affine(h, p, f"layer{i}.bn_down"))
+    for k, (name, activated) in enumerate(maps):
+        into = out
+        if bufs and k < len(maps) - 1:
+            into = _view(scratch[k % 2], (len(h), p[f"{name}.W"].shape[1]))
+        h = _affine(h, p, name, into)
+        if activated:
+            h, f = _activation_np(spec, h, scratch and scratch[2:])
             factors.append(f)
-            h = _affine(d, p, f"layer{i}.bn_up")
+    if bufs:
+        if not maps:
+            out[...] = h
+        return out, None
 
     def back(g):
         # ad.matmul's vjp is g @ W.T; ad.add passes g through unchanged.
         # Each factor multiplies the fresh matmul result in place.
         rest = iter(reversed(factors))
-        for i in reversed(range(len(spec.hidden))):
-            if spec.has_bottleneck:
-                g = g @ p[f"layer{i}.bn_up.W"].T
+        for name, activated in reversed(maps):
+            if activated:
                 g *= next(rest)()
-                g = g @ p[f"layer{i}.bn_down.W"].T
-            g *= next(rest)()
-            g = g @ p[f"layer{i}.W"].T
+            g = g @ p[f"{name}.W"].T
         return g
 
     return h, back
+
+
+def _view(flat: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The first items of a flat buffer as a C-contiguous array of ``shape``."""
+    return flat[:math.prod(shape)].reshape(shape)
 
 
 # Rows per block of a value-only MLP pass; a multiple of BLAS row unrolls
 _BLOCK_ROWS = 2048
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity outside Linux
+        return os.cpu_count() or 1
+
+
 def _mlp_outputs(spec: ModelSpec, pset: ParameterSet, x):
     """``mlp_forward``'s values, (head output, penultimate activations), in
     numpy, for callers that need no backward. The hidden layers run over
     consecutive ``_BLOCK_ROWS``-row blocks, the last taking the rest (fewer
-    than twice that), so each temporary stays cache-sized; the head then
-    runs on the whole batch. The bytes are the engine's, run the same way."""
+    than twice that), so each temporary stays cache-sized; one block runs
+    in this thread, two or more on ``_hidden_blocks``'s threads. The head
+    then runs on the whole batch in this thread. The bytes are the
+    engine's, run the same way."""
     x, p = np.asarray(x, dtype=np.float64), pset.arrays()
     _check_batch(x, spec.input_dim)
     n = x.shape[0]
     h = np.empty((n, (spec.hidden or [spec.input_dim])[-1]))
     starts = range(0, max(n - _BLOCK_ROWS + 1, 1), _BLOCK_ROWS)
-    for a, b in zip(starts, [*starts[1:], n]):
-        h[a:b] = _hidden_values(spec, p, x[a:b])[0]
+    blocks = list(zip(starts, [*starts[1:], n]))
+    if len(blocks) == 1:
+        h[...] = _hidden_values(spec, p, x)[0]
+    else:
+        _hidden_blocks(spec, p, x, blocks, h)
     return _affine(h, p, "head"), h
 
 
-def _affine(h: np.ndarray, p: dict[str, np.ndarray], name: str) -> np.ndarray:
-    """``ad.add(ad.matmul(h, W), b)``'s value, the add in place."""
-    a = h @ p[f"{name}.W"]
+def _hidden_blocks(spec: ModelSpec, p: dict[str, np.ndarray], x: np.ndarray,
+                   blocks: list[tuple[int, int]], out: np.ndarray):
+    """Write the penultimate activations of each block ``x[a:b]`` of
+    ``blocks`` into ``out[a:b]``, on a pool of one thread per usable CPU, at
+    most one per block, joined before this returns or raises.
+
+    With k threads, worker j takes every k-th block from block j and runs
+    each through ``_hidden_values`` on buffers made here, once per call, so
+    the workers allocate no arrays. They run in copies of this thread's
+    context, so ``np.errstate`` holds in them. The bytes do not depend on
+    which thread runs a block or on how many there are."""
+    # imported here, as it loads logging: a process that never scores two
+    # blocks does not pay for it
+    from concurrent.futures import ThreadPoolExecutor
+
+    def run(mine, scratch):
+        for a, b in mine:
+            _hidden_values(spec, p, x[a:b], (out[a:b], scratch))
+
+    k, width = min(_usable_cpus(), len(blocks)), max(spec.hidden, default=0)
+    with ThreadPoolExecutor(k) as pool:
+        workers = []
+        for mine in (blocks[j::k] for j in range(k)):
+            size = max(b - a for a, b in mine) * width
+            scratch = (np.empty(size), np.empty(size), np.empty(size, dtype=bool),
+                       np.empty(size) if spec.activation != "relu" else None)
+            workers.append(pool.submit(contextvars.copy_context().run, run, mine, scratch))
+        for worker in workers:
+            worker.result()
+
+
+def _affine(h: np.ndarray, p: dict[str, np.ndarray], name: str, out=None) -> np.ndarray:
+    """``ad.add(ad.matmul(h, W), b)``'s value, the add in place, into ``out``
+    if given."""
+    a = np.matmul(h, p[f"{name}.W"], out=out)
     a += p[f"{name}.b"]
     return a
 
@@ -381,11 +452,31 @@ def _sigmoid(a: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-a))
 
 
-def _activation_np(spec: ModelSpec, a: np.ndarray):
+def _activation_np(spec: ModelSpec, a: np.ndarray, scratch=None):
     """The activation's value at ``a``, overwriting ``a`` where that is
     exact, and a function giving the factor its vjp multiplies the adjoint
     by, computed as the ``ad.relu``/``ad.softplus``/``ad.leaky_relu``
-    primitives compute them. Softplus's factor is computed only when called."""
+    primitives compute them. Softplus's factor is computed only when called.
+
+    Given ``scratch``, flat (bool, float) buffers of at least ``a.size``
+    items (the float one unused by relu), the value overwrites ``a``
+    through them, by the same float operations, and no factor is made."""
+    if scratch is not None:
+        mask, t = scratch
+        if spec.activation == "softplus":
+            t = _view(t, a.shape)
+            np.negative(np.abs(a, out=t), out=t)
+            np.log1p(np.exp(t, out=t), out=t)
+            np.maximum(a, 0.0, out=a)
+            a += t
+        elif spec.activation == "relu":
+            a *= np.greater(a, 0, out=_view(mask, a.shape))  # times 1.0 or 0.0, as ad.relu
+        else:
+            factor = _view(t, a.shape)
+            factor[...] = spec.leaky_slope
+            np.copyto(factor, 1.0, where=np.greater(a, 0, out=_view(mask, a.shape)))
+            a *= factor
+        return a, None
     if spec.activation == "softplus":
         return _softplus(a), lambda: _sigmoid(a)
     if spec.activation == "relu":

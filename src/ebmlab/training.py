@@ -45,6 +45,7 @@ from .models import (
     ParameterSet,
     _atomic_write_json,
     _mlp_outputs,
+    _usable_cpus,
     energy,
     init_params,
     input_grad,
@@ -155,8 +156,11 @@ def check_fields(rules: dict, given: dict, block: str = "") -> dict:
     fields)`` says whether the value is allowed, ``fields`` being the
     block's values with defaults filled in, and ``want`` says what ok wants,
     with ``{field}`` placeholders filled from them. Fields are checked in
-    table order, so a rule may rely on the fields above it.
+    table order, so a rule may rely on the fields above it. A ``given`` that
+    is not a dict is a ConfigError too.
     """
+    if not isinstance(given, dict):
+        raise ConfigError(f"{block or 'config'} must be a JSON object, got {type(given).__name__}")
     unknown = sorted(set(given) - set(rules))
     if unknown:
         raise ConfigError(f"unknown {block or 'config'} keys: {unknown}")
@@ -516,13 +520,6 @@ def save_run(result: TrainResult, out_dir: str):
 def _run_label(name: str, config: RunConfig, embedded: bool) -> str:
     """The run's name, suffixed -S when gamma == 1 and -E when trained on embeddings."""
     return name + "-S" * (config.gamma == 1.0) + "-E" * embedded
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity outside Linux
-        return os.cpu_count() or 1
 
 
 def _worker_count(n_jobs: int) -> int:

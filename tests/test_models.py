@@ -2,6 +2,9 @@ import json
 import math
 import pickle
 import re
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 from ebmlab import autodiff as ad
 from ebmlab import models as mz
 from ebmlab import objectives as obj
+from ebmlab import training as tr
 
 
 def small_energy_spec(**kw):
@@ -415,15 +419,106 @@ class TestRowBlocks:
                 assert mz.classifier_embed(spec, pset, x).tobytes() == h.tobytes()
 
     def test_small_batch_is_one_hidden_values_call(self, monkeypatch):
+        # blocks run on worker threads in any order, so each set's block
+        # sizes are compared sorted
         calls = []
         hidden_values = mz._hidden_values
         monkeypatch.setattr(mz, "_hidden_values",
                             lambda *a: calls.append(len(a[2])) or hidden_values(*a))
         wide = block_spec(3, "relu", None, hidden=(64, 64, 64))
         narrow = block_spec(2, "leaky_relu", None, input_dim=16, hidden=(12, 12))
+        sizes = []
         for spec, n in [(wide, 2 * B - 1), (wide, 2 * B + 1), (narrow, 2 * B + 1)]:
+            calls.clear()
             mz.score_logdensity(spec, mz.init_params(spec, 0), np.zeros((n, spec.input_dim)))
-        assert calls == [2 * B - 1, B, B + 1, B, B + 1]
+            sizes.append(sorted(calls))
+        assert sizes == [[2 * B - 1], [B, B + 1], [B, B + 1]]
+
+    @pytest.mark.parametrize("spec", [
+        block_spec(3, "relu", None), block_spec("energy", "softplus", 0.5),
+        block_spec(2, "leaky_relu", None), block_spec(4, "relu", 0.5, hidden=()),
+    ], ids=lambda s: f"{s.head}-{s.activation}-{s.bottleneck_factor}-{len(s.hidden)}")
+    def test_bytes_do_not_depend_on_the_thread_count(self, spec, monkeypatch, time_limit):
+        """Scores, embeddings and head outputs of a four-block set are the
+        engine's at 1, 2 and 3 usable CPUs; at 3, one worker takes two
+        blocks, the first and the last. A short switch interval makes the
+        threads interleave often."""
+        n = 4 * B + 17
+        pset = perturbed_params(spec)
+        x = np.random.default_rng(n).normal(size=(n, spec.input_dim)) * 3.0
+        x[1, 0], x[-2, -1], x[B + 3] = np.inf, np.nan, 1e300
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with np.errstate(all="ignore"), time_limit(60):
+                out, h, expected = engine_on_blocks(spec, pset, x)
+                for cpus in (1, 2, 3):
+                    monkeypatch.setattr(mz, "_usable_cpus", lambda: cpus)
+                    got_out, got_h = mz._mlp_outputs(spec, pset, x)
+                    assert got_out.tobytes() == out.tobytes()
+                    assert got_h.tobytes() == h.tobytes()
+                    assert mz.score_logdensity(spec, pset, x).tobytes() == expected.tobytes()
+                    if spec.head == "logits":
+                        assert mz.classifier_embed(spec, pset, x).tobytes() == h.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_no_worker_thread_outlives_a_call(self, monkeypatch, time_limit):
+        """Blocks run on threads other than the caller's, and every one is
+        joined on return, so a suite can still fork afterwards; also when a
+        block raises."""
+        spec = block_spec(3, "relu", None)
+        pset, x = perturbed_params(spec), np.zeros((4 * B, spec.input_dim))
+        monkeypatch.setattr(mz, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(tr, "_usable_cpus", lambda: 2)
+        threads, hidden_values = set(), mz._hidden_values
+
+        def recording(*args):
+            threads.add(threading.get_ident())
+            return hidden_values(*args)
+
+        monkeypatch.setattr(mz, "_hidden_values", recording)
+        before = threading.active_count()
+        with time_limit(60):
+            mz.score_logdensity(spec, pset, x)
+        # the pool may hand a later job to a thread whose job is done
+        assert 1 <= len(threads) <= 3 and threading.get_ident() not in threads
+        assert threading.active_count() == before
+        assert tr._worker_count(2) == 2
+
+        def failing(*args):
+            if args[2][0, 0] == 1.0:
+                raise ValueError("block failed")
+            return hidden_values(*args)
+
+        x[B, 0] = 1.0  # the second block fails, the others run
+        monkeypatch.setattr(mz, "_hidden_values", failing)
+        with pytest.raises(ValueError, match="block failed"), time_limit(60):
+            mz.score_logdensity(spec, pset, x)
+        assert threading.active_count() == before
+        assert tr._worker_count(2) == 2
+
+    def test_errstate_holds_in_the_workers(self, monkeypatch):
+        """``np.errstate`` set by the caller governs every block: ignored
+        errors warn from no thread, and raised ones reach the caller, as
+        on one thread."""
+        spec = block_spec(3, "relu", None)
+        pset = perturbed_params(spec)
+        x = np.random.default_rng(0).normal(size=(3 * B + 5, spec.input_dim))
+        for a in range(0, 3 * B, B):  # in every block
+            x[a + 1, 0], x[a + 2, -1], x[a + 3, 1], x[a + 4], x[a + 5] = (
+                np.inf, -np.inf, np.nan, 1e300, 1e308)
+        for cpus in (1, 3):
+            monkeypatch.setattr(mz, "_usable_cpus", lambda: cpus)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with np.errstate(all="ignore"):
+                    mz.score_logdensity(spec, pset, x)
+            assert caught == []
+            for kind, message in [("over", "overflow"), ("invalid", "invalid value")]:
+                with pytest.raises(FloatingPointError, match=message):
+                    with np.errstate(all="ignore", **{kind: "raise"}):
+                        mz.score_logdensity(spec, pset, x)
 
 
 class TestRadialFlow:

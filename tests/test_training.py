@@ -875,6 +875,27 @@ class TestCli:
         assert cli.main(["train", "--config", path, "--out", str(tmp_path / "o")]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,doc,message", [
+        ("train", 5, "config must be a JSON object, got int"),
+        ("train", [1, 2], "config must be a JSON object, got list"),
+        ("train", "x", "config must be a JSON object, got str"),
+        ("sweep-gamma", 5, "config must be a JSON object, got int"),
+        ("suite", 5, "suite must be a JSON object, got int"),
+        ("evaluate", 5, "config must be a JSON object, got int"),
+    ])
+    def test_config_that_is_not_an_object_exits_1(self, tmp_path, capsys, command, doc, message):
+        path = str(tmp_path / "doc.json")
+        if command == "evaluate":  # a checkpoint whose metadata holds the config
+            spec = mz.ModelSpec(input_dim=2, hidden=[4])
+            mz.save_checkpoint(path, spec, mz.init_params(spec, 0), {"config": doc})
+        else:
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+        flag = {"train": "--config", "sweep-gamma": "--config", "suite": "--manifest",
+                "evaluate": "--checkpoint"}[command]
+        assert cli.main([command, flag, path, "--out", str(tmp_path / "o")]) == 1
+        assert message in capsys.readouterr().err
+
     def test_missing_file_exit_code(self, tmp_path):
         assert cli.main(["train", "--config", str(tmp_path / "absent.json"),
                          "--out", str(tmp_path / "o")]) == 1
