@@ -7,9 +7,12 @@ import contextlib
 import csv
 import functools
 import hashlib
+import itertools
 import json
 import math
+import mmap
 import os
+import re
 import uuid
 import zipfile
 from dataclasses import dataclass
@@ -144,41 +147,128 @@ def _write_cache(sidecar: str, key: str, table: LabeledTable):
             os.remove(tmp)  # gone already after a successful rename
 
 
+# Lines per np.loadtxt call of the CSV parse; a chunk runs on past this
+# until it ends outside a quoted cell
+_CHUNK_LINES = 1 << 14
+
+# the rest of a quoted cell, doubled quotes included, up to its closing quote
+_QUOTED_REST = re.compile(r'[^"]*(?:""[^"]*)*')
+
+
 def _parse_csv(path: str, label_column: str | None) -> LabeledTable:
+    """The table of a CSV file, parsed ``_CHUNK_LINES`` lines at a time into
+    preallocated feature columns and label codes. A chunk ends only outside
+    a quoted cell, so each chunk holds whole rows, and every chunk is
+    parsed with the same ``np.loadtxt`` settings."""
     with open(path, "r", encoding="utf-8") as fh:  # "\r\n" and "\r" read as "\n"
-        lines = fh.readlines()
-    numbers = [n for n, ln in enumerate(lines, start=1)
-               if ln != "\n" and not ln.startswith(("#", '"#'))]
-    if not numbers:
-        raise DataError(f"{path}: empty file")
-    header = next(csv.reader([lines[numbers[0] - 1]]))
-    if label_column is not None and label_column not in header:
-        raise DataError(f"{path}: missing label column {label_column!r}")
-    if header == [label_column]:
-        raise DataError(f"{path}: no feature columns")
-    label_idx = header.index(label_column) if label_column is not None else None
-    rows = [lines[n - 1] for n in numbers[1:]]
-    if not rows:
+        n_lines = sum(1 for _ in fh)  # decodes the whole file before any check
+        fh.seek(0)
+        header = next(filter(_is_row, fh), None)
+        if header is None:
+            raise DataError(f"{path}: empty file")
+        header = next(csv.reader([header]))
+        if label_column is not None and label_column not in header:
+            raise DataError(f"{path}: missing label column {label_column!r}")
+        if header == [label_column]:
+            raise DataError(f"{path}: no feature columns")
+        label_idx = header.index(label_column) if label_column is not None else None
+        dtype = [(f"c{i}", object if i == label_idx else np.float64) for i in range(len(header))]
+        parse = functools.partial(np.loadtxt, dtype=dtype, delimiter=",", quotechar='"',
+                                  comments=None, ndmin=1)
+        columns = [f"c{i}" for i in range(len(header)) if i != label_idx]
+        # in an anonymous map, not on the heap: once the table is split and
+        # freed, these pages go back to the system instead of leaving a
+        # table-sized hole for later small allocations to split
+        features = np.frombuffer(mmap.mmap(-1, n_lines * len(columns) * 8))
+        features = features.reshape(n_lines, len(columns))
+        codes = np.empty(n_lines, dtype=np.int64)  # labels numbered as they first appear
+        seen: dict[str, int] = {}
+        n = 0
+        for chunk in _chunks(fh):  # the lines after the header
+            try:
+                table = parse(chunk)
+            except ValueError:
+                raise _parse_error(path, parse) from None
+            end = n + len(table)
+            if end > n_lines:
+                raise DataError(f"{path}: the file changed while it was read")
+            for j, column in enumerate(columns):
+                features[n:end, j] = table[column]
+            if label_idx is not None:
+                distinct, inverse = np.unique(table[f"c{label_idx}"].astype(str),
+                                              return_inverse=True)
+                seen_codes = [seen.setdefault(name, len(seen)) for name in distinct.tolist()]
+                codes[n:end] = np.array(seen_codes)[inverse]
+            n = end
+    if not n:
         raise DataError(f"{path}: no data rows")
-    dtype = [(f"c{i}", object if i == label_idx else np.float64) for i in range(len(header))]
-    parse = functools.partial(np.loadtxt, dtype=dtype, delimiter=",", quotechar='"',
-                              comments=None, ndmin=1)
-    try:
-        table = parse(rows)
-    except ValueError as exc:
-        bad_lines = _rejected_lines(parse, rows, numbers[1:])
-        raise DataError(f"{path}: unparseable rows at lines {bad_lines}" if bad_lines
-                        else f"{path}: {exc}") from None
-    features = np.column_stack([table[f"c{i}"] for i in range(len(header)) if i != label_idx])
     labels = None
     if label_idx is not None:
-        names, inverse = np.unique(table[f"c{label_idx}"].astype(str), return_inverse=True)
+        names, inverse = np.unique(np.array(list(seen)), return_inverse=True)
         try:
             names = np.array([int(name) for name in names])
         except ValueError:
             pass  # categorical labels
-        labels = np.unique(names, return_inverse=True)[1][inverse]
-    return LabeledTable(features, labels, source=path)
+        labels = np.unique(names, return_inverse=True)[1][inverse][codes[:n]]
+    return LabeledTable(features[:n], labels, source=path)
+
+
+def _is_row(line: str) -> bool:
+    """Whether a line of a CSV file is its header or a data row: neither
+    blank nor a comment, which starts with ``#`` or ``"#``."""
+    return line != "\n" and not line.startswith(("#", '"#'))
+
+
+def _chunks(lines):
+    """The data rows among ``lines``, read ``_CHUNK_LINES`` lines at a time,
+    in lists that each end outside a quoted cell."""
+    chunk, quoted = [], False
+    for batch in iter(lambda: list(itertools.islice(lines, _CHUNK_LINES)), []):
+        batch = list(filter(_is_row, batch))
+        chunk += batch
+        for line in [line for line in batch if '"' in line]:
+            quoted = _ends_quoted(line, quoted)
+        if chunk and not quoted:
+            yield chunk
+            chunk = []
+    if chunk:
+        yield chunk
+
+
+def _ends_quoted(line: str, quoted: bool) -> bool:
+    """Whether ``np.loadtxt`` ends ``line``, begun inside a quoted cell if
+    ``quoted``, inside one. A cell is quoted when its first character is
+    ``"``; in it, ``""`` is a literal quote and a lone ``"`` ends the
+    quoting, the rest of the cell being read as it is."""
+    pos = 0
+    if not quoted:
+        quoted = line.startswith('"')
+        pos = int(quoted)
+    while True:
+        if quoted:
+            pos = _QUOTED_REST.match(line, pos).end()
+            if pos == len(line):
+                return True
+        comma = line.find(",", pos)
+        if comma < 0:
+            return False
+        quoted = line.startswith('"', comma + 1)
+        pos = comma + 1 + quoted
+
+
+def _parse_error(path: str, parse) -> DataError:
+    """The error for a file with a row ``parse`` rejects, found over all its
+    data rows at once, as a single ``parse`` call over them would find it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        kept = [(number, line) for number, line in enumerate(fh, start=1) if _is_row(line)]
+    numbers, rows = [number for number, _ in kept[1:]], [line for _, line in kept[1:]]
+    try:
+        parse(rows)
+    except ValueError as exc:
+        bad_lines = _rejected_lines(parse, rows, numbers)
+        return DataError(f"{path}: unparseable rows at lines {bad_lines}" if bad_lines
+                         else f"{path}: {exc}")
+    return DataError(f"{path}: the file changed while it was read")
 
 
 def _rejected_lines(parse, rows: list[str], numbers: list[int]) -> list[int]:
@@ -376,12 +466,16 @@ def two_moons_split(n: int, noise_std: float, margin: float, exclusion: float,
 
 
 def standardize(bundle: SplitBundle) -> SplitBundle:
-    """z-score every part with id_train statistics (std floored at 1e-8)."""
+    """z-score every part's features in place with id_train statistics (std
+    floored at 1e-8), so a split is standardized without a second copy of
+    the table; returns a bundle over the same arrays, checked finite."""
     mean = bundle.id_train.features.mean(axis=0)
     std = np.maximum(bundle.id_train.features.std(axis=0), 1e-8)
 
     def tf(part: LabeledTable) -> LabeledTable:
-        return LabeledTable((part.features - mean) / std, part.labels, part.source)
+        part.features -= mean
+        part.features /= std
+        return LabeledTable(part.features, part.labels, part.source)  # checks them finite
 
     return SplitBundle(**{k: tf(part) for k, part in bundle.parts().items()})
 

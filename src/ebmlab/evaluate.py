@@ -109,16 +109,16 @@ def ood_report(
         results.append({"ood_set": name, "auc_pr": ap, "group": groups.get(name, "natural")})
     selection = {}
     if bundle.ood_val.n > 0:
-        ap = _id_vs_ood_ap(_finite_scores(spec, params, bundle.id_val.features, "id_val"),
-                           _finite_scores(spec, params, bundle.ood_val.features, "ood_val"))
-        selection = {"metric": "auc_pr(id_val vs ood_val)", "auc_pr": ap}
+        selection = {"metric": "auc_pr(id_val vs ood_val)",
+                     "auc_pr": selection_score(spec, params, bundle)}
     return EvalReport(run=run_meta or {}, results=results, selection=selection)
 
 
 def selection_score(spec: ModelSpec, params, bundle: SplitBundle) -> float:
-    """Model-selection AP: id_val against ood_val."""
-    return _id_vs_ood_ap(score_logdensity(spec, params, bundle.id_val.features),
-                         score_logdensity(spec, params, bundle.ood_val.features))
+    """Model-selection AP: id_val against ood_val, whose scores must be
+    finite everywhere."""
+    return _id_vs_ood_ap(_finite_scores(spec, params, bundle.id_val.features, "id_val"),
+                         _finite_scores(spec, params, bundle.ood_val.features, "ood_val"))
 
 
 def unit_directions_through(anchor: np.ndarray, points: np.ndarray) -> np.ndarray:

@@ -5,10 +5,10 @@ This module decides how E(x) and dE/dx are computed for every head with an
 energy. Values and input gradients (``score_logdensity``, ``input_grad``,
 ``classifier_embed``) run in numpy on a ParameterSet, doing the engine's
 float operations in its order; tests prove them byte-equal to the engine.
-Scoring and embedding equal the engine run over fixed row blocks of hidden
-layers, with the head on the whole batch; a set's blocks run on up to one
-thread per usable CPU, and the bytes depend neither on that count nor on
-which thread runs a block. The radial flow runs in numpy
+Scoring, embedding and the head output equal the engine run over fixed row
+blocks, head included; a set's blocks run on up to one thread per usable
+CPU, and the bytes depend neither on that count nor on which thread runs a
+block. The radial flow runs in numpy
 only (``_flow``), parameter adjoints included. Graphs (``energy``,
 ``mlp_forward``) cover MLP heads, on ``param_nodes`` leaves, only for
 parameter and second-order gradients.
@@ -284,56 +284,79 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _mlp_outputs(spec: ModelSpec, pset: ParameterSet, x):
-    """``mlp_forward``'s values, (head output, penultimate activations), in
-    numpy, for callers that need no backward. The hidden layers run over
-    consecutive ``_BLOCK_ROWS``-row blocks, the last taking the rest (fewer
-    than twice that), so each temporary stays cache-sized; one block runs
-    in this thread, two or more on ``_hidden_blocks``'s threads. The head
-    then runs on the whole batch in this thread. The bytes are the
-    engine's, run the same way."""
+def _mlp_outputs(spec: ModelSpec, pset: ParameterSet, x, part: str) -> np.ndarray:
+    """One of ``mlp_forward``'s per-row values, in numpy, for callers that
+    need no backward: ``part`` of ``_block_part``. The hidden layers run
+    over consecutive ``_BLOCK_ROWS``-row blocks, the last taking the rest
+    (fewer than twice that), so each temporary stays cache-sized, and each
+    block's part is taken from its own penultimate rows, so no whole-set
+    (n, width) array is made unless ``part`` is "hidden". One block runs in
+    this thread, two or more on ``_hidden_blocks``'s threads. The bytes are
+    the engine's, run over the same blocks."""
     x, p = np.asarray(x, dtype=np.float64), pset.arrays()
     _check_batch(x, spec.input_dim)
     n = x.shape[0]
-    h = np.empty((n, (spec.hidden or [spec.input_dim])[-1]))
     starts = range(0, max(n - _BLOCK_ROWS + 1, 1), _BLOCK_ROWS)
     blocks = list(zip(starts, [*starts[1:], n]))
     if len(blocks) == 1:
-        h[...] = _hidden_values(spec, p, x)[0]
-    else:
-        _hidden_blocks(spec, p, x, blocks, h)
-    return _affine(h, p, "head"), h
+        h = _hidden_values(spec, p, x)[0]
+        if h is x:  # no hidden layer: the caller's own rows
+            h = h.copy()
+        return _block_part(spec, p, h, part)
+    return _hidden_blocks(spec, p, x, blocks, part)
+
+
+def _block_part(spec: ModelSpec, p: dict[str, np.ndarray], h: np.ndarray, part: str):
+    """``part`` of the rows whose penultimate activations are ``h``:
+    "hidden", ``h`` itself; "head", the head output; "score", the
+    log-density -E(x) of an energy or logits head."""
+    if part == "hidden":
+        return h
+    out = _affine(h, p, "head")
+    if part == "head":
+        return out
+    return -out[:, 0] if spec.head == "energy" else _logsumexp(out)[:, 0]
 
 
 def _hidden_blocks(spec: ModelSpec, p: dict[str, np.ndarray], x: np.ndarray,
-                   blocks: list[tuple[int, int]], out: np.ndarray):
-    """Write the penultimate activations of each block ``x[a:b]`` of
-    ``blocks`` into ``out[a:b]``, on a pool of one thread per usable CPU, at
-    most one per block, joined before this returns or raises.
+                   blocks: list[tuple[int, int]], part: str) -> np.ndarray:
+    """``_block_part`` of ``x``, each block ``x[a:b]`` of ``blocks`` writing
+    rows ``a:b`` of it, on a pool of one thread per usable CPU, at most one
+    per block, joined before this returns or raises.
 
     With k threads, worker j takes every k-th block from block j and runs
     each through ``_hidden_values`` on buffers made here, once per call, so
-    the workers allocate no arrays. They run in copies of this thread's
-    context, so ``np.errstate`` holds in them. The bytes do not depend on
-    which thread runs a block or on how many there are."""
+    the workers allocate no arrays but the head's (rows, outputs) ones.
+    They run in copies of this thread's context, so ``np.errstate`` holds
+    in them. The bytes do not depend on which thread runs a block or on
+    how many there are."""
     # imported here, as it loads logging: a process that never scores two
     # blocks does not pay for it
     from concurrent.futures import ThreadPoolExecutor
 
-    def run(mine, scratch):
+    def run(mine, scratch, penultimate):
         for a, b in mine:
-            _hidden_values(spec, p, x[a:b], (out[a:b], scratch))
+            h = out[a:b] if part == "hidden" else _view(penultimate, (b - a, width))
+            _hidden_values(spec, p, x[a:b], (h, scratch))
+            if part != "hidden":
+                out[a:b] = _block_part(spec, p, h, part)
 
-    k, width = min(_usable_cpus(), len(blocks)), max(spec.hidden, default=0)
+    k, width = min(_usable_cpus(), len(blocks)), (spec.hidden or [spec.input_dim])[-1]
+    row = {"hidden": (width,), "head": p["head.b"].shape, "score": ()}[part]
+    out = np.empty((len(x), *row))
     with ThreadPoolExecutor(k) as pool:
         workers = []
         for mine in (blocks[j::k] for j in range(k)):
-            size = max(b - a for a, b in mine) * width
+            rows = max(b - a for a, b in mine)
+            size = rows * max(spec.hidden, default=0)
             scratch = (np.empty(size), np.empty(size), np.empty(size, dtype=bool),
                        np.empty(size) if spec.activation != "relu" else None)
-            workers.append(pool.submit(contextvars.copy_context().run, run, mine, scratch))
+            penultimate = np.empty(rows * width) if part != "hidden" else None
+            workers.append(pool.submit(contextvars.copy_context().run, run, mine, scratch,
+                                       penultimate))
         for worker in workers:
             worker.result()
+    return out
 
 
 def _affine(h: np.ndarray, p: dict[str, np.ndarray], name: str, out=None) -> np.ndarray:
@@ -349,7 +372,7 @@ def classifier_embed(spec: ModelSpec, pset: ParameterSet, x) -> np.ndarray:
     engine's, computed over ``_mlp_outputs``'s row blocks."""
     if spec.head != "logits":
         raise ModelError("classifier_embed requires a logits head")
-    return _mlp_outputs(spec, pset, x)[1]
+    return _mlp_outputs(spec, pset, x, "hidden")
 
 
 def radial_forward(z0, alpha_hat, beta_hat, x):
@@ -523,16 +546,13 @@ def input_grad(spec: ModelSpec, pset: ParameterSet, x) -> np.ndarray:
 
 def score_logdensity(spec: ModelSpec, pset: ParameterSet, x) -> np.ndarray:
     """Unnormalized log-density log p~(x) = -E(x) per row, for OOD scoring;
-    ``-energy(...).value`` byte for byte, without graph nodes, an MLP's with
-    its hidden layers run over ``_mlp_outputs``'s row blocks."""
+    ``-energy(...).value`` byte for byte, without graph nodes, an MLP's run
+    over ``_mlp_outputs``'s row blocks, head included."""
     if spec.head == "flow":
         return _flow(spec, pset.arrays(), x)[0]
-    out, _ = _mlp_outputs(spec, pset, x)
-    if spec.head == "energy":
-        return -out[:, 0]
-    if spec.head == "logits":
-        return _logsumexp(out)[:, 0]
-    raise ModelError(f"no energy for head {spec.head!r}")
+    if spec.head not in ("energy", "logits"):
+        raise ModelError(f"no energy for head {spec.head!r}")
+    return _mlp_outputs(spec, pset, x, "score")
 
 
 def save_checkpoint(path: str, spec: ModelSpec, pset: ParameterSet, metadata: dict | None = None):

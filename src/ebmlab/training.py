@@ -235,8 +235,10 @@ _VERA = _with_defaults(VeraConfig, {
     "eta_max": (lambda v, p: _is_finite(v, p["eta_min"]), "a finite number >= eta_min {eta_min}"),
     "eta_init": (lambda v, p: _is_finite(v, p["eta_min"], p["eta_max"]),
                  "a number in [eta_min {eta_min}, eta_max {eta_max}]"),
-    "eta_lr": _POSITIVE, "gen_noise_std": _POSITIVE, "n_posterior_samples": _int(1),
-    "latent_dim": _int(1), "gen_lr": _POSITIVE,
+    "eta_lr": _POSITIVE,
+    # within these bounds, std**2 and log(2 pi std**2) are finite normal floats
+    "gen_noise_std": _num(1e-150, 1e150),
+    "n_posterior_samples": _int(1), "latent_dim": _int(1), "gen_lr": _POSITIVE,
     "gen_betas": (lambda v, p: _is_list(v, lambda b: _is_finite(b, 0, 1) and b < 1)
                   and len(v) == 2, "two numbers in [0, 1)"),
 })
@@ -464,7 +466,7 @@ def train(config: RunConfig, bundle: SplitBundle | None = None) -> TrainResult:
             return selection_score(spec, pset, bundle)
         if selection_mode == "val_ll":
             return float(score_logdensity(spec, pset, bundle.id_val.features).mean())
-        logits = _mlp_outputs(spec, pset, bundle.id_val.features)[0]
+        logits = _mlp_outputs(spec, pset, bundle.id_val.features, "head")
         return float((logits.argmax(axis=1) == bundle.id_val.labels).mean())
 
     for step in range(1, config.steps + 1):

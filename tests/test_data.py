@@ -1,9 +1,13 @@
+import csv
+import functools
 import os
 import stat
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ebmlab import data as dt
@@ -158,6 +162,128 @@ class TestLoadCsv:
             dt.LabeledTable(np.array([[1.0, np.nan]]))
 
 
+def reference_parse_csv(path, label_column):
+    """``load_csv``'s parse as one ``np.loadtxt`` call over every data row,
+    all lines read at once: the reference the chunked parse must equal."""
+    with open(path, "r", encoding="utf-8") as fh:  # "\r\n" and "\r" read as "\n"
+        lines = fh.readlines()
+    numbers = [n for n, ln in enumerate(lines, start=1)
+               if ln != "\n" and not ln.startswith(("#", '"#'))]
+    if not numbers:
+        raise dt.DataError(f"{path}: empty file")
+    header = next(csv.reader([lines[numbers[0] - 1]]))
+    if label_column is not None and label_column not in header:
+        raise dt.DataError(f"{path}: missing label column {label_column!r}")
+    if header == [label_column]:
+        raise dt.DataError(f"{path}: no feature columns")
+    label_idx = header.index(label_column) if label_column is not None else None
+    rows = [lines[n - 1] for n in numbers[1:]]
+    if not rows:
+        raise dt.DataError(f"{path}: no data rows")
+    dtype = [(f"c{i}", object if i == label_idx else np.float64) for i in range(len(header))]
+    parse = functools.partial(np.loadtxt, dtype=dtype, delimiter=",", quotechar='"',
+                              comments=None, ndmin=1)
+    try:
+        table = parse(rows)
+    except ValueError as exc:
+        bad_lines = dt._rejected_lines(parse, rows, numbers[1:])
+        raise dt.DataError(f"{path}: unparseable rows at lines {bad_lines}" if bad_lines
+                           else f"{path}: {exc}") from None
+    features = np.column_stack([table[f"c{i}"] for i in range(len(header)) if i != label_idx])
+    labels = None
+    if label_idx is not None:
+        names, inverse = np.unique(table[f"c{label_idx}"].astype(str), return_inverse=True)
+        try:
+            names = np.array([int(name) for name in names])
+        except ValueError:
+            pass  # categorical labels
+        labels = np.unique(names, return_inverse=True)[1][inverse]
+    return dt.LabeledTable(features, labels, source=path)
+
+
+# cells for a feature column: numbers, padded or quoted ones (one spanning
+# lines), then cells numpy rejects, rarer
+FEATURE_CELLS = ["1", "-2.5", " 3 ", "1e3", "0.1", '"4"', '"5\n"', '"6\r\n"'] * 5 + [
+    '""', "", "x", "inf", "nan", "1_0", '"7', '8"', '"9"0']
+# cells for a label column: integers, names, and quoted names holding a
+# comma, a doubled quote, line breaks, a blank line or a leading "#"; then,
+# rarer, quotes left open, which run on into the next lines
+LABEL_CELLS = ["0", "1", "2", " 1", "01", "10", "a", "b", "", 'e"f', '"g"h', '"a,b"', '"x""y"',
+               '"two\nlines"', '"\r\n\rb"', '"\n#c\n"', '"#d"'] * 3 + ['"c', '"', '"""']
+
+
+@st.composite
+def csv_texts(draw):
+    """(text, label column) of a small CSV file: a header after leading
+    comment and blank lines, rows of feature and label cells with the label
+    anywhere, ragged rows, blank and comment lines between them, and any
+    mix of line endings, the last one optional."""
+    width = draw(st.integers(1, 3))
+    label_at = draw(st.integers(0, width))
+    names = [f"x{i}" for i in range(width)]
+    names.insert(label_at, draw(st.sampled_from(["label"] * 4 + ['"label"', "y"])))
+    label_column = draw(st.sampled_from(["label"] * 6 + [None, "z"]))
+    cells = [st.sampled_from(LABEL_CELLS if i == label_at else FEATURE_CELLS)
+             for i in range(len(names))]
+    lines = draw(st.lists(st.sampled_from(["", "# note", '"# quoted note', "#"]), max_size=2))
+    lines.append(",".join(names))
+    kinds = ["row"] * 8 + ["ragged", "blank", "comment"]
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=12)):
+        if kind == "blank":
+            lines.append("")
+        elif kind == "comment":
+            lines.append(draw(st.sampled_from(["# note", '"# quoted note'])))
+        elif kind == "row":
+            lines.append(",".join(draw(cell) for cell in cells))
+        else:
+            lines.append(",".join(draw(st.lists(st.sampled_from(FEATURE_CELLS + LABEL_CELLS),
+                                                min_size=1, max_size=len(names) + 2))))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
+                         max_size=len(lines)))
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends)), label_column
+
+
+def _outcome(parse, path, label_column):
+    """What ``parse`` gives: its table or its error, and its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            table = parse(path, label_column)
+        except Exception as exc:  # compared, not handled
+            table = exc
+    return table, [(w.category, str(w.message)) for w in caught]
+
+
+class TestChunkedParse:
+    """``_parse_csv`` reads a file in chunks of ``_CHUNK_LINES`` lines; at
+    tiny chunk sizes, a chunk boundary falls between any two lines, so a
+    quoted cell spanning lines, comment and blank lines, a ragged or bad
+    row may sit on either side of it."""
+
+    @pytest.mark.parametrize("chunk_lines", [1, 2, 3])
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(case=csv_texts())
+    # a literal quote, then a quoted cell that spans two lines
+    @example(case=('label,x0\ne"f,"5\n"\n1,2\n', "label"))
+    # a rejected row that no half of the rows holds: the error is numpy's
+    @example(case=('label,x0\n0,"7\n0,1\n', "label"))
+    def test_equals_one_parse_of_all_rows(self, tmp_path_factory, chunk_lines, case):
+        text, label_column = case
+        path = str(tmp_path_factory.mktemp("csv") / "t.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        want, want_warnings = _outcome(reference_parse_csv, path, label_column)
+        with mock.patch.object(dt, "_CHUNK_LINES", chunk_lines):
+            got, got_warnings = _outcome(dt._parse_csv, path, label_column)
+        assert got_warnings == want_warnings
+        if isinstance(want, Exception):
+            assert (type(got), str(got)) == (type(want), str(want))
+        else:
+            _assert_same_table(got, want)
+
+
 SIDECAR = "t.csv.ebmlab-cache.npz"
 
 
@@ -287,6 +413,22 @@ class TestCsvCache:
         monkeypatch.undo()
         p.write_text("a,b\n1,2\n")
         assert dt.load_csv(str(p)).features.tolist() == [[1.0, 2.0]]
+
+    def test_rows_added_during_the_parse_are_an_error(self, tmp_path, monkeypatch):
+        # the parse counts the lines, then reads them again in chunks
+        p = tmp_path / "t.csv"
+        p.write_text("a,b\n1,2\n")
+        chunks = dt._chunks
+
+        def appended_first(lines):
+            with open(p, "a", encoding="utf-8") as fh:
+                fh.write("3,4\n5,6\n")
+            return chunks(lines)
+
+        monkeypatch.setattr(dt, "_chunks", appended_first)
+        with pytest.raises(dt.DataError, match="t.csv: the file changed while it was read"):
+            dt.load_csv(str(p))
+        assert os.listdir(tmp_path) == ["t.csv"]
 
     @pytest.mark.parametrize("damage", ["truncated", "garbage", "object array", "npy"])
     def test_broken_sidecar_is_parsed_over_and_rewritten(self, tmp_path, parses, damage):
@@ -579,12 +721,21 @@ class TestStandardize:
         assert np.allclose(sb.id_train.features.std(axis=0), 1.0, atol=1e-12)
 
     def test_other_parts_use_train_stats(self):
-        raw = self._bundle()
-        sb = dt.standardize(raw)
-        mean, std = raw.id_train.features.mean(axis=0), raw.id_train.features.std(axis=0)
+        raw = {name: part.features.copy() for name, part in self._bundle().parts().items()}
+        sb = dt.standardize(self._bundle())
+        mean, std = raw["id_train"].mean(axis=0), raw["id_train"].std(axis=0)
         for name, part in sb.parts().items():
-            expected = (raw.parts()[name].features - mean) / std
-            assert np.array_equal(part.features, expected), name
+            expected = (raw[name] - mean) / std
+            assert part.features.tobytes() == expected.tobytes(), name
+
+    def test_overflow_is_rejected(self):
+        # a constant train column floors its std at 1e-8, and 1e301 / 1e-8
+        # overflows in the OOD part
+        feats = np.zeros((40, 2))
+        feats[20:, 0] = 1e301
+        table = dt.LabeledTable(feats, np.array([0] * 20 + [1] * 20))
+        with pytest.raises(dt.DataError, match="non-finite"), np.errstate(over="ignore"):
+            dt.standardize(dt.class_removal_split(table, [1], seed=0))
 
     def test_constant_column_floor(self):
         # column 0 is 1 on every kept row and 2 on the removed class's rows

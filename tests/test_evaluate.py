@@ -135,6 +135,25 @@ class TestScoreDataset:
             ev.ood_report(spec, mz.init_params(spec, 0), separable_bundle(), {"bad": bad})
 
 
+    def test_selection_rejects_an_infinite_score(self):
+        """An infinite score would be ranked like any other; the selection
+        AP refuses it, naming the set, in training and in the report."""
+        spec = mz.ModelSpec(input_dim=1, hidden=[1], head="energy")
+        pset = mz.init_params(spec, 0)
+        pset.values[:] = 0.0
+        pset.arrays()["layer0.W"][:] = pset.arrays()["head.W"][:] = 1e200
+        parts = {name: dt.LabeledTable(np.array([[-1.0], [-2.0]]))
+                 for name in ("id_train", "id_val", "id_test", "ood_val", "ood_test")}
+        parts["ood_val"] = dt.LabeledTable(np.array([[-1.0], [3.0]]))  # E(3) = 9e400
+        bundle = dt.SplitBundle(**parts)
+        with np.errstate(over="ignore"):
+            assert mz.score_logdensity(spec, pset, bundle.ood_val.features)[1] == -np.inf
+            with pytest.raises(ev.EvalError, match="non-finite scores in 'ood_val'"):
+                ev.selection_score(spec, pset, bundle)
+            with pytest.raises(ev.EvalError, match="non-finite scores in 'ood_val'"):
+                ev.ood_report(spec, pset, bundle, {})
+
+
 def separable_bundle(seed=0):
     rng = np.random.default_rng(seed)
     feats = np.concatenate([rng.normal(size=(100, 2)), rng.normal(size=(100, 2)) + 10.0])

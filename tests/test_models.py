@@ -258,7 +258,7 @@ class TestEnergy:
                 if head == "flow":
                     continue
                 out, h = (node.value for node in mz.mlp_forward(spec, leaves, xs))
-                got_out, got_h = mz._mlp_outputs(spec, pset, xs)
+                got_out, got_h = numpy_outputs(spec, pset, xs)
                 assert got_out.tobytes() == out.tobytes() and got_h.tobytes() == h.tobytes()
                 if head == "logits":
                     assert mz.classifier_embed(spec, pset, xs).tobytes() == h.tobytes()
@@ -371,24 +371,27 @@ B = mz._BLOCK_ROWS
 
 
 def engine_on_blocks(spec, pset, x):
-    """The engine's hidden layers on each block of ``x``: ``len(x) // B``
-    blocks (at least one) of ``B`` rows, the last taking the rest. Then its
-    head and energy on the whole batch. Returns (head output, penultimate
-    activations, log-density)."""
+    """The engine on each block of ``x``: ``len(x) // B`` blocks (at least
+    one) of ``B`` rows, the last taking the rest, head included. Returns
+    (head output, penultimate activations, log-density)."""
     leaves, n = mz.param_nodes(pset), len(x)
     edges = [k * B for k in range(max(n // B, 1))] + [n]
-    h = np.concatenate([mz.mlp_forward(spec, leaves, x[a:b])[1].value
-                        for a, b in zip(edges, edges[1:])])
-    out = ad.add(ad.matmul(ad.leaf(h), leaves["head.W"]), leaves["head.b"])
-    energy = (ad.reshape(out, (n,)) if spec.head == "energy"
-              else ad.neg(ad.logsumexp(out, axis=-1)))
-    return out.value, h, ad.neg(energy).value
+    blocks = [x[a:b] for a, b in zip(edges, edges[1:])]
+    outputs = [mz.mlp_forward(spec, leaves, block) for block in blocks]
+    return (np.concatenate([out.value for out, _ in outputs]),
+            np.concatenate([h.value for _, h in outputs]),
+            np.concatenate([ad.neg(mz.energy(spec, leaves, block)).value for block in blocks]))
+
+
+def numpy_outputs(spec, pset, x):
+    """``_mlp_outputs``'s head output and penultimate activations."""
+    return mz._mlp_outputs(spec, pset, x, "head"), mz._mlp_outputs(spec, pset, x, "hidden")
 
 
 class TestRowBlocks:
-    """A batch is scored and embedded over fixed ``B``-row blocks of hidden
-    layers, with the head on the whole batch; every row keeps the bytes of
-    the engine applied to the same blocks. The specs after the grid are
+    """A batch is scored and embedded over fixed ``B``-row blocks, head
+    included; every row keeps the bytes of the engine applied to the same
+    blocks. The specs after the grid are
     ``eval-ood``'s model and two with narrow layers, 16 -> 100 and
     16 -> 12, whose block GEMMs are small enough that some BLAS builds
     take separate small-matrix kernels for them."""
@@ -412,7 +415,7 @@ class TestRowBlocks:
         x[1:5], x[-5:-1] = bad, bad  # in the first and the last block
         with np.errstate(all="ignore"):
             out, h, expected = engine_on_blocks(spec, pset, x)
-            got_out, got_h = mz._mlp_outputs(spec, pset, x)
+            got_out, got_h = numpy_outputs(spec, pset, x)
             assert got_out.tobytes() == out.tobytes() and got_h.tobytes() == h.tobytes()
             assert mz.score_logdensity(spec, pset, x).tobytes() == expected.tobytes()
             if spec.head == "logits":
@@ -454,7 +457,7 @@ class TestRowBlocks:
                 out, h, expected = engine_on_blocks(spec, pset, x)
                 for cpus in (1, 2, 3):
                     monkeypatch.setattr(mz, "_usable_cpus", lambda: cpus)
-                    got_out, got_h = mz._mlp_outputs(spec, pset, x)
+                    got_out, got_h = numpy_outputs(spec, pset, x)
                     assert got_out.tobytes() == out.tobytes()
                     assert got_h.tobytes() == h.tobytes()
                     assert mz.score_logdensity(spec, pset, x).tobytes() == expected.tobytes()

@@ -349,6 +349,48 @@ class TestVera:
         grads = ad.grad(step.gen_loss, list(step.gen_leaves.values()))
         assert all(np.all(np.isfinite(g.value)) for g in grads)
 
+    def test_eta_takes_one_ascent_step_on_the_mean_log_mean_weight(self):
+        """Away from its clamps, eta moves by ``eta_lr`` times the slope in
+        eta of the mean log-mean importance weight, taken by a central
+        difference on the step's own z, eps and xi draws."""
+        d, latent, k, n, eta = 2, 3, 5, 8, 0.1
+        cfg = obj.VeraConfig(latent_dim=latent, n_posterior_samples=k, eta_min=1e-6, eta_max=1e6)
+        gen_spec = mz.ModelSpec(input_dim=latent, hidden=[16, 16], activation="softplus",
+                                head="vector", n_outputs=d)
+        gen_params = mz.init_params(gen_spec, 0)
+        spec = mz.ModelSpec(input_dim=d, hidden=[8], head="energy")
+        x = np.random.default_rng(5).normal(size=(n, d))
+        step = obj.vera_step(spec, mz.param_nodes(mz.init_params(spec, 1)), gen_spec, gen_params,
+                             x, cfg, eta=eta, rng=np.random.default_rng(6))
+        assert step.n_skipped == 0
+
+        draws = np.random.default_rng(6)  # vera_step's draws, in its order
+        z = draws.normal(size=(n, latent))
+        eps = draws.normal(size=(n, d))
+        xi = draws.normal(size=(n, k, latent))
+        leaves = mz.param_nodes(gen_params)
+
+        def generate(latents):
+            return mz.mlp_forward(gen_spec, leaves, latents.reshape(-1, latent))[0].value
+
+        x_gen = generate(z) + cfg.gen_noise_std * eps
+        var, log_2pi = cfg.gen_noise_std**2, math.log(2.0 * math.pi)
+
+        def mean_log_mean_weight(e):
+            zk = z[:, None, :] + e * xi
+            resid = x_gen[:, None, :] - generate(zk).reshape(n, k, d)
+            log_lik = -0.5 * (resid**2).sum(axis=2) / var - 0.5 * d * (log_2pi + math.log(var))
+            log_prior = -0.5 * (zk**2).sum(axis=2) - 0.5 * latent * log_2pi
+            log_q = -0.5 * (xi**2).sum(axis=2) - 0.5 * latent * log_2pi - latent * math.log(e)
+            log_w = log_lik + log_prior - log_q
+            top = log_w.max(axis=1)
+            return float(np.mean(np.log(np.exp(log_w - top[:, None]).mean(axis=1)) + top))
+
+        h = 1e-6
+        slope = (mean_log_mean_weight(eta + h) - mean_log_mean_weight(eta - h)) / (2 * h)
+        assert abs(cfg.eta_lr * slope) > 1e-3  # a step well clear of rounding
+        assert step.eta - eta == pytest.approx(cfg.eta_lr * slope, rel=1e-6)
+
     def test_deterministic_given_rng(self):
         spec, params, gen_spec, gen_params, cfg = linear_gen_setup()
         x = np.random.default_rng(4).normal(size=(8, 2))

@@ -962,6 +962,18 @@ class TestCli:
             assert code == 1, config
             assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("std", [1e300, 1e-300])
+    def test_vera_noise_scale_out_of_range_exits_1(self, tmp_path, capsys, time_limit, std):
+        """Squared, 1e300 overflows and 1e-300 underflows to 0."""
+        path = write_json(tmp_path / "c.json", toy_config(objective="vera").to_dict()
+                          | {"vera": {"gen_noise_std": std}})
+        with time_limit(20):
+            code = cli.main(["train", "--config", path, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "config error: vera gen_noise_std must be" in capsys.readouterr().err
+        for bound in (1e-150, 1e150):  # the bounds themselves are allowed
+            toy_config(objective="vera", vera={"gen_noise_std": bound})
+
     @pytest.mark.parametrize("field,value", [
         ("eval_interval", 0), ("sgld_steps", -1), ("batch_size", 0), ("buffer_capacity", 0),
         ("data_noise_var", -1), ("steps", -3), ("lr", -0.001), ("sgld_step_size", 0.0),
