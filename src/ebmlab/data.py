@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ModelSpec, classifier_embed
+from .models import ModelSpec, _usable_cpus, classifier_embed
 from .rng import stream
 
 
@@ -77,7 +77,10 @@ class SplitBundle:
         }
 
 
-_CACHE_VERSION = 2
+_CACHE_VERSION = 3
+
+# Bytes per piece of a CSV file that its cache key hashes apart
+_HASH_PIECE = 8 << 20
 
 
 def load_csv(path: str, label_column: str | None = None) -> LabeledTable:
@@ -86,14 +89,15 @@ def load_csv(path: str, label_column: str | None = None) -> LabeledTable:
     parse, or whose cell count is not the header's, abort with their line numbers.
 
     A parsed table is kept beside the file in ``<path>.ebmlab-cache.npz``, keyed
-    by the cache version, numpy's version, ``label_column`` and the sha256 of the
-    file's bytes; a later call with the same key reads it instead of parsing.
+    by the cache version, numpy's version, ``label_column``, the piece size and
+    ``_file_sha256`` of the file's bytes; a later call with the same key reads
+    it instead of parsing.
     The cache never changes a result or an error: a sidecar that is missing,
     unreadable or keyed otherwise is parsed over, and one that cannot be
     written is skipped."""
     sidecar = f"{path}.ebmlab-cache.npz"
     digest = _file_sha256(path)
-    key = json.dumps([_CACHE_VERSION, np.__version__, label_column, digest])
+    key = json.dumps([_CACHE_VERSION, np.__version__, label_column, _HASH_PIECE, digest])
     cached = _read_cache(sidecar, key, label_column)
     if cached is not None:
         return LabeledTable(*cached, source=path)
@@ -104,26 +108,55 @@ def load_csv(path: str, label_column: str | None = None) -> LabeledTable:
 
 
 def _file_sha256(path: str) -> str:
-    h = hashlib.sha256()
+    """The sha256 of the sha256 digests of the file's consecutive
+    ``_HASH_PIECE``-byte pieces, in file order. One piece, or one usable
+    CPU, is hashed in this thread; more run on a pool of one thread per
+    usable CPU, at most one per piece, joined before this returns (hashlib
+    and unbuffered reads release the GIL). With k threads, thread j takes
+    every k-th piece from piece j. The digest does not depend on k."""
     with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            h.update(block)
-    return h.hexdigest()
+        size = os.fstat(fh.fileno()).st_size
+    starts = range(0, size, _HASH_PIECE)
+    digests = [b""] * len(starts)
+
+    def run(mine):
+        buf = memoryview(bytearray(1 << 18))  # one buffer for each thread's pieces
+        for i in mine:
+            h, left = hashlib.sha256(), _HASH_PIECE
+            with open(path, "rb", buffering=0) as fh:
+                fh.seek(starts[i])
+                while left and (n := fh.readinto(buf[:min(left, len(buf))])):
+                    h.update(buf[:n])
+                    left -= n
+            digests[i] = h.digest()
+
+    k = min(_usable_cpus(), len(starts))
+    if k <= 1:
+        run(range(len(starts)))
+    else:
+        # imported here, as it loads logging, like models._hidden_blocks
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(k) as pool:
+            for worker in [pool.submit(run, range(j, len(starts), k)) for j in range(k)]:
+                worker.result()
+    return hashlib.sha256(b"".join(digests)).hexdigest()
 
 
 def _read_cache(sidecar: str, key: str, label_column: str | None):
     """(features, labels) from a sidecar holding ``key``, else None. Object
     arrays are refused, never unpickled."""
     try:
-        npz = np.load(sidecar, allow_pickle=False)
-        if not isinstance(npz, np.lib.npyio.NpzFile):
-            return None
-        with npz:
-            if str(npz["key"]) != key:
+        with open(sidecar, "rb") as fh:  # closed however np.load ends
+            npz = np.load(fh, allow_pickle=False)
+            if not isinstance(npz, np.lib.npyio.NpzFile):
                 return None
-            if label_column is None:
-                return npz["features"], None
-            return npz["features"], npz["labels"]
+            with npz:
+                if str(npz["key"]) != key:
+                    return None
+                if label_column is None:
+                    return npz["features"], None
+                return npz["features"], npz["labels"]
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
         return None
 

@@ -51,10 +51,16 @@ class EvalReport:
 def average_precision(labels, scores) -> float:
     """AP with ID labeled 1, OOD labeled 0; tied scores form one block.
 
-    Sort descending and accumulate (R_k - R_{k-1}) * P_k over distinct-score
-    thresholds, so a constant scorer gets the prevalence instead of an
-    arbitrary tie-ordering artifact. ``cumsum`` sums left to right, where
-    ``np.sum`` would sum pairwise and round differently.
+    Accumulate (R_k - R_{k-1}) * P_k over distinct-score thresholds, from
+    the highest down, so a constant scorer gets the prevalence instead of
+    an arbitrary tie-ordering artifact. ``cumsum`` sums left to right,
+    where ``np.sum`` would sum pairwise and round differently.
+
+    The ID and the OOD scores are sorted apart. At each distinct ID score
+    t, the ID scores >= t are counted from where t's run starts and the OOD
+    scores >= t by ``searchsorted``. A threshold that no ID score reaches
+    adds no recall, so its term is an exact +0.0 and leaving it out changes
+    no bit of the sum.
     """
     labels = np.asarray(labels)
     scores = np.asarray(scores, dtype=np.float64)
@@ -68,11 +74,10 @@ def average_precision(labels, scores) -> float:
     n_pos = int(pos.sum())
     if n_pos == 0 or not neg.any():
         raise EvalError("need at least one positive and one negative")
-    order = np.argsort(-scores, kind="stable")
-    s = scores[order]
-    last = np.flatnonzero(np.r_[s[1:] != s[:-1], True])  # end of each tie block
-    tp = np.cumsum(pos[order])[last]
-    fp = (last + 1) - tp
+    ids, oods = np.sort(scores[pos]), np.sort(scores[neg])
+    first = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])  # start of each tie run
+    tp = (n_pos - first)[::-1]
+    fp = (len(oods) - np.searchsorted(oods, ids[first]))[::-1]
     recall = tp / n_pos
     precision = tp / (tp + fp)
     return float(np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1])

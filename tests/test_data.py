@@ -1,7 +1,10 @@
 import csv
 import functools
+import gc
+import hashlib
 import os
 import stat
+import threading
 import warnings
 from unittest import mock
 
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 
 from ebmlab import data as dt
 from ebmlab import models as mz
+from ebmlab import training as tr
 from ebmlab.rng import stream
 
 
@@ -452,7 +456,12 @@ class TestCsvCache:
             with open(sidecar, "wb") as fh:
                 np.save(fh, want.features)
         n = len(parses)
-        _assert_same_table(dt.load_csv(str(p), "label"), want)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            _assert_same_table(dt.load_csv(str(p), "label"), want)
+            gc.collect()
+        # the damaged sidecar's file is closed, not left to the collector
+        assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
         assert len(parses) > n
         n = len(parses)
         _assert_same_table(dt.load_csv(str(p), "label"), want)
@@ -493,6 +502,80 @@ class TestCsvCache:
             dt.load_csv(p)
         assert str(got.value) == str(want.value)
         assert os.listdir(tmp_path) == []
+
+
+def piece_tree_sha256(data: bytes, piece: int) -> str:
+    """sha256 over the sha256 digests of ``data``'s ``piece``-byte pieces, in order."""
+    digests = [hashlib.sha256(data[i:i + piece]).digest() for i in range(0, len(data), piece)]
+    return hashlib.sha256(b"".join(digests)).hexdigest()
+
+
+class TestCacheKey:
+    """``_file_sha256`` hashes a file's fixed-size pieces, on threads when
+    there are several, and the sha256 of their digests keys the sidecar."""
+
+    @pytest.mark.parametrize("piece, sizes", [
+        (7, [0, 1, 6, 7, 8, 38]),
+        # pieces longer than the 256 KiB read buffer, the last one shorter
+        (300 << 10, [(300 << 10) - 1, 300 << 10, (300 << 10) + 1, 700 << 10]),
+    ], ids=["tiny", "over-the-buffer"])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_piece_tree(self, tmp_path, monkeypatch, piece, sizes, cpus):
+        monkeypatch.setattr(dt, "_HASH_PIECE", piece)
+        monkeypatch.setattr(dt, "_usable_cpus", lambda: cpus)
+        for size in sizes:
+            data = np.random.default_rng(size).bytes(size)
+            (tmp_path / "f").write_bytes(data)
+            assert dt._file_sha256(str(tmp_path / "f")) == piece_tree_sha256(data, piece)
+
+    def test_a_sidecar_written_at_one_cpu_is_read_at_three(self, tmp_path, monkeypatch):
+        p = tmp_path / "t.csv"
+        p.write_text("a,label\n" + "".join(f"{i},{i % 3}\n" for i in range(40)))
+        monkeypatch.setattr(dt, "_HASH_PIECE", 16)
+        monkeypatch.setattr(dt, "_usable_cpus", lambda: 1)
+        want = dt.load_csv(str(p), "label")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("parsed on a cache hit")
+
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        for cpus in (2, 3):
+            monkeypatch.setattr(dt, "_usable_cpus", lambda: cpus)
+            _assert_same_table(dt.load_csv(str(p), "label"), want)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_empty_file(self, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(dt, "_HASH_PIECE", 7)
+        monkeypatch.setattr(dt, "_usable_cpus", lambda: cpus)
+        p = tmp_path / "t.csv"
+        p.write_text("")
+        with pytest.raises(dt.DataError) as err:
+            dt.load_csv(str(p))
+        assert str(err.value) == f"{p}: empty file"
+        assert os.listdir(tmp_path) == ["t.csv"]
+
+    def test_no_thread_outlives_load_csv(self, tmp_path, monkeypatch, time_limit):
+        """Pieces are hashed on threads other than the caller's, each
+        joined before ``load_csv`` returns, so a suite can still fork."""
+        monkeypatch.setattr(dt, "_HASH_PIECE", 8)
+        monkeypatch.setattr(dt, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(tr, "_usable_cpus", lambda: 2)
+        threads, sha256 = set(), hashlib.sha256
+
+        def recording(*args):
+            threads.add(threading.get_ident())
+            return sha256(*args)
+
+        monkeypatch.setattr(dt.hashlib, "sha256", recording)
+        p = tmp_path / "t.csv"
+        p.write_text("a,b\n1,2\n3,4\n5,6\n")
+        before = threading.active_count()
+        with time_limit(60):
+            assert dt.load_csv(str(p)).features.tolist() == [[1, 2], [3, 4], [5, 6]]
+        # the piece digests come from pool threads; their tree, here
+        assert len(threads) >= 2 and threading.get_ident() in threads
+        assert threading.active_count() == before
+        assert tr._worker_count(2) == 2
 
 
 class TestClassRemovalSplit:

@@ -28,6 +28,56 @@ def ap_by_threshold_enumeration(labels, scores):
     return ap
 
 
+def ap_by_stable_argsort(labels, scores):
+    """The reference ``average_precision``: one stable argsort of all the
+    scores, descending, with true positives summed over it to the end of
+    each tie block. The same checks raise the same errors."""
+    labels = np.asarray(labels)
+    scores = np.asarray(scores, dtype=np.float64)
+    if labels.shape != scores.shape:
+        raise ev.EvalError("labels and scores must align")
+    if np.isnan(scores).any():
+        raise ev.EvalError("NaN score")
+    pos, neg = labels == 1, labels == 0
+    if not np.all(pos | neg):
+        raise ev.EvalError("labels must be 1 (ID) or 0 (OOD)")
+    n_pos = int(pos.sum())
+    if n_pos == 0 or not neg.any():
+        raise ev.EvalError("need at least one positive and one negative")
+    order = np.argsort(-scores, kind="stable")
+    s = scores[order]
+    last = np.flatnonzero(np.r_[s[1:] != s[:-1], True])  # end of each tie block
+    tp = np.cumsum(pos[order])[last]
+    fp = (last + 1) - tp
+    recall = tp / n_pos
+    precision = tp / (tp + fp)
+    return float(np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1])
+
+
+# scores that sort, tie or round unusually: signed zeros, infinities,
+# subnormals, the extremes of the normal range and near-ties
+SPECIAL_SCORES = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, -1e-310,
+                  2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+                  1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), -1.0]
+score_values = st.one_of(st.sampled_from(SPECIAL_SCORES),
+                         st.integers(-3, 3).map(float),  # heavy ties
+                         st.floats(allow_nan=False))
+
+
+@st.composite
+def scored_rows(draw):
+    """(labels, scores) with at least one ID and one OOD row; a third of
+    the cases score every row alike."""
+    labels = draw(st.lists(st.integers(0, 1), min_size=2, max_size=60))
+    if min(labels) == max(labels):
+        labels[draw(st.integers(0, len(labels) - 1))] ^= 1
+    if draw(st.integers(0, 2)) == 0:
+        scores = [draw(score_values)] * len(labels)
+    else:
+        scores = draw(st.lists(score_values, min_size=len(labels), max_size=len(labels)))
+    return np.array(labels), np.array(scores, dtype=np.float64)
+
+
 class TestAveragePrecision:
     def test_hand_case(self):
         # scores 4,3,2,1 with labels 0,1,0,1: AP = 0.5*0.5 + 0.5*0.5
@@ -111,6 +161,53 @@ class TestAveragePrecision:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ev.EvalError):
             ev.average_precision([1, 0, 1], [0.5, 0.1])
+
+
+class TestAgainstStableArgsort:
+    """``average_precision`` sorts the ID and OOD scores apart; every result
+    must be the stable-argsort reference's, bit for bit."""
+
+    @staticmethod
+    def assert_same_bits(labels, scores):
+        got, want = ev.average_precision(labels, scores), ap_by_stable_argsort(labels, scores)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(scored_rows())
+    def test_bit_equal_to_the_reference(self, rows):
+        self.assert_same_bits(*rows)
+
+    @pytest.mark.parametrize("labels, scores", [
+        ([1, 0], [0.5, 0.5]),
+        ([1, 0], [0.0, -0.0]),
+        ([0, 1], [0.0, -0.0]),
+        ([1, 0], [-np.inf, np.inf]),
+        ([0, 1], [5e-324, 0.0]),
+        ([1, 0, 0, 0], [1.0, 1.0, 2.0, 0.0]),
+        ([0, 1, 1, 1], [1.0, 1.0, 2.0, 0.0]),
+        ([1] * 7 + [0] * 3, [0.25] * 10),
+    ], ids=["n2-tie", "n2-signed-zero", "n2-signed-zero-swapped", "n2-infinities",
+            "n2-subnormal", "one-id-row", "one-ood-row", "constant"])
+    def test_edge_cases(self, labels, scores):
+        self.assert_same_bits(np.array(labels), np.array(scores))
+
+    def test_large_tied_sets(self):
+        rng = np.random.default_rng(3)
+        labels = rng.integers(0, 2, size=50_000)
+        for scores in (rng.normal(size=50_000), np.round(rng.normal(size=50_000), 1)):
+            self.assert_same_bits(labels, scores)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.sampled_from([0, 1, 2, 0.5, -1, True]), max_size=6),
+           st.lists(st.sampled_from([0.0, 1.0, np.nan, np.inf]), max_size=6))
+    def test_same_error_for_bad_input(self, labels, scores):
+        outcomes = []
+        for ap in (ev.average_precision, ap_by_stable_argsort):
+            try:
+                outcomes.append(np.float64(ap(labels, scores)).tobytes())
+            except ev.EvalError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestScoreDataset:
@@ -285,6 +382,7 @@ class TestDensityHistogram:
     def test_series_csv(self, tmp_path):
         path = str(tmp_path / "s.csv")
         ev.write_series_csv(path, [(0.0, 1.5, "curve"), (1.0, 2.5, "curve")])
-        lines = open(path).read().strip().splitlines()
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().strip().splitlines()
         assert lines[0] == "x,value,series"
         assert len(lines) == 3
