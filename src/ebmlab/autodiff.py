@@ -12,10 +12,10 @@ on a graph is a call that a tracer wrapping this module can see and count.
 
 This engine is the oracle for every derivative in ebmlab. Graphs are
 built only where an MLP's parameter gradient or a second-order one is
-taken (the losses, the JEM composite, VERA's generator and eta, SSM's
-double backward); values and input gradients run in numpy in ``models``,
-and so does the radial flow with its parameter gradient, each tested
-byte-equal to this engine.
+taken (the losses, the JEM composite, VERA's generator, SSM's double
+backward); values and input gradients run in numpy in ``models``, and so
+do the radial flow with its parameter gradient and VERA's posterior pass
+with its eta step (``objectives``), each tested byte-equal to this engine.
 """
 
 from __future__ import annotations
@@ -166,25 +166,6 @@ def exp(a) -> Node:
     out_ref = weakref.ref(out)  # no out -> vjp -> out cycle; see logsumexp
     out.vjp = lambda g: (mul(g, out_ref()),)
     return out
-
-
-def log(a) -> Node:
-    a = as_node(a)
-    out = Node(np.log(a.value), (a,))
-    out.vjp = lambda g: (mul(g, power(a, -1.0)),)
-    return out
-
-
-def power(a, p: float) -> Node:
-    a = as_node(a)
-    out = Node(np.power(a.value, p), (a,))
-    out.vjp = lambda g: (mul(g, mul(power(a, p - 1.0), p)),)
-    return out
-
-
-def square(a) -> Node:
-    a = as_node(a)
-    return mul(a, a)
 
 
 def relu(a) -> Node:

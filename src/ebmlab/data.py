@@ -52,8 +52,8 @@ class LabeledTable:
 
     def take(self, idx) -> "LabeledTable":
         return LabeledTable(
-            self.features[idx],
-            None if self.labels is None else self.labels[idx],
+            np.take(self.features, idx, axis=0),
+            None if self.labels is None else np.take(self.labels, idx),
             self.source,
         )
 
@@ -368,7 +368,8 @@ def class_removal_split(
     tr_idx, va_idx, te_idx = id_idx[:n_tr], id_idx[n_tr:n_tr + n_va], id_idx[n_tr + n_va:]
 
     def ood_part(idx):
-        return LabeledTable(table.features[idx], table.labels[idx], "removed-classes")
+        return LabeledTable(np.take(table.features, idx, axis=0), np.take(table.labels, idx),
+                            "removed-classes")
 
     def id_part(idx):
         part = table.take(idx)
@@ -446,16 +447,30 @@ def make_two_moons(n: int, noise_std: float, rng: np.random.Generator) -> Labele
 MAX_OOD_ROUNDS = 100
 
 
+# Elements per temporary of the OOD distance pass, about 256 KiB of float64
+_DIST_BLOCK = 1 << 15
+
+
 def _nearest_distance(cand: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Distance from each 2-D candidate to its nearest point, summing the
     squares one coordinate at a time, as the sum over the last axis of the
     (len(cand), len(points), 2) difference tensor does, without that tensor.
-    Its temporaries are freed before the next round draws."""
-    d2, diff = (cand[:, k:k + 1] - points[:, k] for k in (0, 1))
-    d2 *= d2
-    diff *= diff
-    d2 += diff
-    return np.sqrt(d2.min(axis=1))
+    Candidates run in blocks of rows through two buffers of at most
+    ``_DIST_BLOCK`` items each; a candidate's distance is a row-wise min of
+    elementwise operations, so the block size does not change its bytes."""
+    rows = max(_DIST_BLOCK // len(points), 1)
+    buffers = np.empty((2, min(rows, len(cand)), len(points)))
+    out = np.empty(len(cand))
+    for a in range(0, len(cand), rows):
+        block = cand[a:a + rows]
+        d2, diff = buffers[:, :len(block)]
+        np.subtract(block[:, 0:1], points[:, 0], out=d2)
+        np.subtract(block[:, 1:2], points[:, 1], out=diff)
+        d2 *= d2
+        diff *= diff
+        d2 += diff
+        np.sqrt(d2.min(axis=1), out=out[a:a + len(block)])
+    return out
 
 
 def two_moons_split(n: int, noise_std: float, margin: float, exclusion: float,

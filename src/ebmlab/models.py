@@ -22,6 +22,7 @@ import json
 import math
 import numbers
 import os
+import struct
 import tempfile
 from dataclasses import dataclass, field, fields, asdict
 
@@ -35,6 +36,9 @@ ACTIVATIONS = ("relu", "leaky_relu", "softplus")
 
 # softplus(x) = 1 at this x; radial layers start as the identity map
 _SOFTPLUS_INV_1 = math.log(math.e - 1.0)
+
+# the bit pattern of the float64 1.0
+_ONE_BITS = 0x3FF0000000000000
 
 
 class ModelError(Exception):
@@ -496,8 +500,7 @@ def _activation_np(spec: ModelSpec, a: np.ndarray, scratch=None):
             a *= np.greater(a, 0, out=_view(mask, a.shape))  # times 1.0 or 0.0, as ad.relu
         else:
             factor = _view(t, a.shape)
-            factor[...] = spec.leaky_slope
-            np.copyto(factor, 1.0, where=np.greater(a, 0, out=_view(mask, a.shape)))
+            _leaky_factor(spec.leaky_slope, np.greater(a, 0, out=_view(mask, a.shape)), factor)
             a *= factor
         return a, None
     if spec.activation == "softplus":
@@ -505,9 +508,20 @@ def _activation_np(spec: ModelSpec, a: np.ndarray, scratch=None):
     if spec.activation == "relu":
         factor = (a > 0).astype(np.float64)
     else:
-        factor = np.where(a > 0, 1.0, spec.leaky_slope)
+        factor = _leaky_factor(spec.leaky_slope, a > 0)
     a *= factor
     return a, lambda: factor
+
+
+def _leaky_factor(slope: float, positive: np.ndarray, out=None) -> np.ndarray:
+    """``np.where(positive, 1.0, slope)``, into ``out`` if given, by
+    selecting the bits of the two constants without a branch: ``positive``
+    times the XOR of their bit patterns, XORed with the slope's."""
+    low = int.from_bytes(struct.pack("<d", slope), "little")
+    bits = np.multiply(positive, _ONE_BITS ^ low, dtype=np.uint64,
+                       out=None if out is None else out.view(np.uint64))
+    bits ^= low
+    return bits.view(np.float64)
 
 
 def _logsumexp(logits: np.ndarray) -> np.ndarray:

@@ -11,7 +11,8 @@ from functools import partial
 import numpy as np
 
 from . import autodiff as ad
-from .models import ModelSpec, ParameterSet, _flow, energy, mlp_forward, param_nodes
+from .models import (ModelSpec, ParameterSet, _affine, _flow, _hidden_values, _logsumexp, energy,
+                     mlp_forward, param_nodes)
 
 
 class ObjectiveError(Exception):
@@ -136,7 +137,9 @@ def vera_step(
     The generator minimizes the energy of its samples minus an entropy
     surrogate whose gradient matches the importance-weighted posterior
     score estimator; eta follows one ascent step on the log-mean
-    importance weight before clamping.
+    importance weight before clamping. The generator's pass on the n rows
+    and both losses are graphs; the posterior pass on the n*k rows and the
+    eta step run in numpy (``_posterior``).
     """
     x_data = np.asarray(x_data, dtype=np.float64)
     n, d = x_data.shape
@@ -156,35 +159,11 @@ def vera_step(
     energy_theta = partial(energy, spec, leaves)
     ebm_loss = cd_loss(energy_theta, x_data, x_gen_val)
 
-    # posterior samples z_k = z + eta*xi; eta as a leaf so the log-mean
-    # importance weight stays differentiable in eta
-    eta_leaf = ad.leaf(np.asarray(eta))
-    zk = ad.add(ad.constant(z[:, None, :]), ad.mul(eta_leaf, ad.constant(xi)))
-    zk_flat = ad.reshape(zk, (n * k, cfg.latent_dim))
-    g_zk, _ = mlp_forward(generator, gen_leaves, zk_flat)
-
-    var_x = cfg.gen_noise_std**2
-    x_rep = np.repeat(x_gen_val, k, axis=0)
-    ll_x = ad.add(
-        ad.mul(-0.5 / var_x, ad.reduce_sum(ad.square(ad.add(ad.constant(x_rep), ad.neg(g_zk))), axis=1)),
-        -0.5 * d * math.log(2.0 * math.pi * var_x),
-    )
-    lp_prior = ad.add(
-        ad.mul(-0.5, ad.reduce_sum(ad.square(zk_flat), axis=1)),
-        -0.5 * cfg.latent_dim * math.log(2.0 * math.pi),
-    )
-    # proposal density N(z_k; z, eta^2) at z_k = z + eta*xi reduces to
-    # -|xi|^2/2 - L*log(eta) - (L/2)*log(2*pi)
-    xi_sq = np.sum(xi.reshape(n * k, -1) ** 2, axis=1)
-    lq = ad.add(
-        ad.constant(-0.5 * xi_sq - 0.5 * cfg.latent_dim * math.log(2.0 * math.pi)),
-        ad.mul(-float(cfg.latent_dim), ad.log(eta_leaf)),
-    )
-    log_w = ad.reshape(ad.add(ad.add(ll_x, lp_prior), ad.neg(lq)), (n, k))
-    log_mean_w = ad.add(ad.logsumexp(log_w, axis=1), -math.log(k))
+    # posterior samples z_k = z + eta*xi and their log importance weights
+    log_w_val, g_zk_val, slope = _posterior(generator, gen_pset.arrays(), z, xi, x_gen_val,
+                                            eta, cfg)
 
     # importance-weighted posterior score, held constant for the surrogate
-    log_w_val = log_w.value
     finite = np.all(np.isfinite(log_w_val), axis=1)
     n_skipped = int(n - finite.sum())
     if n_skipped:
@@ -195,8 +174,8 @@ def vera_step(
         shifted = log_w_val[rows] - log_w_val[rows].max(axis=1, keepdims=True)
         ww = np.exp(shifted)
         w[rows] = ww / ww.sum(axis=1, keepdims=True)
-    g_zk_val = g_zk.value.reshape(n, k, d)
-    score = np.einsum("nk,nkd->nd", w, (g_zk_val - x_gen_val[:, None, :]) / var_x)
+    g_zk_val = g_zk_val.reshape(n, k, d)
+    score = np.einsum("nk,nkd->nd", w, (g_zk_val - x_gen_val[:, None, :]) / cfg.gen_noise_std**2)
 
     # entropy surrogate: dH/dphi ~ -mean score^T dx/dphi
     h_surrogate = ad.neg(ad.mean(ad.reduce_sum(ad.mul(ad.constant(score), x_gen), axis=1)))
@@ -206,16 +185,8 @@ def vera_step(
     )
 
     # eta ascent on the mean log-mean importance weight, then clamp
-    if rows.size:
-        mask = finite.astype(np.float64)
-        objective = ad.mul(
-            ad.reduce_sum(ad.mul(log_mean_w, ad.constant(mask))), 1.0 / rows.size
-        )
-        (d_eta,) = ad.grad(objective, [eta_leaf])
-        step = cfg.eta_lr * float(d_eta.value)
-        if not np.isfinite(step):
-            step = 0.0
-    else:
+    step = cfg.eta_lr * float(slope(finite)) if rows.size else 0.0
+    if not np.isfinite(step):
         step = 0.0
     eta_new = float(np.clip(eta + step, cfg.eta_min, cfg.eta_max))
 
@@ -228,3 +199,49 @@ def vera_step(
         entropy_grad_wrt_x=score,
         n_skipped=n_skipped,
     )
+
+
+def _posterior(generator: ModelSpec, p: dict[str, np.ndarray], z, xi, x_gen, eta, cfg):
+    """VERA's posterior pass in numpy on the generator's parameter arrays
+    ``p``: the n*k samples z_k = z + eta*xi through the generator, and
+    log w = log N(x_gen; g(z_k), s^2) + log N(z_k; 0, I) - log N(z_k; z, eta^2)
+    per sample. Returns (log w as (n, k), g(z_k) as (n*k, d), slope), where
+    ``slope(finite)`` is the derivative in eta of the mean of
+    log_mean_w = logsumexp_k(log w) - log k over the rows where ``finite``.
+
+    Values and slope do the float operations of the engine graph of these
+    formulas, eta a leaf, and of ``ad.grad`` on it, in their order; the
+    generator's parameter adjoints are not formed."""
+    n, k, latent = xi.shape
+    d = x_gen.shape[1]
+    eta = np.asarray(eta, dtype=np.float64)
+    zk = (z[:, None, :] + eta * xi).reshape(n * k, latent)
+    h, back = _hidden_values(generator, p, zk)
+    g_zk = _affine(h, p, "head")
+    var_x = cfg.gen_noise_std**2
+    resid = np.repeat(x_gen, k, axis=0) + -g_zk
+    ll_x = (-0.5 / var_x) * (resid * resid).sum(axis=1) + -0.5 * d * math.log(2.0 * math.pi * var_x)
+    lp_prior = -0.5 * (zk * zk).sum(axis=1) + -0.5 * latent * math.log(2.0 * math.pi)
+    # the proposal density N(z_k; z, eta^2) at z_k = z + eta*xi reduces to
+    # -|xi|^2/2 - L*log(eta) - (L/2)*log(2*pi)
+    xi_sq = np.sum(xi.reshape(n * k, -1) ** 2, axis=1)
+    lq = (-0.5 * xi_sq - 0.5 * latent * math.log(2.0 * math.pi)) + -float(latent) * np.log(eta)
+    log_w = ((ll_x + lp_prior) + -lq).reshape(n, k)
+
+    def slope(finite):
+        # the adjoint of log w: the mean's 1/rows on the finite rows times
+        # logsumexp's vjp, the softmax exp(log w - lse)
+        g = (1.0 / int(finite.sum())) * finite.astype(np.float64)
+        g = (g[:, None] * np.exp(log_w + -_logsumexp(log_w))).reshape(n * k)
+        # the residual's square is mul(r, r): two equal contributions
+        g_resid = (g * (-0.5 / var_x))[:, None] * resid
+        g_zk_adj = back(-(g_resid + g_resid) @ p["head.W"].T)
+        # z_k feeds the first layer, then the prior's square twice
+        g_prior = (g * -0.5)[:, None] * zk
+        g_zk_adj = (g_zk_adj + g_prior) + g_prior
+        # eta feeds z_k through eta*xi, summed to a scalar, and log q through log(eta)
+        via_zk = (g_zk_adj.reshape(n, k, latent) * xi).sum(axis=(0, 1, 2))
+        via_lq = ((-g).sum(axis=(0,)) * -float(latent)) * np.power(eta, -1.0)
+        return via_zk + via_lq
+
+    return log_w, g_zk, slope

@@ -5,6 +5,7 @@ import hashlib
 import os
 import stat
 import threading
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -774,11 +775,23 @@ def reference_moons_ood(n, noise_std, margin, exclusion, seed):
     return ood[:n_ood], ood[n_ood:], len(chunks)
 
 
+SPLIT_CASES = [(300, 0.0, 7, 1), (300, 0.3, 7, 3), (2000, 0.3, 5, 3), (101, 0.8, 2, 10)]
+
+
 class TestTwoMoonsSplit:
-    @pytest.mark.parametrize("n,radius,seed,rounds", [
-        (300, 0.0, 7, 1), (300, 0.3, 7, 3), (2000, 0.3, 5, 3), (101, 0.8, 2, 10),
-    ])
+    @pytest.mark.parametrize("n,radius,seed,rounds", SPLIT_CASES)
     def test_ood_rows_keep_the_exclusion_radius(self, n, radius, seed, rounds):
+        self.check_ood_rows(n, radius, seed, rounds)
+
+    # one row a block, and seven, which leaves a ragged last block at every n
+    @pytest.mark.parametrize("block_rows", [1, 7])
+    @pytest.mark.parametrize("n,radius,seed,rounds", SPLIT_CASES)
+    def test_block_size_keeps_the_rows(self, n, radius, seed, rounds, block_rows, monkeypatch):
+        monkeypatch.setattr(dt, "_DIST_BLOCK", block_rows * n)
+        self.check_ood_rows(n, radius, seed, rounds)
+
+    @staticmethod
+    def check_ood_rows(n, radius, seed, rounds):
         bundle = dt.two_moons_split(n, 0.1, margin=0.5, exclusion=radius, seed=seed)
         ood_test, ood_val, drawn = reference_moons_ood(n, 0.1, 0.5, radius, seed)
         assert drawn == rounds
@@ -789,6 +802,18 @@ class TestTwoMoonsSplit:
         for ood in (bundle.ood_test.features, bundle.ood_val.features):
             gaps = np.linalg.norm(ood[:, None, :] - data[None, :, :], axis=2)
             assert gaps.min() >= radius
+
+    def test_memory_stays_bounded(self):
+        # the distance pass holds two blocks of rows, not two (want, n)
+        # arrays (7.7 MB each at n = 2,000)
+        dt.two_moons_split(2000, 0.1, 1.5, 0.3, seed=3)  # imports and caches outside the count
+        tracemalloc.start()
+        try:
+            dt.two_moons_split(2000, 0.1, 1.5, 0.3, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
 
 
 class TestStandardize:

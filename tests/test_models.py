@@ -14,6 +14,7 @@ from ebmlab import autodiff as ad
 from ebmlab import models as mz
 from ebmlab import objectives as obj
 from ebmlab import training as tr
+from test_autodiff import engine_log, engine_power
 
 
 def small_energy_spec(**kw):
@@ -388,6 +389,31 @@ def numpy_outputs(spec, pset, x):
     return mz._mlp_outputs(spec, pset, x, "head"), mz._mlp_outputs(spec, pset, x, "hidden")
 
 
+class TestLeakyFactor:
+    """The leaky-relu factor, built by selecting the bits of 1.0 or the
+    slope, equals ``np.where(a > 0, 1.0, slope)`` byte for byte, as does the
+    activation, in the allocating and the buffered pass."""
+
+    EDGES = [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308,
+             -2.2e-308, 1e308, -1e308]
+
+    @pytest.mark.parametrize("slope", [0.2, 0.01, 0.0, -0.0, 1.0, -0.5, 3, 5e-324, -np.inf,
+                                       np.inf, np.nan])
+    def test_equals_where(self, slope):
+        spec = mz.ModelSpec(input_dim=2, activation="leaky_relu", leaky_slope=slope)
+        a = np.concatenate([self.EDGES, np.random.default_rng(0).normal(size=52)]).reshape(16, 4)
+        factor = np.where(a > 0, 1.0, slope)
+        with np.errstate(invalid="ignore", over="ignore"):  # inf * 0.0, 1e308 * 3
+            value = a * factor
+            got, got_factor = mz._activation_np(spec, a.copy())
+            assert got_factor().tobytes() == factor.tobytes()
+            assert got.tobytes() == value.tobytes()
+            scratch = (np.empty(a.size, dtype=bool), np.empty(a.size + 3))
+            got, _ = mz._activation_np(spec, a.copy(), scratch)
+        assert got.tobytes() == value.tobytes()
+        assert scratch[1][:a.size].tobytes() == factor.tobytes()
+
+
 class TestRowBlocks:
     """A batch is scored and embedded over fixed ``B``-row blocks, head
     included; every row keeps the bytes of the engine applied to the same
@@ -613,14 +639,14 @@ def engine_radial_layer(z0, alpha_hat, beta_hat, x):
     alpha = ad.softplus(alpha_hat)
     beta = ad.add(ad.neg(alpha), ad.softplus(beta_hat))
     diff = ad.add(x, ad.neg(z0))
-    r = ad.power(ad.add(ad.reduce_sum(ad.square(diff), axis=1, keepdims=True), 1e-24), 0.5)
-    h = ad.power(ad.add(alpha, r), -1.0)
+    r = engine_power(ad.add(ad.reduce_sum(ad.mul(diff, diff), axis=1, keepdims=True), 1e-24), 0.5)
+    h = engine_power(ad.add(alpha, r), -1.0)
     bh = ad.mul(beta, h)
     y = ad.add(x, ad.mul(bh, diff))
-    bhr = ad.neg(ad.mul(beta, ad.mul(ad.square(h), r)))
+    bhr = ad.neg(ad.mul(beta, ad.mul(ad.mul(h, h), r)))
     logdet = ad.add(
-        ad.mul(float(x.value.shape[1] - 1), ad.log(ad.add(1.0, bh))),
-        ad.log(ad.add(ad.add(1.0, bh), bhr)),
+        ad.mul(float(x.value.shape[1] - 1), engine_log(ad.add(1.0, bh))),
+        engine_log(ad.add(ad.add(1.0, bh), bhr)),
     )
     return y, ad.reshape(logdet, (x.value.shape[0],))
 
@@ -632,7 +658,7 @@ def engine_flow_logdensity(spec, pn, x):
         z, logdet = engine_radial_layer(
             pn[f"flow{k}.z0"], pn[f"flow{k}.alpha_hat"], pn[f"flow{k}.beta_hat"], z)
         total = ad.add(total, logdet)
-    base = ad.add(ad.mul(-0.5, ad.reduce_sum(ad.square(z), axis=1)),
+    base = ad.add(ad.mul(-0.5, ad.reduce_sum(ad.mul(z, z), axis=1)),
                   -0.5 * spec.input_dim * math.log(2.0 * math.pi))
     return ad.add(base, total)
 

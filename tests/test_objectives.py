@@ -1,4 +1,5 @@
 import math
+import warnings
 from functools import partial
 
 import numpy as np
@@ -9,6 +10,7 @@ from ebmlab import models as mz
 from ebmlab import objectives as obj
 from ebmlab import rng as rngmod
 from ebmlab import training as tr
+from test_autodiff import engine_log
 
 
 def quadratic_energy(x):
@@ -401,6 +403,198 @@ class TestVera:
         assert s1.eta == s2.eta
         assert np.array_equal(s1.x_gen, s2.x_gen)
         assert s1.ebm_loss.value == s2.ebm_loss.value
+
+
+def engine_vera_step(spec, leaves, generator, gen_pset, x_data, cfg, eta, rng):
+    """``obj.vera_step`` with its posterior pass and eta slope built on the
+    engine: z_k = z + eta*xi on an eta leaf, the generator's graph on the
+    n*k rows, log w, and ``ad.grad`` of the masked mean log-mean weight.
+    Returns the step, the slope's node (None when every row is skipped)
+    and eta's unclamped step."""
+    x_data = np.asarray(x_data, dtype=np.float64)
+    n, d = x_data.shape
+    k = cfg.n_posterior_samples
+    z = rng.normal(size=(n, cfg.latent_dim))
+    eps = rng.normal(size=(n, d))
+    xi = rng.normal(size=(n, k, cfg.latent_dim))
+
+    gen_leaves = mz.param_nodes(gen_pset)
+    g_z, _ = mz.mlp_forward(generator, gen_leaves, z)
+    x_gen = ad.add(g_z, ad.constant(cfg.gen_noise_std * eps))
+    x_gen_val = x_gen.value
+    energy_theta = partial(mz.energy, spec, leaves)
+    ebm_loss = obj.cd_loss(energy_theta, x_data, x_gen_val)
+
+    eta_leaf = ad.leaf(np.asarray(eta))
+    zk = ad.add(ad.constant(z[:, None, :]), ad.mul(eta_leaf, ad.constant(xi)))
+    zk_flat = ad.reshape(zk, (n * k, cfg.latent_dim))
+    g_zk, _ = mz.mlp_forward(generator, gen_leaves, zk_flat)
+    var_x = cfg.gen_noise_std**2
+    x_rep = np.repeat(x_gen_val, k, axis=0)
+    resid = ad.add(ad.constant(x_rep), ad.neg(g_zk))
+    ll_x = ad.add(
+        ad.mul(-0.5 / var_x, ad.reduce_sum(ad.mul(resid, resid), axis=1)),
+        -0.5 * d * math.log(2.0 * math.pi * var_x),
+    )
+    lp_prior = ad.add(
+        ad.mul(-0.5, ad.reduce_sum(ad.mul(zk_flat, zk_flat), axis=1)),
+        -0.5 * cfg.latent_dim * math.log(2.0 * math.pi),
+    )
+    xi_sq = np.sum(xi.reshape(n * k, -1) ** 2, axis=1)
+    lq = ad.add(
+        ad.constant(-0.5 * xi_sq - 0.5 * cfg.latent_dim * math.log(2.0 * math.pi)),
+        ad.mul(-float(cfg.latent_dim), engine_log(eta_leaf)),
+    )
+    log_w = ad.reshape(ad.add(ad.add(ll_x, lp_prior), ad.neg(lq)), (n, k))
+    log_mean_w = ad.add(ad.logsumexp(log_w, axis=1), -math.log(k))
+
+    log_w_val = log_w.value
+    finite = np.all(np.isfinite(log_w_val), axis=1)
+    n_skipped = int(n - finite.sum())
+    if n_skipped:
+        warnings.warn(f"vera_step: skipped {n_skipped} samples with degenerate weights")
+    w = np.zeros_like(log_w_val)
+    rows = np.where(finite)[0]
+    if rows.size:
+        shifted = log_w_val[rows] - log_w_val[rows].max(axis=1, keepdims=True)
+        ww = np.exp(shifted)
+        w[rows] = ww / ww.sum(axis=1, keepdims=True)
+    g_zk_val = g_zk.value.reshape(n, k, d)
+    score = np.einsum("nk,nkd->nd", w, (g_zk_val - x_gen_val[:, None, :]) / var_x)
+
+    h_surrogate = ad.neg(ad.mean(ad.reduce_sum(ad.mul(ad.constant(score), x_gen), axis=1)))
+    gen_loss = ad.add(
+        ad.mean(energy_theta(x_gen)),
+        ad.neg(ad.mul(cfg.entropy_weight, h_surrogate)),
+    )
+    d_eta = None
+    if rows.size:
+        mask = finite.astype(np.float64)
+        objective = ad.mul(
+            ad.reduce_sum(ad.mul(log_mean_w, ad.constant(mask))), 1.0 / rows.size
+        )
+        (d_eta,) = ad.grad(objective, [eta_leaf])
+        step = cfg.eta_lr * float(d_eta.value)
+        if not np.isfinite(step):
+            step = 0.0
+    else:
+        step = 0.0
+    eta_new = float(np.clip(eta + step, cfg.eta_min, cfg.eta_max))
+    return obj.VeraStep(ebm_loss=ebm_loss, gen_loss=gen_loss, gen_leaves=gen_leaves, eta=eta_new,
+                        x_gen=x_gen_val, entropy_grad_wrt_x=score, n_skipped=n_skipped), d_eta, step
+
+
+def gated_generator(d, latent, gate):
+    """A generator whose output is 1e200 * relu(z[0] - gate) in every
+    coordinate: 0 for most draws, and so large for draws past the gate that
+    the residual's square overflows and their log weights are -inf."""
+    gen = mz.ModelSpec(input_dim=latent, hidden=[1], head="vector", n_outputs=d)
+    pset = mz.init_params(gen, 0)
+    pset.values[:] = 0.0
+    p = pset.arrays()
+    p["layer0.W"][0, 0], p["layer0.b"][0], p["head.W"][0] = 1.0, -gate, 1e200
+    return gen, pset
+
+
+class TestVeraOracle:
+    """``vera_step``'s numpy posterior pass and eta step equal the engine
+    graph they replace, byte for byte: every field of the step, both losses
+    and both loss gradients."""
+
+    @staticmethod
+    def run_both(d, latent, k, n, eta, generator=None, **cfg_kw):
+        cfg = obj.VeraConfig(latent_dim=latent, n_posterior_samples=k, **cfg_kw)
+        if generator is None:
+            generator = obj.generator_spec(d, cfg)
+            gen_pset = mz.init_params(generator, 3)
+            gen_pset.values += 0.05 * np.random.default_rng(4).normal(size=gen_pset.size)
+        else:
+            generator, gen_pset = generator
+        spec = mz.ModelSpec(input_dim=d, hidden=[16, 16], head="energy")
+        pset = mz.init_params(spec, 5)
+        x = np.random.default_rng(6).normal(size=(n, d))
+        steps = []
+        for vera in (obj.vera_step, engine_vera_step):
+            leaves = mz.param_nodes(pset)
+            with warnings.catch_warnings(record=True) as caught, np.errstate(all="ignore"):
+                warnings.simplefilter("always")
+                out = vera(spec, leaves, generator, gen_pset, x, cfg, eta, np.random.default_rng(7))
+            steps.append((out, leaves, [str(w.message) for w in caught
+                                        if w.category is UserWarning]))
+        (got, got_leaves, got_warned), ((want, d_eta, step), want_leaves, want_warned) = steps
+        assert got.eta == want.eta
+        assert got.n_skipped == want.n_skipped
+        assert got_warned == want_warned
+        assert got.x_gen.tobytes() == want.x_gen.tobytes()
+        assert got.entropy_grad_wrt_x.tobytes() == want.entropy_grad_wrt_x.tobytes()
+        for loss, params in (("ebm_loss", (got_leaves, want_leaves)),
+                             ("gen_loss", (got.gen_leaves, want.gen_leaves))):
+            a, b = getattr(got, loss), getattr(want, loss)
+            assert a.value.tobytes() == b.value.tobytes(), loss
+            ga = ad.grad(a, list(params[0].values()))
+            gb = ad.grad(b, list(params[1].values()))
+            assert [g.value.tobytes() for g in ga] == [g.value.tobytes() for g in gb], loss
+        # the slope itself, before eta_lr, the finiteness test and the clamps
+        draws = np.random.default_rng(7)  # vera_step's draws, in its order
+        z, _, xi = (draws.normal(size=shape) for shape in [(n, latent), (n, d), (n, k, latent)])
+        with np.errstate(all="ignore"):
+            log_w, _, slope = obj._posterior(generator, gen_pset.arrays(), z, xi, got.x_gen, eta,
+                                             cfg)
+            got_slope = slope(np.isfinite(log_w).all(axis=1)) if d_eta is not None else None
+        if d_eta is not None:
+            assert got_slope.tobytes() == d_eta.value.tobytes() or (
+                np.isnan(got_slope) and np.isnan(d_eta.value))
+        return want, step
+
+    @pytest.mark.parametrize("k", [1, 5, 20])
+    @pytest.mark.parametrize("latent", [2, 16])
+    @pytest.mark.parametrize("d", [2, 8])
+    def test_equals_engine(self, d, latent, k):
+        _, step = self.run_both(d, latent, k, n=8, eta=0.1)
+        assert step != 0.0 and np.isfinite(step)
+
+    def test_one_row(self):
+        self.run_both(2, 16, 5, n=1, eta=0.1)
+
+    @pytest.mark.parametrize("eta", [0.01, 0.3, 0.17])
+    def test_eta_at_and_between_its_clamps(self, eta):
+        self.run_both(2, 4, 5, n=8, eta=eta)
+
+    def test_skipped_rows_with_a_finite_step(self):
+        want, step = self.run_both(2, 2, 5, n=64, eta=0.2, generator=gated_generator(2, 2, 1.5))
+        assert 0 < want.n_skipped < 64
+        assert step != 0.0 and np.isfinite(step)
+
+    def test_skipped_row_with_a_non_finite_slope(self):
+        # with one draw a row, a skipped row's logsumexp is -inf and its
+        # softmax NaN: the slope is not finite and the step becomes 0
+        want, step = self.run_both(2, 2, 1, n=64, eta=0.2, generator=gated_generator(2, 2, 1.5))
+        assert 0 < want.n_skipped < 64
+        assert step == 0.0 and want.eta == 0.2
+
+    def test_subnormal_eta_makes_the_step_zero(self):
+        # 1/eta overflows to inf in log q's derivative
+        want, step = self.run_both(2, 4, 5, n=8, eta=1e-310, eta_min=0.0)
+        assert want.n_skipped == 0 and step == 0.0 and want.eta == 1e-310
+
+    def test_builds_no_node_with_posterior_rows(self, monkeypatch):
+        n, k = 4, 6
+        created = []
+        init = ad.Node.__init__
+
+        def recording_init(self, value, *args, **kwargs):
+            init(self, value, *args, **kwargs)
+            created.append(self.value.shape)
+
+        monkeypatch.setattr(ad.Node, "__init__", recording_init)
+        cfg = obj.VeraConfig(latent_dim=3, n_posterior_samples=k)
+        generator = obj.generator_spec(2, cfg)
+        spec = mz.ModelSpec(input_dim=2, hidden=[8], head="energy")
+        obj.vera_step(spec, mz.param_nodes(mz.init_params(spec, 0)), generator,
+                      mz.init_params(generator, 1), np.ones((n, 2)), cfg, 0.1,
+                      np.random.default_rng(0))
+        assert created  # the losses and the n generator rows are graphs
+        assert not [shape for shape in created if shape[:1] == (n * k,) or shape[:2] == (n, k)]
 
 
 class TestConfigs:
