@@ -12,7 +12,6 @@ import json
 import math
 import mmap
 import os
-import re
 import uuid
 import zipfile
 from dataclasses import dataclass
@@ -94,17 +93,24 @@ def load_csv(path: str, label_column: str | None = None) -> LabeledTable:
     it instead of parsing.
     The cache never changes a result or an error: a sidecar that is missing,
     unreadable or keyed otherwise is parsed over, and one that cannot be
-    written is skipped."""
+    written is skipped.
+    A file that is not UTF-8 text, a directory or unreadable is a
+    ``DataError``; a missing one stays a ``FileNotFoundError``."""
     sidecar = f"{path}.ebmlab-cache.npz"
-    digest = _file_sha256(path)
-    key = json.dumps([_CACHE_VERSION, np.__version__, label_column, _HASH_PIECE, digest])
-    cached = _read_cache(sidecar, key, label_column)
-    if cached is not None:
-        return LabeledTable(*cached, source=path)
-    table = _parse_csv(path, label_column)
-    if _file_sha256(path) == digest:  # the bytes parsed are the bytes keyed
-        _write_cache(sidecar, key, table)
-    return table
+    try:
+        digest = _file_sha256(path)
+        key = json.dumps([_CACHE_VERSION, np.__version__, label_column, _HASH_PIECE, digest])
+        cached = _read_cache(sidecar, key, label_column)
+        if cached is not None:
+            return LabeledTable(*cached, source=path)
+        table = _parse_csv(path, label_column)
+        if _file_sha256(path) == digest:  # the bytes parsed are the bytes keyed
+            _write_cache(sidecar, key, table)
+        return table
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
+    except (IsADirectoryError, PermissionError) as exc:
+        raise DataError(f"{path}: {exc.strerror}") from None
 
 
 def _file_sha256(path: str) -> str:
@@ -180,23 +186,21 @@ def _write_cache(sidecar: str, key: str, table: LabeledTable):
             os.remove(tmp)  # gone already after a successful rename
 
 
-# Lines per np.loadtxt call of the CSV parse; a chunk runs on past this
-# until it ends outside a quoted cell
-_CHUNK_LINES = 1 << 14
-
-# the rest of a quoted cell, doubled quotes included, up to its closing quote
-_QUOTED_REST = re.compile(r'[^"]*(?:""[^"]*)*')
+# Rows per np.loadtxt call of the CSV parse
+_CHUNK_ROWS = 1 << 14
 
 
 def _parse_csv(path: str, label_column: str | None) -> LabeledTable:
-    """The table of a CSV file, parsed ``_CHUNK_LINES`` lines at a time into
-    preallocated feature columns and label codes. A chunk ends only outside
-    a quoted cell, so each chunk holds whole rows, and every chunk is
-    parsed with the same ``np.loadtxt`` settings."""
+    """The table of a CSV file, parsed ``_CHUNK_ROWS`` rows at a time into
+    preallocated feature columns and label codes. Every chunk is one
+    ``np.loadtxt`` call with the same settings, reading on from where the
+    last stopped in one iterator over the file's data rows, so numpy alone
+    decides where a row, or a quoted cell spanning lines, ends."""
     with open(path, "r", encoding="utf-8") as fh:  # "\r\n" and "\r" read as "\n"
         n_lines = sum(1 for _ in fh)  # decodes the whole file before any check
         fh.seek(0)
-        header = next(filter(_is_row, fh), None)
+        lines = filter(_is_row, fh)
+        header = next(lines, None)
         if header is None:
             raise DataError(f"{path}: empty file")
         header = next(csv.reader([header]))
@@ -217,9 +221,10 @@ def _parse_csv(path: str, label_column: str | None) -> LabeledTable:
         codes = np.empty(n_lines, dtype=np.int64)  # labels numbered as they first appear
         seen: dict[str, int] = {}
         n = 0
-        for chunk in _chunks(fh):  # the lines after the header
+        # a call on no rows would warn that the input contained no data
+        while (first := next(lines, None)) is not None:
             try:
-                table = parse(chunk)
+                table = parse(itertools.chain([first], lines), max_rows=_CHUNK_ROWS)
             except ValueError:
                 raise _parse_error(path, parse) from None
             end = n + len(table)
@@ -250,43 +255,6 @@ def _is_row(line: str) -> bool:
     """Whether a line of a CSV file is its header or a data row: neither
     blank nor a comment, which starts with ``#`` or ``"#``."""
     return line != "\n" and not line.startswith(("#", '"#'))
-
-
-def _chunks(lines):
-    """The data rows among ``lines``, read ``_CHUNK_LINES`` lines at a time,
-    in lists that each end outside a quoted cell."""
-    chunk, quoted = [], False
-    for batch in iter(lambda: list(itertools.islice(lines, _CHUNK_LINES)), []):
-        batch = list(filter(_is_row, batch))
-        chunk += batch
-        for line in [line for line in batch if '"' in line]:
-            quoted = _ends_quoted(line, quoted)
-        if chunk and not quoted:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk
-
-
-def _ends_quoted(line: str, quoted: bool) -> bool:
-    """Whether ``np.loadtxt`` ends ``line``, begun inside a quoted cell if
-    ``quoted``, inside one. A cell is quoted when its first character is
-    ``"``; in it, ``""`` is a literal quote and a lone ``"`` ends the
-    quoting, the rest of the cell being read as it is."""
-    pos = 0
-    if not quoted:
-        quoted = line.startswith('"')
-        pos = int(quoted)
-    while True:
-        if quoted:
-            pos = _QUOTED_REST.match(line, pos).end()
-            if pos == len(line):
-                return True
-        comma = line.find(",", pos)
-        if comma < 0:
-            return False
-        quoted = line.startswith('"', comma + 1)
-        pos = comma + 1 + quoted
 
 
 def _parse_error(path: str, parse) -> DataError:

@@ -262,25 +262,31 @@ def _outcome(parse, path, label_column):
 
 
 class TestChunkedParse:
-    """``_parse_csv`` reads a file in chunks of ``_CHUNK_LINES`` lines; at
-    tiny chunk sizes, a chunk boundary falls between any two lines, so a
+    """``_parse_csv`` reads a file in chunks of ``_CHUNK_ROWS`` rows; at
+    tiny chunk sizes, a chunk boundary falls between any two rows, so a
     quoted cell spanning lines, comment and blank lines, a ragged or bad
     row may sit on either side of it."""
 
-    @pytest.mark.parametrize("chunk_lines", [1, 2, 3])
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3])
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(case=csv_texts())
     # a literal quote, then a quoted cell that spans two lines
     @example(case=('label,x0\ne"f,"5\n"\n1,2\n', "label"))
     # a rejected row that no half of the rows holds: the error is numpy's
     @example(case=('label,x0\n0,"7\n0,1\n', "label"))
-    def test_equals_one_parse_of_all_rows(self, tmp_path_factory, chunk_lines, case):
+    # every row ends in a quoted cell that spans lines, so one ends each chunk
+    @example(case=('x0,label\n1,"a\nb"\n2,"c\n\nd"\n3,"e\nf"\n4,g\n', "label"))
+    # a blank line and a comment after every row, so after each chunk's last
+    @example(case=('label,x0\n0,1\n\n# note\n1,2\n\n"# note\n0,3\n\n#\n1,4\n', "label"))
+    # 6 rows, a multiple of each chunk size, then a blank line and a comment
+    @example(case=('label,x0\n0,1\n1,2\n0,3\n1,4\n0,5\n1,6\n\n# end\n', "label"))
+    def test_equals_one_parse_of_all_rows(self, tmp_path_factory, chunk_rows, case):
         text, label_column = case
         path = str(tmp_path_factory.mktemp("csv") / "t.csv")
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         want, want_warnings = _outcome(reference_parse_csv, path, label_column)
-        with mock.patch.object(dt, "_CHUNK_LINES", chunk_lines):
+        with mock.patch.object(dt, "_CHUNK_ROWS", chunk_rows):
             got, got_warnings = _outcome(dt._parse_csv, path, label_column)
         assert got_warnings == want_warnings
         if isinstance(want, Exception):
@@ -420,17 +426,18 @@ class TestCsvCache:
         assert dt.load_csv(str(p)).features.tolist() == [[1.0, 2.0]]
 
     def test_rows_added_during_the_parse_are_an_error(self, tmp_path, monkeypatch):
-        # the parse counts the lines, then reads them again in chunks
+        # the parse counts the lines, then reads them again, the header first
         p = tmp_path / "t.csv"
         p.write_text("a,b\n1,2\n")
-        chunks = dt._chunks
+        is_row = dt._is_row
 
-        def appended_first(lines):
-            with open(p, "a", encoding="utf-8") as fh:
-                fh.write("3,4\n5,6\n")
-            return chunks(lines)
+        def appended_at_header(line):
+            if line == "a,b\n":
+                with open(p, "a", encoding="utf-8") as fh:
+                    fh.write("3,4\n5,6\n")
+            return is_row(line)
 
-        monkeypatch.setattr(dt, "_chunks", appended_first)
+        monkeypatch.setattr(dt, "_is_row", appended_at_header)
         with pytest.raises(dt.DataError, match="t.csv: the file changed while it was read"):
             dt.load_csv(str(p))
         assert os.listdir(tmp_path) == ["t.csv"]
@@ -485,10 +492,14 @@ class TestCsvCache:
     @pytest.mark.parametrize("text, message", [
         ("a,b\n1,2\nx,4\n", "{p}: unparseable rows at lines [3]"),
         ("a,b\n1,2\ninf,4\n", "non-finite features after ingestion"),
+        (b"a,b\n1,2\n3,\xe94\n", "{p}: not UTF-8 text"),  # latin-1
     ])
     def test_failed_parse_writes_no_sidecar(self, tmp_path, text, message):
         p = tmp_path / "t.csv"
-        p.write_text(text)
+        if isinstance(text, bytes):
+            p.write_bytes(text)
+        else:
+            p.write_text(text)
         for _ in range(2):
             with pytest.raises(dt.DataError) as err:
                 dt.load_csv(str(p))

@@ -945,6 +945,8 @@ class TestCli:
     def test_bad_inputs_exit_1(self, tmp_path, capsys, time_limit):
         bad_csv = tmp_path / "inf.csv"
         bad_csv.write_text("a,label\n1,0\ninf,1\n")
+        latin1_csv = tmp_path / "latin1.csv"
+        latin1_csv.write_bytes(b"a,label\n1,caf\xe9\n2,b\n")
         configs = [
             toy_config(objective="vera").to_dict() | {"vera": {"nope": 1}},
             toy_config(objective="vera").to_dict() | {"vera": {"entropy_weight": -1.0}},
@@ -952,6 +954,8 @@ class TestCli:
             toy_config(objective="vera").to_dict() | {"vera": {"gen_noise_std": 0}},
             toy_config(data={"kind": "two_moons", "n": 300, "ood_exclusion_radius": 50}).to_dict(),
             toy_config(data={"kind": "csv", "path": str(bad_csv)}).to_dict(),
+            toy_config(data={"kind": "csv", "path": str(latin1_csv)}).to_dict(),
+            toy_config(data={"kind": "csv", "path": str(tmp_path)}).to_dict(),
         ]
         for i, config in enumerate(configs):
             path = str(tmp_path / f"bad{i}.json")
