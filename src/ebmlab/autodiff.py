@@ -11,11 +11,13 @@ Graphs are built only through the named primitives below (``add``,
 on a graph is a call that a tracer wrapping this module can see and count.
 
 This engine is the oracle for every derivative in ebmlab. Graphs are
-built only where an MLP's parameter gradient or a second-order one is
-taken (the losses, the JEM composite, VERA's generator, SSM's double
-backward); values and input gradients run in numpy in ``models``, and so
-do the radial flow with its parameter gradient and VERA's posterior pass
-with its eta step (``objectives``), each tested byte-equal to this engine.
+built only where an MLP's parameter gradient is taken: the CD, VERA and
+CE losses, the JEM term and VERA's generator. Values and input gradients
+run in numpy in ``models``, and so do (in ``objectives``) the radial
+flow with its parameter gradient, VERA's posterior pass with its eta
+step, and sliced score matching with its second-order parameter
+gradient, each tested byte-equal to this engine; the SSM graph is kept
+as a test oracle.
 """
 
 from __future__ import annotations

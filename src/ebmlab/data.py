@@ -196,7 +196,8 @@ def _parse_csv(path: str, label_column: str | None) -> LabeledTable:
     ``np.loadtxt`` call with the same settings, reading on from where the
     last stopped in one iterator over the file's data rows, so numpy alone
     decides where a row, or a quoted cell spanning lines, ends."""
-    with open(path, "r", encoding="utf-8") as fh:  # "\r\n" and "\r" read as "\n"
+    # "\r\n" and "\r" read as "\n"; a leading byte-order mark is dropped
+    with open(path, "r", encoding="utf-8-sig") as fh:
         n_lines = sum(1 for _ in fh)  # decodes the whole file before any check
         fh.seek(0)
         lines = filter(_is_row, fh)
@@ -260,7 +261,7 @@ def _is_row(line: str) -> bool:
 def _parse_error(path: str, parse) -> DataError:
     """The error for a file with a row ``parse`` rejects, found over all its
     data rows at once, as a single ``parse`` call over them would find it."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         kept = [(number, line) for number, line in enumerate(fh, start=1) if _is_row(line)]
     numbers, rows = [number for number, _ in kept[1:]], [line for _, line in kept[1:]]
     try:

@@ -56,11 +56,7 @@ def average_precision(labels, scores) -> float:
     an arbitrary tie-ordering artifact. ``cumsum`` sums left to right,
     where ``np.sum`` would sum pairwise and round differently.
 
-    The ID and the OOD scores are sorted apart. At each distinct ID score
-    t, the ID scores >= t are counted from where t's run starts and the OOD
-    scores >= t by ``searchsorted``. A threshold that no ID score reaches
-    adds no recall, so its term is an exact +0.0 and leaving it out changes
-    no bit of the sum.
+    The ID and the OOD scores are sorted apart (``_ap_counts``).
     """
     labels = np.asarray(labels)
     scores = np.asarray(scores, dtype=np.float64)
@@ -71,22 +67,35 @@ def average_precision(labels, scores) -> float:
     pos, neg = labels == 1, labels == 0
     if not np.all(pos | neg):
         raise EvalError("labels must be 1 (ID) or 0 (OOD)")
-    n_pos = int(pos.sum())
-    if n_pos == 0 or not neg.any():
+    return _ap_counts(scores[pos], scores[neg])
+
+
+def _id_vs_ood_ap(id_scores: np.ndarray, ood_scores: np.ndarray) -> float:
+    """``average_precision`` of ID scores (label 1) followed by OOD scores
+    (label 0), its checks and its bits, without joining the two."""
+    id_scores = np.asarray(id_scores, dtype=np.float64)
+    ood_scores = np.asarray(ood_scores, dtype=np.float64)
+    if np.isnan(id_scores).any() or np.isnan(ood_scores).any():
+        raise EvalError("NaN score")
+    return _ap_counts(id_scores, ood_scores)
+
+
+def _ap_counts(id_scores: np.ndarray, ood_scores: np.ndarray) -> float:
+    """The AP of ID against OOD scores, neither NaN. At each distinct ID
+    score t, the ID scores >= t are counted from where t's run starts in the
+    sorted ID scores and the OOD scores >= t by ``searchsorted``. A
+    threshold that no ID score reaches adds no recall, so its term is an
+    exact +0.0 and leaving it out changes no bit of the sum."""
+    n_pos = len(id_scores)
+    if n_pos == 0 or len(ood_scores) == 0:
         raise EvalError("need at least one positive and one negative")
-    ids, oods = np.sort(scores[pos]), np.sort(scores[neg])
+    ids, oods = np.sort(id_scores), np.sort(ood_scores)
     first = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])  # start of each tie run
     tp = (n_pos - first)[::-1]
     fp = (len(oods) - np.searchsorted(oods, ids[first]))[::-1]
     recall = tp / n_pos
     precision = tp / (tp + fp)
     return float(np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1])
-
-
-def _id_vs_ood_ap(id_scores: np.ndarray, ood_scores: np.ndarray) -> float:
-    """``average_precision`` of ID scores (label 1) followed by OOD scores (label 0)."""
-    labels = np.concatenate([np.ones(len(id_scores)), np.zeros(len(ood_scores))])
-    return average_precision(labels, np.concatenate([id_scores, ood_scores]))
 
 
 def _finite_scores(spec: ModelSpec, params, features, source: str) -> np.ndarray:

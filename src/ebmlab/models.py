@@ -11,7 +11,7 @@ CPU, and the bytes depend neither on that count nor on which thread runs a
 block. The radial flow runs in numpy
 only (``_flow``), parameter adjoints included. Graphs (``energy``,
 ``mlp_forward``) cover MLP heads, on ``param_nodes`` leaves, only for
-parameter and second-order gradients.
+parameter gradients.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ from multiprocessing.connection import wait
 
 import numpy as np
 
-from . import autodiff as ad
 from .data import (
     SplitBundle,
     class_removal_split,
@@ -56,11 +55,12 @@ from .models import (
 from .objectives import (
     ObjectiveError,
     VeraConfig,
+    _param_grads,
     cd_loss,
     ce_loss,
     flow_nll,
     generator_spec,
-    jem_loss,
+    jem_term,
     ssm_vr_loss,
     vera_step,
 )
@@ -363,25 +363,43 @@ class TrainResult:
     history: dict
 
 
-def _param_grads(loss: ad.Node, leaves: dict[str, ad.Node]) -> np.ndarray:
-    """Gradient of ``loss`` w.r.t. ``param_nodes`` leaves, flat in the
-    parameters' layout (``param_nodes`` lists the blocks in layout order)."""
-    return np.concatenate([g.value.ravel() for g in ad.grad(loss, list(leaves.values()))])
-
-
 def _objective(config: RunConfig, spec: ModelSpec, pset: ParameterSet,
                x_train: np.ndarray, data_rng: np.random.Generator):
     """Per-run state of the configured objective, as ``step(xb, yb)``: the
-    loss value and its flat parameter gradient, from numpy for a flow, else
-    from the engine on ``loss(leaves, xb, yb)``'s node (+ gamma * CE)."""
+    loss value and its flat parameter gradient, from numpy for SSM and a
+    flow, else from the engine on ``loss(leaves, xb, yb)``'s node. For
+    gamma > 0 the JEM term ``gamma * CE`` is one more addend."""
     if config.objective == "nf":
         return lambda xb, yb: flow_nll(spec, pset, xb)
     if config.objective == "ssm":
         proj_rng = stream(config.seed, "projection")
 
-        def loss(leaves, xb, yb):
-            return ssm_vr_loss(partial(energy, spec, leaves), xb, rademacher(proj_rng, xb.shape))
-    elif config.objective == "cd":
+        def base_step(xb, yb):
+            return ssm_vr_loss(spec, pset, xb, rademacher(proj_rng, xb.shape))
+    else:
+        loss = _engine_loss(config, spec, pset, x_train, data_rng)
+
+        def base_step(xb, yb):
+            leaves = param_nodes(pset)
+            node = loss(leaves, xb, yb)
+            return float(node.value), _param_grads(node, leaves)
+
+    if config.gamma == 0:
+        return base_step
+
+    def jem_step(xb, yb):
+        loss_val, grad = base_step(xb, yb)
+        term, term_grad = jem_term(spec, pset, xb, yb, config.gamma)
+        return loss_val + term, grad + term_grad
+
+    return jem_step
+
+
+def _engine_loss(config: RunConfig, spec: ModelSpec, pset: ParameterSet,
+                 x_train: np.ndarray, data_rng: np.random.Generator):
+    """``loss(leaves, xb, yb)``, the engine node of objective cd, vera or ce
+    on ``param_nodes`` leaves, with the objective's per-run state."""
+    if config.objective == "cd":
         lo, hi = x_train.min(axis=0), x_train.max(axis=0)
         buffer = ReplayBuffer(config.buffer_capacity, config.reinit_prob,
                               lambda rng, k: rng.uniform(lo, hi, size=(k, x_train.shape[1])))
@@ -418,15 +436,7 @@ def _objective(config: RunConfig, spec: ModelSpec, pset: ParameterSet,
     else:
         def loss(leaves, xb, yb):
             return ce_loss(mlp_forward(spec, leaves, xb)[0], yb)
-
-    def engine_step(xb, yb):
-        leaves = param_nodes(pset)
-        node = loss(leaves, xb, yb)
-        if config.gamma > 0:
-            node = jem_loss(node, mlp_forward(spec, leaves, xb)[0], yb, config.gamma)
-        return float(node.value), _param_grads(node, leaves)
-
-    return engine_step
+    return loss
 
 
 def train(config: RunConfig, bundle: SplitBundle | None = None) -> TrainResult:
@@ -534,18 +544,26 @@ def _worker_count(n_jobs: int) -> int:
 
 
 def _train_job(config: RunConfig, bundle: SplitBundle | None, out_dir: str | None = None,
-               run: dict | None = None):
+               run: dict | None = None, analyses: tuple = ()):
     """One job of ``train_many``: ``train``, then, given ``out_dir`` and
-    ``run``, add ``run`` to the report's run block and save the run in
-    ``out_dir``. Returns the result, or the exception the run raised."""
+    ``run``, add ``run`` to the report's run block, save the run in
+    ``out_dir``, and run each ``(item, directory)`` of ``analyses`` on the
+    saved run as ``run_analysis`` does. Returns the result, or the exception
+    the run raised, and each failed analysis's error text by name."""
     try:
         result = train(config, bundle)
         if out_dir is not None:
             result.report.run.update(run)
             save_run(result, out_dir)
-        return result
     except Exception as exc:  # isolate failing runs
-        return exc
+        return exc, {}
+    errors = {}
+    for item, directory in analyses:
+        try:
+            run_analysis(item, result.spec, result.params, result.bundle, config.seed, directory)
+        except Exception as exc:  # isolate failing analyses
+            errors[item.get("name", item["kind"])] = f"{type(exc).__name__}: {exc}"
+    return result, errors
 
 
 def _worker(conn, job: tuple, mask: set):
@@ -554,23 +572,23 @@ def _worker(conn, job: tuple, mask: set):
     signal mask."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's, which kills us
     signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-    out = _train_job(*job)
+    out, errors = _train_job(*job)
     if isinstance(out, TrainResult) and job[1] is not None:
         out.bundle = None
-    conn.send(out)
+    conn.send((out, errors))
 
 
 def train_many(jobs: list[tuple]) -> list:
-    """Run each ``(config, bundle[, out_dir, run])`` job as ``_train_job``
-    does; returns the results, or the exceptions the runs raised, in input
-    order.
+    """Run each ``(config, bundle[, out_dir, run[, analyses]])`` job as
+    ``_train_job`` does; returns, in input order, each job's result or the
+    exception its run raised, paired with its failed analyses' error texts.
 
     Jobs train in forked worker processes, one per usable CPU and at most
     one per job, or in this process when that is one. A worker inherits
     its job, bundle included, and sends back the result, to which the
     job's bundle is re-attached. A worker that dies makes its run a
-    RuntimeError. Any BaseException here, such as KeyboardInterrupt, kills
-    and joins every worker before it propagates.
+    RuntimeError, with no analysis errors. Any BaseException here, such as
+    KeyboardInterrupt, kills and joins every worker before it propagates.
     """
     workers = _worker_count(len(jobs))
     if workers == 1:
@@ -600,11 +618,11 @@ def train_many(jobs: list[tuple]) -> list:
                 except EOFError:  # the worker died before it sent anything
                     proc.join()
                     out[i] = RuntimeError(f"the worker process exited with code "
-                                          f"{proc.exitcode} before its run finished")
+                                          f"{proc.exitcode} before its run finished"), {}
                 reader.close()
                 proc.join()
-                if isinstance(out[i], TrainResult) and jobs[i][1] is not None:
-                    out[i].bundle = jobs[i][1]
+                if isinstance(out[i][0], TrainResult) and jobs[i][1] is not None:
+                    out[i][0].bundle = jobs[i][1]
     finally:
         for proc in started:
             proc.kill()
@@ -626,8 +644,10 @@ def run_experiment_suite(manifest: dict, out_root: str) -> dict:
     suite continues.
 
     Runs train through ``train_many`` in waves: every run whose
-    ``embed_from`` run, if any, has finished. Outputs do not depend on how
-    many workers train them.
+    ``embed_from`` run, if any, has finished. Each analysis runs in the job
+    of the run it names, after that run is saved; the summary lists run
+    errors, then analysis errors, each in manifest order. Outputs do not
+    depend on how many workers train them.
     """
     manifest = check_fields(_MANIFEST, manifest, "suite")
     runs = [check_fields(_SUITE_RUN, item, "run") for item in manifest["runs"]]
@@ -659,6 +679,7 @@ def run_experiment_suite(manifest: dict, out_root: str) -> dict:
     results: dict[str, TrainResult] = {}
     failed: dict[str, Exception] = {}
     bundles: dict[str, SplitBundle] = {}
+    analysis_errors: dict[str, str] = {}
 
     def job(item: dict) -> tuple:
         name, config, source = item["name"], configs[item["name"]], item["embed_from"]
@@ -673,7 +694,8 @@ def run_experiment_suite(manifest: dict, out_root: str) -> dict:
                 bundles[key] = build_bundle(config)
             bundle = bundles[key]
         run = {"label": _run_label(name, config, source is not None), "name": name}
-        return config, bundle, os.path.join(out_root, name), run
+        mine = tuple((a, out_root) for a in analyses if a["model"] == name)
+        return config, bundle, os.path.join(out_root, name), run, mine
 
     waiting = runs
     while waiting:
@@ -686,11 +708,12 @@ def run_experiment_suite(manifest: dict, out_root: str) -> dict:
                 jobs[item["name"]] = job(item)
             except Exception as exc:
                 failed[item["name"]] = exc
-        for name, out in zip(jobs, train_many(list(jobs.values()))):
+        for name, (out, job_errors) in zip(jobs, train_many(list(jobs.values()))):
             if isinstance(out, Exception):
                 failed[name] = out
             else:
                 results[name] = out
+            analysis_errors |= job_errors
     errors = {n: f"{type(failed[n]).__name__}: {failed[n]}" for n in run_names if n in failed}
 
     rows = []
@@ -709,11 +732,11 @@ def run_experiment_suite(manifest: dict, out_root: str) -> dict:
     ))
 
     for item in analyses:
-        try:
-            model = results[item["model"]]
-            run_analysis(item, model.spec, model.params, model.bundle, model.config.seed, out_root)
-        except Exception as exc:
-            errors[item.get("name", item["kind"])] = f"{type(exc).__name__}: {exc}"
+        name = item.get("name", item["kind"])
+        if item["model"] not in results:  # the text a lookup of the failed run raises
+            errors[name] = f"KeyError: {item['model']!r}"
+        elif name in analysis_errors:
+            errors[name] = analysis_errors[name]
 
     summary = {"runs": sorted(results), "errors": errors, "aggregate": "aggregate.csv"}
     _atomic_write_json(os.path.join(out_root, "suite_summary.json"), summary)

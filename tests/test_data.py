@@ -119,6 +119,20 @@ class TestLoadCsv:
         assert table.features.tolist() == [[1.5, 2.0], [3.0, 4.25]]
         assert table.labels.tolist() == [0, 1]
 
+    def test_byte_order_mark(self, tmp_path):
+        # a leading UTF-8 byte-order mark is no character of the first line:
+        # the header, a comment before it and a rejected row's line number
+        # read as in the file without the mark
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(b"label,a\n0,1\n1,2\n")
+        marked.write_bytes(b"\xef\xbb\xbflabel,a\n0,1\n1,2\n")
+        want, got = (dt.load_csv(str(p), label_column="label") for p in (plain, marked))
+        assert got.features.tobytes() == want.features.tobytes()
+        assert got.labels.tobytes() == want.labels.tobytes()
+        marked.write_bytes(b"\xef\xbb\xbf# note\nlabel,a\n0,1\n1,x\n")
+        with pytest.raises(dt.DataError, match=r"unparseable rows at lines \[4\]"):
+            dt.load_csv(str(marked), label_column="label")
+
     @pytest.mark.parametrize("header, rows", [
         ("label,a,b", ["7,1,2", "3,3,4"]),
         ("a,label,b", ["1,7,2", "3,3,4"]),

@@ -209,6 +209,34 @@ class TestAgainstStableArgsort:
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
 
+    @staticmethod
+    def assert_id_vs_ood_as_joined(id_scores, ood_scores):
+        """``_id_vs_ood_ap`` of two score arrays gives the bits, or the error
+        text, of ``average_precision`` on them joined, ID labeled 1."""
+        joined = (np.r_[np.ones(len(id_scores)), np.zeros(len(ood_scores))],
+                  np.r_[id_scores, ood_scores])
+        outcomes = []
+        for ap, args in ((ev._id_vs_ood_ap, (id_scores, ood_scores)),
+                         (ev.average_precision, joined)):
+            try:
+                outcomes.append(np.float64(ap(*args)).tobytes())
+            except ev.EvalError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(scored_rows())
+    def test_id_vs_ood_ap_equals_the_joined_call(self, rows):
+        labels, scores = rows
+        self.assert_id_vs_ood_as_joined(scores[labels == 1], scores[labels == 0])
+
+    @pytest.mark.parametrize("id_scores, ood_scores", [
+        ([], [1.0]), ([1.0], []), ([], []), ([np.nan], [1.0]), ([1.0], [0.0, np.nan]),
+        ([], [np.nan]),
+    ])
+    def test_id_vs_ood_ap_errors(self, id_scores, ood_scores):
+        self.assert_id_vs_ood_as_joined(np.array(id_scores), np.array(ood_scores))
+
 
 class TestScoreDataset:
     def test_zero_energy_net(self):

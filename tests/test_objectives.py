@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from functools import partial
@@ -10,7 +11,7 @@ from ebmlab import models as mz
 from ebmlab import objectives as obj
 from ebmlab import rng as rngmod
 from ebmlab import training as tr
-from test_autodiff import engine_log
+from test_autodiff import engine_log, engine_ssm_vr_loss
 
 
 def quadratic_energy(x):
@@ -24,7 +25,7 @@ class TestSsmVr:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(16, 4))
         v = rngmod.rademacher(rng, x.shape)
-        loss = obj.ssm_vr_loss(quadratic_energy, x, v)
+        loss = engine_ssm_vr_loss(quadratic_energy, x, v)
         expected = -4.0 + 0.5 * (x**2).sum(axis=1).mean()
         assert loss.value == pytest.approx(expected, abs=1e-12)
 
@@ -34,14 +35,19 @@ class TestSsmVr:
             return ad.mul(x, x)
 
         x = np.array([[1.0 / math.sqrt(2.0)]])
-        loss = obj.ssm_vr_loss(e, x, np.array([[1.0]]))
+        loss = engine_ssm_vr_loss(e, x, np.array([[1.0]]))
         assert loss.value == pytest.approx(-1.0, abs=1e-12)
 
     def test_shape_mismatch_rejected(self):
+        spec = mz.ModelSpec(input_dim=2, hidden=[3], activation="softplus")
+        pset = mz.init_params(spec, 0)
         with pytest.raises(obj.ObjectiveError):
-            obj.ssm_vr_loss(quadratic_energy, np.zeros((3, 2)), np.zeros((2, 2)))
+            obj.ssm_vr_loss(spec, pset, np.zeros((3, 2)), np.zeros((2, 2)))
         with pytest.raises(obj.ObjectiveError):
-            obj.ssm_vr_loss(quadratic_energy, np.zeros(2), np.zeros(2))
+            obj.ssm_vr_loss(spec, pset, np.zeros(2), np.zeros(2))
+        flow = mz.ModelSpec(input_dim=2, head="flow", n_flow_layers=1)
+        with pytest.raises(obj.ObjectiveError, match="energy or logits head"):
+            obj.ssm_vr_loss(flow, mz.init_params(flow, 0), np.zeros((3, 2)), np.zeros((3, 2)))
 
     def test_against_finite_difference_oracle(self):
         # independent evaluation: finite differences of the score field
@@ -67,8 +73,8 @@ class TestSsmVr:
         jvp = (score_np(x + h * v) - score_np(x - h * v)) / (2 * h)
         expected = ((jvp * v).sum(axis=1) + 0.5 * (score_np(x) ** 2).sum(axis=1)).mean()
 
-        loss = obj.ssm_vr_loss(partial(mz.energy, spec, mz.param_nodes(pset)), x, v)
-        assert loss.value == pytest.approx(expected, abs=1e-5)
+        loss, _ = obj.ssm_vr_loss(spec, pset, x, v)
+        assert loss == pytest.approx(expected, abs=1e-5)
 
     def test_rademacher_expectation_matches_trace(self):
         # E_v[-v^T H v] = -tr(H) for Rademacher v: the Monte Carlo mean of
@@ -91,7 +97,7 @@ class TestSsmVr:
         n = 100_000
         v = rngmod.rademacher(rng, (n, 2))
         xx = np.repeat(x, n, axis=0)
-        empirical = obj.ssm_vr_loss(energy_fn, xx, v).value
+        empirical, _ = obj.ssm_vr_loss(spec, pset, xx, v)
         assert abs(empirical - exact) / max(abs(trace), 1e-12) < 0.02
 
     def test_parameter_gradient_matches_fd(self):
@@ -101,15 +107,12 @@ class TestSsmVr:
         x = rng.normal(size=(4, 2))
         v = rngmod.rademacher(rng, x.shape)
 
-        leaves = mz.param_nodes(pset)
-        loss = obj.ssm_vr_loss(partial(mz.energy, spec, leaves), x, v)
-        grads = ad.grad(loss, list(leaves.values()))
-        flat = np.concatenate([g.value.ravel() for g in grads])
+        _, flat = obj.ssm_vr_loss(spec, pset, x, v)
 
         def loss_at(values):
             q = pset.copy()
             q.values[:] = values
-            return obj.ssm_vr_loss(partial(mz.energy, spec, mz.param_nodes(q)), x, v).value
+            return obj.ssm_vr_loss(spec, q, x, v)[0]
 
         h = 1e-5
         for i in range(pset.values.size):
@@ -245,30 +248,36 @@ class TestFlowNll:
             obj.flow_nll(spec, mz.init_params(spec, 0), np.zeros((1, 2)))
 
 
+def jem_case(rng, n_classes=3):
+    """A random small logits-head MLP, its parameters, a batch and labels."""
+    d = int(rng.integers(1, 4))
+    spec = mz.ModelSpec(input_dim=d, hidden=[int(h) for h in rng.integers(1, 9, size=2)],
+                        head="logits", n_classes=n_classes)
+    pset = mz.init_params(spec, int(rng.integers(1000)))
+    n = int(rng.integers(1, 9))
+    return spec, pset, rng.normal(size=(n, d)), rng.integers(0, n_classes, size=n)
+
+
 class TestJemLoss:
     def test_arithmetic(self):
-        base = ad.constant(np.asarray(5.0))
-        logits = ad.constant(np.zeros((1, 3)))
-        loss = obj.jem_loss(base, logits, np.array([0]), gamma=2.0)
-        assert loss.value == pytest.approx(5.0 + 2.0 * math.log(3.0), abs=1e-9)
+        spec, pset, x, labels = jem_case(np.random.default_rng(0))
+        pset.values[:] = 0.0  # every logit 0: CE = log 3
+        loss, _ = obj.jem_term(spec, pset, x, labels, gamma=2.0)
+        assert loss == pytest.approx(2.0 * math.log(3.0), abs=1e-9)
 
-    def test_gamma_zero_returns_base_node(self):
-        base = ad.constant(np.asarray(1.0))
-        assert obj.jem_loss(base, ad.constant(np.zeros((1, 2))), np.array([0]), 0.0) is base
+    def test_gamma_zero_gives_a_zero_term(self):
+        loss, grad = obj.jem_term(*jem_case(np.random.default_rng(1)), 0.0)
+        assert loss == 0.0 and not grad.any()
 
     def test_negative_gamma_rejected(self):
         with pytest.raises(obj.ObjectiveError):
-            obj.jem_loss(ad.constant(np.asarray(0.0)), ad.constant(np.zeros((1, 2))), [0], -1.0)
+            obj.jem_term(*jem_case(np.random.default_rng(2)), -1.0)
 
     def test_affine_in_gamma(self):
-        rng = np.random.default_rng(2)
-        base = ad.constant(np.asarray(rng.normal()))
-        logits = ad.constant(rng.normal(size=(4, 3)))
-        labels = np.array([0, 1, 2, 1])
-        v0 = obj.jem_loss(base, logits, labels, 0.0).value
-        v1 = obj.jem_loss(base, logits, labels, 1.0).value
-        v2 = obj.jem_loss(base, logits, labels, 2.0).value
-        assert v2 - v0 == pytest.approx(2.0 * (v1 - v0), abs=1e-12)
+        case = jem_case(np.random.default_rng(2))
+        (l1, g1), (l2, g2) = (obj.jem_term(*case, gamma) for gamma in (1.0, 2.0))
+        assert l2 == pytest.approx(2.0 * l1, abs=1e-12)
+        assert np.allclose(g2, 2.0 * g1, rtol=0, atol=1e-12)
 
     def test_logits_head_energy_is_neg_logsumexp(self):
         spec = mz.ModelSpec(input_dim=2, hidden=[4], head="logits", n_classes=3)
@@ -279,6 +288,100 @@ class TestJemLoss:
         logits = mz.mlp_forward(spec, leaves, x)[0].value
         m = logits.max(axis=1)
         assert np.allclose(e, -(m + np.log(np.exp(logits - m[:, None]).sum(axis=1))), atol=1e-12)
+
+
+def ssm_case(rng, n_classes, activation, bottleneck, depth, n):
+    """A random MLP of ``depth`` hidden layers (an energy head, or a logits
+    head of ``n_classes``), perturbed parameters, a batch of ``n`` rows and
+    Rademacher projections."""
+    d = int(rng.integers(1, 4))
+    spec = mz.ModelSpec(input_dim=d, hidden=[int(h) for h in rng.integers(1, 20, size=depth)],
+                        activation=activation, head="logits" if n_classes else "energy",
+                        n_classes=n_classes, bottleneck_factor=bottleneck)
+    pset = mz.init_params(spec, int(rng.integers(1000)))
+    pset.values += 0.3 * rng.normal(size=pset.size)
+    x = rng.normal(size=(n, d))
+    return spec, pset, x, rngmod.rademacher(rng, x.shape)
+
+
+def engine_ssm_step(spec, pset, x, v):
+    """The loss and flat parameter gradient of the SSM-VR engine graph."""
+    leaves = mz.param_nodes(pset)
+    node = engine_ssm_vr_loss(partial(mz.energy, spec, leaves), x, v)
+    return float(node.value), obj._param_grads(node, leaves)
+
+
+def assert_same_step(got, want, case=""):
+    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes(), case
+    assert got[1].tobytes() == want[1].tobytes(), case
+
+
+class TestSsmOracle:
+    """The numpy ``ssm_vr_loss`` equals the engine graph it replaces, loss
+    and flat gradient, byte for byte: forward, score, Hessian-vector pass
+    and the parameter backward through all three."""
+
+    @pytest.mark.parametrize("activation", mz.ACTIVATIONS)
+    @pytest.mark.parametrize("n_classes", [None, 2, 3, 4])
+    def test_equals_engine(self, n_classes, activation):
+        rng = np.random.default_rng([n_classes or 0, mz.ACTIVATIONS.index(activation)])
+        for case in itertools.product([None, 0.5, 1.0], [0, 1, 2, 3], [1, 2, 64]):
+            spec, pset, x, v = ssm_case(rng, n_classes, activation, *case)
+            assert_same_step(obj.ssm_vr_loss(spec, pset, x, v), engine_ssm_step(spec, pset, x, v),
+                             case)
+
+    def test_equals_engine_at_suite_size(self):
+        # the suite-mix ssm run's model and batch: 64-wide GEMMs
+        spec = mz.ModelSpec(input_dim=2, hidden=[64, 64, 64], activation="softplus")
+        pset = mz.init_params(spec, 3)
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(64, 2))
+        v = rngmod.rademacher(rng, x.shape)
+        assert_same_step(obj.ssm_vr_loss(spec, pset, x, v), engine_ssm_step(spec, pset, x, v))
+
+    def test_builds_no_graph(self, monkeypatch):
+        spec, pset, x, v = ssm_case(np.random.default_rng(5), 3, "softplus", 0.5, 2, 4)
+        monkeypatch.setattr(ad.Node, "__init__", lambda *a, **k: pytest.fail("built a node"))
+        obj.ssm_vr_loss(spec, pset, x, v)
+
+
+class TestJemSplit:
+    """The JEM term as one addend equals the engine's composite graph
+    base + gamma * CE, loss and flat gradient, byte for byte."""
+
+    @staticmethod
+    def composite(spec, pset, x, labels, gamma, base):
+        leaves = mz.param_nodes(pset)
+        node = ad.add(base(partial(mz.energy, spec, leaves)), ad.mul(
+            gamma, obj.ce_loss(mz.mlp_forward(spec, leaves, x)[0], labels)))
+        return float(node.value), obj._param_grads(node, leaves)
+
+    @staticmethod
+    def split(spec, pset, x, labels, gamma, base):
+        loss, grad = base
+        term, term_grad = obj.jem_term(spec, pset, x, labels, gamma)
+        return loss + term, grad + term_grad
+
+    @pytest.mark.parametrize("objective", ["ssm", "cd"])
+    def test_equals_composite_graph(self, objective):
+        rng = np.random.default_rng(["ssm", "cd"].index(objective))
+        for i in range(40):
+            n_classes = int(rng.integers(2, 5))
+            case = (rng.choice([None, 0.5, 1.0]), int(rng.integers(1, 4)),
+                    int(rng.choice([1, 2, 64])))
+            spec, pset, x, v = ssm_case(rng, n_classes, rng.choice(mz.ACTIVATIONS), *case)
+            labels, gamma = rng.integers(0, n_classes, size=len(x)), float(rng.uniform(0.1, 3))
+            if objective == "ssm":
+                graph = partial(engine_ssm_vr_loss, x=x, v=v)
+                base = obj.ssm_vr_loss(spec, pset, x, v)
+            else:
+                samples = rng.normal(size=x.shape)
+                graph = partial(obj.cd_loss, x_data=x, x_samples=samples)
+                leaves = mz.param_nodes(pset)
+                node = obj.cd_loss(partial(mz.energy, spec, leaves), x, samples)
+                base = float(node.value), obj._param_grads(node, leaves)
+            assert_same_step(self.split(spec, pset, x, labels, gamma, base),
+                             self.composite(spec, pset, x, labels, gamma, graph), i)
 
 
 def linear_gen_setup(d=2, latent=2, noise_std=0.1, k=50, seed=0, **cfg_kw):

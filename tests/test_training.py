@@ -538,6 +538,38 @@ class TestSuite:
         assert os.path.exists(os.path.join(out, "sweep.csv"))
         assert os.path.exists(os.path.join(out, "climb.csv"))
 
+    def test_outputs_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch):
+        manifest = self._manifest()
+        # no removed classes leave cd no OOD rows to select on: "m" raises
+        # once it trains, in its worker
+        cfg = manifest["runs"][0]["config"]
+        manifest["runs"].append({"name": "m", "config": dict(
+            cfg, data={"kind": "csv", "path": write_toy_csv(tmp_path / "t.csv", dim=2)})})
+        manifest["analyses"] = [
+            {"kind": "norm_sweep", "model": "base", "radii": [0, 1, 5], "name": "sweep"},
+            {"kind": "ascend", "model": "sup", "n_points": 2, "steps": 3, "name": "climb"},
+            # valid on its own; 4 x 4 images do not fit the 2-input model
+            {"kind": "smoothness", "model": "sup", "side": 4, "pool_sizes": [2],
+             "name": "misfit"},
+            {"kind": "norm_sweep", "model": "m", "name": "orphan"},
+        ]
+        outs, summaries = [tmp_path / "w1", tmp_path / "w2"], []
+        for workers, out in zip((1, 2), outs):
+            monkeypatch.setattr(tr, "_worker_count", lambda n_jobs, w=workers: w)
+            summaries.append(tr.run_experiment_suite(json.loads(json.dumps(manifest)), str(out)))
+        errors = summaries[0]["errors"]
+        assert summaries[0] == summaries[1]
+        assert list(errors) == ["m", "misfit", "orphan"]  # runs, then analyses, in manifest order
+        assert errors["m"].startswith("ConfigError: objective 'cd' selects")
+        assert errors["misfit"].startswith("ConfigError: smoothness images of side 4")
+        assert errors["orphan"] == "KeyError: 'm'"
+        files = [sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file()) for out in outs]
+        assert files[0] == files[1]
+        assert {"sweep.csv", "climb.csv", "suite_summary.json"} <= {str(f) for f in files[0]}
+        assert not (outs[0] / "misfit.csv").exists()
+        for rel in files[0]:
+            assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
+
     def test_report_omits_csv_path(self, tmp_path):
         os.makedirs(tmp_path / "where")
         path = write_toy_csv(tmp_path / "where" / "data.csv")
