@@ -11,13 +11,15 @@ Graphs are built only through the named primitives below (``add``,
 on a graph is a call that a tracer wrapping this module can see and count.
 
 This engine is the oracle for every derivative in ebmlab. Graphs are
-built only where an MLP's parameter gradient is taken: the CD, VERA and
-CE losses, the JEM term and VERA's generator. Values and input gradients
-run in numpy in ``models``, and so do (in ``objectives``) the radial
-flow with its parameter gradient, VERA's posterior pass with its eta
-step, and sliced score matching with its second-order parameter
-gradient, each tested byte-equal to this engine; the SSM graph is kept
-as a test oracle.
+built only inside ``objectives``, where an MLP's parameter gradient is
+taken: CD's step, VERA's EBM and generator losses, and the JEM term,
+which at weight 1 is the CE baseline's step. The training loop takes a
+(loss value, flat gradient) pair from every objective and builds no
+graph. Values and input gradients run in numpy in ``models``, and so do
+(in ``objectives``) the radial flow with its parameter gradient, VERA's
+posterior pass with its eta step, and sliced score matching with its
+second-order parameter gradient, each tested byte-equal to this engine;
+the SSM graph is kept as a test oracle.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ModelSpec, _usable_cpus, classifier_embed
+from .models import ModelSpec, _striped, classifier_embed
 from .rng import stream
 
 
@@ -115,11 +115,9 @@ def load_csv(path: str, label_column: str | None = None) -> LabeledTable:
 
 def _file_sha256(path: str) -> str:
     """The sha256 of the sha256 digests of the file's consecutive
-    ``_HASH_PIECE``-byte pieces, in file order. One piece, or one usable
-    CPU, is hashed in this thread; more run on a pool of one thread per
-    usable CPU, at most one per piece, joined before this returns (hashlib
-    and unbuffered reads release the GIL). With k threads, thread j takes
-    every k-th piece from piece j. The digest does not depend on k."""
+    ``_HASH_PIECE``-byte pieces, in file order, hashed on
+    ``models._striped``'s shares of the pieces (hashlib and unbuffered reads
+    release the GIL). The digest does not depend on how many there are."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
     starts = range(0, size, _HASH_PIECE)
@@ -136,16 +134,7 @@ def _file_sha256(path: str) -> str:
                     left -= n
             digests[i] = h.digest()
 
-    k = min(_usable_cpus(), len(starts))
-    if k <= 1:
-        run(range(len(starts)))
-    else:
-        # imported here, as it loads logging, like models._hidden_blocks
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(k) as pool:
-            for worker in [pool.submit(run, range(j, len(starts), k)) for j in range(k)]:
-                worker.result()
+    _striped(lambda mine: functools.partial(run, mine), range(len(starts)))
     return hashlib.sha256(b"".join(digests)).hexdigest()
 
 

@@ -1,8 +1,11 @@
 """Training objectives: SSM-VR, contrastive divergence, VERA, flow NLL,
 cross-entropy, and the supervised composite's CE term with weight gamma.
 
-SSM-VR and the flow NLL are numpy steps that return a loss and its flat
-parameter gradient; the others are engine graphs."""
+Each objective's step returns its loss value and flat parameter gradient,
+the one contract of the training loop. SSM-VR and the flow NLL compute
+theirs in numpy; CD, VERA and the JEM term, which at weight 1 is the CE
+baseline's step, take theirs from engine graphs: only this module's steps build
+graphs."""
 
 from __future__ import annotations
 
@@ -254,6 +257,14 @@ def cd_loss(energy_fn, x_data, x_samples) -> ad.Node:
                   ad.neg(ad.mean(energy_fn(ad.constant(x_samples)))))
 
 
+def _cd_step(spec: ModelSpec, pset: ParameterSet, x_data, samples) -> tuple[float, np.ndarray]:
+    """CD's loss of ``x_data`` against ``samples`` and its flat parameter
+    gradient, from the engine."""
+    leaves = param_nodes(pset)
+    loss = cd_loss(partial(energy, spec, leaves), x_data, samples)
+    return float(loss.value), _param_grads(loss, leaves)
+
+
 def ce_loss(logits: ad.Node, labels) -> ad.Node:
     """Mean negative log softmax probability of the true class."""
     labels = np.asarray(labels)
@@ -285,7 +296,9 @@ def jem_term(spec: ModelSpec, pset: ParameterSet, x, labels, gamma: float
     Added to an EBM objective's loss and gradient, it gives the engine's
     loss and gradient of their sum byte for byte: ``ad.grad`` of the sum
     hands each parameter the base's adjoint first, then the term's one
-    contribution through its single use in the term's forward."""
+    contribution through its single use in the term's forward. At gamma 1
+    it is the CE baseline's step, byte-equal to ``ad.grad`` of the bare
+    CE: 1.0 * CE and its unit adjoint are exact."""
     if gamma < 0:
         raise ObjectiveError("gamma must be nonnegative")
     leaves = param_nodes(pset)
@@ -301,12 +314,13 @@ def _param_grads(loss: ad.Node, leaves: dict[str, ad.Node]) -> np.ndarray:
 
 @dataclass
 class VeraStep:
-    ebm_loss: ad.Node
-    gen_loss: ad.Node
-    gen_leaves: dict[str, ad.Node]
+    """One VERA step's outcome: the EBM's loss and flat parameter gradient,
+    the generator's flat parameter gradient, the updated eta and the
+    number of rows skipped for degenerate importance weights."""
+    ebm_loss: float
+    ebm_grad: np.ndarray
+    gen_grad: np.ndarray
     eta: float
-    x_gen: np.ndarray
-    entropy_grad_wrt_x: np.ndarray  # -score estimate per generated row
     n_skipped: int
 
 
@@ -323,7 +337,7 @@ def generator_spec(data_dim: int, cfg: VeraConfig) -> ModelSpec:
 
 def vera_step(
     spec: ModelSpec,
-    leaves: dict[str, ad.Node],
+    pset: ParameterSet,
     generator: ModelSpec,
     gen_pset: ParameterSet,
     x_data: np.ndarray,
@@ -331,54 +345,40 @@ def vera_step(
     eta: float,
     rng: np.random.Generator,
 ) -> VeraStep:
-    """One VERA step: EBM and generator loss nodes plus the eta update.
+    """One VERA step: both loss gradients and the eta update.
 
-    ``leaves`` are the EBM's ``param_nodes`` leaves; the EBM loss is the
-    CD loss of data against generator samples held constant.
-    The generator minimizes the energy of its samples minus an entropy
-    surrogate whose gradient matches the importance-weighted posterior
-    score estimator; eta follows one ascent step on the log-mean
+    The EBM loss is the CD loss of data against generator samples held
+    constant. The generator minimizes the energy of its samples minus an
+    entropy surrogate whose gradient matches the importance-weighted
+    posterior score estimator; eta follows one ascent step on the log-mean
     importance weight before clamping. The generator's pass on the n rows
-    and both losses are graphs; the posterior pass on the n*k rows and the
-    eta step run in numpy (``_posterior``).
+    and both losses are graphs on leaves made here from ``pset`` and
+    ``gen_pset``; the posterior pass on the n*k rows and the eta step run
+    in numpy (``_posterior``).
     """
     x_data = np.asarray(x_data, dtype=np.float64)
     n, d = x_data.shape
-    k = cfg.n_posterior_samples
 
     z = rng.normal(size=(n, cfg.latent_dim))
     eps = rng.normal(size=(n, d))
-    xi = rng.normal(size=(n, k, cfg.latent_dim))
+    xi = rng.normal(size=(n, cfg.n_posterior_samples, cfg.latent_dim))
 
     # generator pass with parameter leaves (phi)
     gen_leaves = param_nodes(gen_pset)
     g_z, _ = mlp_forward(generator, gen_leaves, z)
     x_gen = ad.add(g_z, ad.constant(cfg.gen_noise_std * eps))
-    x_gen_val = x_gen.value
 
     # EBM side: generated samples are constants
+    leaves = param_nodes(pset)
     energy_theta = partial(energy, spec, leaves)
-    ebm_loss = cd_loss(energy_theta, x_data, x_gen_val)
+    ebm_loss = cd_loss(energy_theta, x_data, x_gen.value)
 
-    # posterior samples z_k = z + eta*xi and their log importance weights
-    log_w_val, g_zk_val, slope = _posterior(generator, gen_pset.arrays(), z, xi, x_gen_val,
-                                            eta, cfg)
-
-    # importance-weighted posterior score, held constant for the surrogate
-    finite = np.all(np.isfinite(log_w_val), axis=1)
+    score, finite, slope = _posterior(generator, gen_pset.arrays(), z, xi, x_gen.value, eta, cfg)
     n_skipped = int(n - finite.sum())
     if n_skipped:
         warnings.warn(f"vera_step: skipped {n_skipped} samples with degenerate weights")
-    w = np.zeros_like(log_w_val)
-    rows = np.where(finite)[0]
-    if rows.size:
-        shifted = log_w_val[rows] - log_w_val[rows].max(axis=1, keepdims=True)
-        ww = np.exp(shifted)
-        w[rows] = ww / ww.sum(axis=1, keepdims=True)
-    g_zk_val = g_zk_val.reshape(n, k, d)
-    score = np.einsum("nk,nkd->nd", w, (g_zk_val - x_gen_val[:, None, :]) / cfg.gen_noise_std**2)
 
-    # entropy surrogate: dH/dphi ~ -mean score^T dx/dphi
+    # entropy surrogate, the score held constant: dH/dphi ~ -mean score^T dx/dphi
     h_surrogate = ad.neg(ad.mean(ad.reduce_sum(ad.mul(ad.constant(score), x_gen), axis=1)))
     gen_loss = ad.add(
         ad.mean(energy_theta(x_gen)),
@@ -386,29 +386,24 @@ def vera_step(
     )
 
     # eta ascent on the mean log-mean importance weight, then clamp
-    step = cfg.eta_lr * float(slope(finite)) if rows.size else 0.0
+    step = cfg.eta_lr * float(slope()) if n_skipped < n else 0.0
     if not np.isfinite(step):
         step = 0.0
     eta_new = float(np.clip(eta + step, cfg.eta_min, cfg.eta_max))
 
-    return VeraStep(
-        ebm_loss=ebm_loss,
-        gen_loss=gen_loss,
-        gen_leaves=gen_leaves,
-        eta=eta_new,
-        x_gen=x_gen_val,
-        entropy_grad_wrt_x=score,
-        n_skipped=n_skipped,
-    )
+    return VeraStep(ebm_loss=float(ebm_loss.value), ebm_grad=_param_grads(ebm_loss, leaves),
+                    gen_grad=_param_grads(gen_loss, gen_leaves), eta=eta_new, n_skipped=n_skipped)
 
 
 def _posterior(generator: ModelSpec, p: dict[str, np.ndarray], z, xi, x_gen, eta, cfg):
     """VERA's posterior pass in numpy on the generator's parameter arrays
     ``p``: the n*k samples z_k = z + eta*xi through the generator, and
     log w = log N(x_gen; g(z_k), s^2) + log N(z_k; 0, I) - log N(z_k; z, eta^2)
-    per sample. Returns (log w as (n, k), g(z_k) as (n*k, d), slope), where
-    ``slope(finite)`` is the derivative in eta of the mean of
-    log_mean_w = logsumexp_k(log w) - log k over the rows where ``finite``.
+    per sample. Returns (score, finite, slope): the importance-weighted
+    estimate of the score d log q(x)/dx at each generated row, the mask of
+    the rows whose k log weights are all finite (the others score 0), and
+    ``slope()``, the derivative in eta of the mean of
+    log_mean_w = logsumexp_k(log w) - log k over those rows.
 
     Values and slope do the float operations of the engine graph of these
     formulas, eta a leaf, and of ``ad.grad`` on it, in their order; the
@@ -429,7 +424,16 @@ def _posterior(generator: ModelSpec, p: dict[str, np.ndarray], z, xi, x_gen, eta
     lq = (-0.5 * xi_sq - 0.5 * latent * math.log(2.0 * math.pi)) + -float(latent) * np.log(eta)
     log_w = ((ll_x + lp_prior) + -lq).reshape(n, k)
 
-    def slope(finite):
+    finite = np.all(np.isfinite(log_w), axis=1)
+    w = np.zeros_like(log_w)
+    rows = np.where(finite)[0]
+    if rows.size:
+        shifted = log_w[rows] - log_w[rows].max(axis=1, keepdims=True)
+        ww = np.exp(shifted)
+        w[rows] = ww / ww.sum(axis=1, keepdims=True)
+    score = np.einsum("nk,nkd->nd", w, (g_zk.reshape(n, k, d) - x_gen[:, None, :]) / var_x)
+
+    def slope():
         # the adjoint of log w: the mean's 1/rows on the finite rows times
         # logsumexp's vjp, the softmax exp(log w - lse)
         g = (1.0 / int(finite.sum())) * finite.astype(np.float64)
@@ -445,4 +449,4 @@ def _posterior(generator: ModelSpec, p: dict[str, np.ndarray], z, xi, x_gen, eta
         via_lq = ((-g).sum(axis=(0,)) * -float(latent)) * np.power(eta, -1.0)
         return via_zk + via_lq
 
-    return log_w, g_zk, slope
+    return score, finite, slope

@@ -45,19 +45,13 @@ from .models import (
     _atomic_write_json,
     _mlp_outputs,
     _usable_cpus,
-    energy,
     init_params,
     input_grad,
-    mlp_forward,
-    param_nodes,
     save_checkpoint,
 )
 from .objectives import (
-    ObjectiveError,
     VeraConfig,
-    _param_grads,
-    cd_loss,
-    ce_loss,
+    _cd_step,
     flow_nll,
     generator_spec,
     jem_term,
@@ -223,7 +217,10 @@ _RUN = _with_defaults(RunConfig, {
     "lr": (lambda v, p: v is None or _is_finite(v) and v > 0, "null or positive and finite"),
     "weight_decay": _num(0), "eval_interval": _int(1), "patience": _int(1),
     "hidden": (lambda v, p: _is_list(v, lambda h: _is_int(h, 1)), "a list of integers >= 1"),
-    "activation": _choice(ACTIVATIONS),
+    # a piecewise-linear energy has a zero input Hessian, so the SSM loss
+    # is minimized by a flat energy
+    "activation": (lambda v, p: v in ACTIVATIONS and (v == "softplus" or p["objective"] != "ssm"),
+                   " or ".join(map(repr, ACTIVATIONS)) + ", and 'softplus' for objective 'ssm'"),
     "bottleneck_factor": (lambda v, p: v is None or _is_finite(v, 0, 1) and v > 0,
                           "null or a number in (0, 1]"),
     "n_flow_layers": _int(1), "sgld_steps": _int(0), "sgld_step_size": _POSITIVE,
@@ -366,23 +363,55 @@ class TrainResult:
 def _objective(config: RunConfig, spec: ModelSpec, pset: ParameterSet,
                x_train: np.ndarray, data_rng: np.random.Generator):
     """Per-run state of the configured objective, as ``step(xb, yb)``: the
-    loss value and its flat parameter gradient, from numpy for SSM and a
-    flow, else from the engine on ``loss(leaves, xb, yb)``'s node. For
-    gamma > 0 the JEM term ``gamma * CE`` is one more addend."""
+    loss value and its flat parameter gradient, from ``objectives``. CE's
+    step is the JEM term at weight 1 plus its weight decay; for gamma > 0
+    the JEM term ``gamma * CE`` is one more addend of an EBM objective's."""
     if config.objective == "nf":
         return lambda xb, yb: flow_nll(spec, pset, xb)
+    if config.objective == "ce":
+        def ce_step(xb, yb):
+            loss_val, grad = jem_term(spec, pset, xb, yb, 1.0)
+            if config.weight_decay > 0:
+                grad = grad + config.weight_decay * pset.values
+            return loss_val, grad
+
+        return ce_step
     if config.objective == "ssm":
         proj_rng = stream(config.seed, "projection")
 
         def base_step(xb, yb):
             return ssm_vr_loss(spec, pset, xb, rademacher(proj_rng, xb.shape))
-    else:
-        loss = _engine_loss(config, spec, pset, x_train, data_rng)
+    elif config.objective == "cd":
+        lo, hi = x_train.min(axis=0), x_train.max(axis=0)
+        buffer = ReplayBuffer(config.buffer_capacity, config.reinit_prob,
+                              lambda rng, k: rng.uniform(lo, hi, size=(k, x_train.shape[1])))
+        sgld_cfg = SgldConfig(config.sgld_steps, config.sgld_step_size, config.sgld_noise_std)
+        sgld_rng = stream(config.seed, "sgld")
+        buf_rng = stream(config.seed, "buffer")
 
         def base_step(xb, yb):
-            leaves = param_nodes(pset)
-            node = loss(leaves, xb, yb)
-            return float(node.value), _param_grads(node, leaves)
+            starts, slots = buffer.draw(xb.shape[0], buf_rng)
+            samples = sgld_chain(partial(input_grad, spec, pset), starts, sgld_cfg, sgld_rng)
+            buffer.write(slots, samples)
+            xb_noisy = xb + math.sqrt(config.data_noise_var) * data_rng.normal(size=xb.shape)
+            return _cd_step(spec, pset, xb_noisy, samples)
+    else:
+        vera_cfg = VeraConfig(**config.vera)
+        generator = generator_spec(x_train.shape[1], vera_cfg)
+        gen_pset = init_params(generator, config.seed + 1)
+        gen_adam = Adam(gen_pset.size, betas=vera_cfg.gen_betas)
+        vera_rng = stream(config.seed, "vera")
+        eta = vera_cfg.eta_init
+
+        def base_step(xb, yb):
+            # both gradients are taken before either update
+            nonlocal eta
+            vs = vera_step(spec, pset, generator, gen_pset, xb, vera_cfg, eta, vera_rng)
+            step = gen_adam.t + 1  # the loop's step: one generator update per step
+            gen_pset.values -= gen_adam.step(
+                vs.gen_grad, warmup_lr(vera_cfg.gen_lr, step, config.warmup_steps))
+            eta = vs.eta
+            return vs.ebm_loss, vs.ebm_grad
 
     if config.gamma == 0:
         return base_step
@@ -393,50 +422,6 @@ def _objective(config: RunConfig, spec: ModelSpec, pset: ParameterSet,
         return loss_val + term, grad + term_grad
 
     return jem_step
-
-
-def _engine_loss(config: RunConfig, spec: ModelSpec, pset: ParameterSet,
-                 x_train: np.ndarray, data_rng: np.random.Generator):
-    """``loss(leaves, xb, yb)``, the engine node of objective cd, vera or ce
-    on ``param_nodes`` leaves, with the objective's per-run state."""
-    if config.objective == "cd":
-        lo, hi = x_train.min(axis=0), x_train.max(axis=0)
-        buffer = ReplayBuffer(config.buffer_capacity, config.reinit_prob,
-                              lambda rng, k: rng.uniform(lo, hi, size=(k, x_train.shape[1])))
-        sgld_cfg = SgldConfig(config.sgld_steps, config.sgld_step_size, config.sgld_noise_std)
-        sgld_rng = stream(config.seed, "sgld")
-        buf_rng = stream(config.seed, "buffer")
-
-        def loss(leaves, xb, yb):
-            # ``pset`` holds the values of ``leaves`` until the loop's update
-            starts, slots = buffer.draw(xb.shape[0], buf_rng)
-            samples = sgld_chain(partial(input_grad, spec, pset), starts, sgld_cfg, sgld_rng)
-            buffer.write(slots, samples)
-            xb_noisy = xb + math.sqrt(config.data_noise_var) * data_rng.normal(size=xb.shape)
-            return cd_loss(partial(energy, spec, leaves), xb_noisy, samples)
-    elif config.objective == "vera":
-        vera_cfg = VeraConfig(**config.vera)
-        generator = generator_spec(x_train.shape[1], vera_cfg)
-        gen_pset = init_params(generator, config.seed + 1)
-        gen_adam = Adam(gen_pset.size, betas=vera_cfg.gen_betas)
-        vera_rng = stream(config.seed, "vera")
-        eta = vera_cfg.eta_init
-
-        def loss(leaves, xb, yb):
-            # the generator steps first: its loss reads the EBM through
-            # ``leaves``, which hold the parameters before the EBM update
-            nonlocal eta
-            vs = vera_step(spec, leaves, generator, gen_pset, xb, vera_cfg, eta, vera_rng)
-            g_gen = _param_grads(vs.gen_loss, vs.gen_leaves)
-            step = gen_adam.t + 1  # the loop's step: one generator update per step
-            gen_pset.values -= gen_adam.step(
-                g_gen, warmup_lr(vera_cfg.gen_lr, step, config.warmup_steps))
-            eta = vs.eta
-            return vs.ebm_loss
-    else:
-        def loss(leaves, xb, yb):
-            return ce_loss(mlp_forward(spec, leaves, xb)[0], yb)
-    return loss
 
 
 def train(config: RunConfig, bundle: SplitBundle | None = None) -> TrainResult:
@@ -487,8 +472,6 @@ def train(config: RunConfig, bundle: SplitBundle | None = None) -> TrainResult:
         if not np.isfinite(loss_val):
             history["diverged"] = True
             break
-        if config.objective == "ce" and config.weight_decay > 0:
-            grad_flat = grad_flat + config.weight_decay * pset.values
         pset.values -= adam.step(grad_flat, warmup_lr(config.base_lr, step, config.warmup_steps))
         history["loss"].append(loss_val)
 

@@ -548,7 +548,7 @@ class TestCacheKey:
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_piece_tree(self, tmp_path, monkeypatch, piece, sizes, cpus):
         monkeypatch.setattr(dt, "_HASH_PIECE", piece)
-        monkeypatch.setattr(dt, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(mz, "_usable_cpus", lambda: cpus)
         for size in sizes:
             data = np.random.default_rng(size).bytes(size)
             (tmp_path / "f").write_bytes(data)
@@ -558,7 +558,7 @@ class TestCacheKey:
         p = tmp_path / "t.csv"
         p.write_text("a,label\n" + "".join(f"{i},{i % 3}\n" for i in range(40)))
         monkeypatch.setattr(dt, "_HASH_PIECE", 16)
-        monkeypatch.setattr(dt, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(mz, "_usable_cpus", lambda: 1)
         want = dt.load_csv(str(p), "label")
 
         def refuse(*args, **kwargs):
@@ -566,13 +566,13 @@ class TestCacheKey:
 
         monkeypatch.setattr(np, "loadtxt", refuse)
         for cpus in (2, 3):
-            monkeypatch.setattr(dt, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(mz, "_usable_cpus", lambda: cpus)
             _assert_same_table(dt.load_csv(str(p), "label"), want)
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_empty_file(self, tmp_path, monkeypatch, cpus):
         monkeypatch.setattr(dt, "_HASH_PIECE", 7)
-        monkeypatch.setattr(dt, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(mz, "_usable_cpus", lambda: cpus)
         p = tmp_path / "t.csv"
         p.write_text("")
         with pytest.raises(dt.DataError) as err:
@@ -584,7 +584,7 @@ class TestCacheKey:
         """Pieces are hashed on threads other than the caller's, each
         joined before ``load_csv`` returns, so a suite can still fork."""
         monkeypatch.setattr(dt, "_HASH_PIECE", 8)
-        monkeypatch.setattr(dt, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(mz, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(tr, "_usable_cpus", lambda: 2)
         threads, sha256 = set(), hashlib.sha256
 

@@ -384,6 +384,29 @@ class TestJemSplit:
                              self.composite(spec, pset, x, labels, gamma, graph), i)
 
 
+class TestCeOracle:
+    """CE's step in the training loop, the JEM term at weight 1 plus the
+    weight decay, equals ``ad.grad`` of the bare CE graph plus the decay,
+    loss and flat gradient, byte for byte."""
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+    @pytest.mark.parametrize("activation", mz.ACTIVATIONS)
+    @pytest.mark.parametrize("n_classes", [2, 3, 4])
+    def test_equals_engine(self, n_classes, activation, weight_decay):
+        rng = np.random.default_rng([n_classes, mz.ACTIVATIONS.index(activation)])
+        config = tr.RunConfig(objective="ce", data={"kind": "two_moons"},
+                              activation=activation, weight_decay=weight_decay)
+        for case in itertools.product([None, 0.5, 1.0], [0, 1, 2, 3], [1, 2, 64]):
+            spec, pset, x, _ = ssm_case(rng, n_classes, activation, *case)
+            labels = rng.integers(0, n_classes, size=len(x))
+            leaves = mz.param_nodes(pset)
+            node = obj.ce_loss(mz.mlp_forward(spec, leaves, x)[0], labels)
+            grad = obj._param_grads(node, leaves)
+            want = float(node.value), grad + weight_decay * pset.values if weight_decay else grad
+            step = tr._objective(config, spec, pset, x, np.random.default_rng(0))
+            assert_same_step(step(x, labels), want, case)
+
+
 def linear_gen_setup(d=2, latent=2, noise_std=0.1, k=50, seed=0, **cfg_kw):
     cfg = obj.VeraConfig(
         latent_dim=latent, gen_noise_std=noise_std, n_posterior_samples=k, **cfg_kw
@@ -391,38 +414,50 @@ def linear_gen_setup(d=2, latent=2, noise_std=0.1, k=50, seed=0, **cfg_kw):
     gen_spec = mz.ModelSpec(input_dim=latent, hidden=[], head="vector", n_outputs=d)
     gen_params = mz.init_params(gen_spec, seed)
     spec = mz.ModelSpec(input_dim=d, hidden=[8], head="energy")
-    leaves = mz.param_nodes(mz.init_params(spec, seed + 1))
-    return spec, leaves, gen_spec, gen_params, cfg
+    return spec, mz.init_params(spec, seed + 1), gen_spec, gen_params, cfg
+
+
+def vera_draws(rng, n, d, cfg):
+    """z, eps and xi as ``vera_step`` draws them from ``rng``, in its order."""
+    return (rng.normal(size=(n, cfg.latent_dim)), rng.normal(size=(n, d)),
+            rng.normal(size=(n, cfg.n_posterior_samples, cfg.latent_dim)))
+
+
+def generated(gen_spec, gen_pset, z, eps, cfg):
+    """``vera_step``'s generated rows x_gen = g(z) + s * eps."""
+    return mz.mlp_forward(gen_spec, mz.param_nodes(gen_pset), z)[0].value + cfg.gen_noise_std * eps
+
+
+def vera_fields(step):
+    return (np.float64(step.ebm_loss).tobytes(), step.ebm_grad.tobytes(), step.gen_grad.tobytes(),
+            step.eta, step.n_skipped)
 
 
 class TestVera:
     def test_eta_clamped_to_range(self):
-        spec, params, gen_spec, gen_params, cfg = linear_gen_setup()
+        spec, pset, gen_spec, gen_params, cfg = linear_gen_setup()
         rng = np.random.default_rng(0)
         x = rng.normal(size=(8, 2))
-        step = obj.vera_step(spec, params, gen_spec, gen_params, x, cfg, eta=0.5, rng=rng)
+        step = obj.vera_step(spec, pset, gen_spec, gen_params, x, cfg, eta=0.5, rng=rng)
         assert step.eta == pytest.approx(cfg.eta_max)
         rng = np.random.default_rng(0)
-        step = obj.vera_step(spec, params, gen_spec, gen_params, x, cfg, eta=0.001, rng=rng)
+        step = obj.vera_step(spec, pset, gen_spec, gen_params, x, cfg, eta=0.001, rng=rng)
         assert step.eta >= cfg.eta_min
 
     def test_ebm_loss_matches_cd_with_generator_samples(self):
-        spec, params, gen_spec, gen_params, cfg = linear_gen_setup()
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(16, 2))
-        step = obj.vera_step(spec, params, gen_spec, gen_params, x, cfg, eta=0.1, rng=rng)
-        ref = obj.cd_loss(partial(mz.energy, spec, params), x, step.x_gen)
-        assert step.ebm_loss.value == pytest.approx(ref.value, abs=1e-12)
-        ga = ad.grad(step.ebm_loss, list(params.values()))
-        gb = ad.grad(ref, list(params.values()))
-        for a, b in zip(ga, gb):
-            assert np.allclose(a.value, b.value, atol=1e-12)
+        spec, pset, gen_spec, gen_params, cfg = linear_gen_setup()
+        x = np.random.default_rng(1).normal(size=(16, 2))
+        step = obj.vera_step(spec, pset, gen_spec, gen_params, x, cfg, eta=0.1,
+                             rng=np.random.default_rng(2))
+        z, eps, _ = vera_draws(np.random.default_rng(2), 16, 2, cfg)
+        assert_same_step((step.ebm_loss, step.ebm_grad),
+                         obj._cd_step(spec, pset, x, generated(gen_spec, gen_params, z, eps, cfg)))
 
     def test_score_estimate_against_linear_gaussian(self):
         # g(z) = Az gives x ~ N(0, A A^T + s^2 I); the marginal score is
         # -(A A^T + s^2 I)^{-1} x, so the estimated score should mostly
         # point the same way
-        spec, params, gen_spec, gen_params, cfg = linear_gen_setup(
+        spec, pset, gen_spec, gen_params, cfg = linear_gen_setup(
             k=200, noise_std=0.5, eta_max=0.5
         )
         A = np.array([[1.0, 0.3], [-0.2, 0.8]])
@@ -434,11 +469,11 @@ class TestVera:
         hits = 0
         total = 0
         for trial in range(10):
-            rng = np.random.default_rng(100 + trial)
-            x = rng.normal(size=(10, 2))
-            step = obj.vera_step(spec, params, gen_spec, gen_params, x, cfg, eta=0.5, rng=rng)
-            analytic = -(step.x_gen @ prec.T)
-            est = step.entropy_grad_wrt_x
+            z, eps, xi = vera_draws(np.random.default_rng(100 + trial), 10, 2, cfg)
+            x_gen = generated(gen_spec, gen_params, z, eps, cfg)
+            est, finite, _ = obj._posterior(gen_spec, gen_params.arrays(), z, xi, x_gen, 0.5, cfg)
+            assert finite.all()
+            analytic = -(x_gen @ prec.T)
             cos = (est * analytic).sum(axis=1) / (
                 np.linalg.norm(est, axis=1) * np.linalg.norm(analytic, axis=1) + 1e-12
             )
@@ -447,12 +482,12 @@ class TestVera:
         assert hits / total >= 0.9
 
     def test_generator_loss_gradient_finite(self):
-        spec, params, gen_spec, gen_params, cfg = linear_gen_setup()
+        spec, pset, gen_spec, gen_params, cfg = linear_gen_setup()
         rng = np.random.default_rng(3)
         x = rng.normal(size=(8, 2))
-        step = obj.vera_step(spec, params, gen_spec, gen_params, x, cfg, eta=0.1, rng=rng)
-        grads = ad.grad(step.gen_loss, list(step.gen_leaves.values()))
-        assert all(np.all(np.isfinite(g.value)) for g in grads)
+        step = obj.vera_step(spec, pset, gen_spec, gen_params, x, cfg, eta=0.1, rng=rng)
+        assert step.ebm_grad.shape == (pset.size,) and step.gen_grad.shape == (gen_params.size,)
+        assert np.all(np.isfinite(step.ebm_grad)) and np.all(np.isfinite(step.gen_grad))
 
     def test_eta_takes_one_ascent_step_on_the_mean_log_mean_weight(self):
         """Away from its clamps, eta moves by ``eta_lr`` times the slope in
@@ -465,14 +500,11 @@ class TestVera:
         gen_params = mz.init_params(gen_spec, 0)
         spec = mz.ModelSpec(input_dim=d, hidden=[8], head="energy")
         x = np.random.default_rng(5).normal(size=(n, d))
-        step = obj.vera_step(spec, mz.param_nodes(mz.init_params(spec, 1)), gen_spec, gen_params,
+        step = obj.vera_step(spec, mz.init_params(spec, 1), gen_spec, gen_params,
                              x, cfg, eta=eta, rng=np.random.default_rng(6))
         assert step.n_skipped == 0
 
-        draws = np.random.default_rng(6)  # vera_step's draws, in its order
-        z = draws.normal(size=(n, latent))
-        eps = draws.normal(size=(n, d))
-        xi = draws.normal(size=(n, k, latent))
+        z, eps, xi = vera_draws(np.random.default_rng(6), n, d, cfg)
         leaves = mz.param_nodes(gen_params)
 
         def generate(latents):
@@ -497,34 +529,31 @@ class TestVera:
         assert step.eta - eta == pytest.approx(cfg.eta_lr * slope, rel=1e-6)
 
     def test_deterministic_given_rng(self):
-        spec, params, gen_spec, gen_params, cfg = linear_gen_setup()
+        spec, pset, gen_spec, gen_params, cfg = linear_gen_setup()
         x = np.random.default_rng(4).normal(size=(8, 2))
-        s1 = obj.vera_step(spec, params, gen_spec, gen_params, x, cfg,
+        s1 = obj.vera_step(spec, pset, gen_spec, gen_params, x, cfg,
                            eta=0.1, rng=np.random.default_rng(9))
-        s2 = obj.vera_step(spec, params, gen_spec, gen_params, x, cfg,
+        s2 = obj.vera_step(spec, pset, gen_spec, gen_params, x, cfg,
                            eta=0.1, rng=np.random.default_rng(9))
-        assert s1.eta == s2.eta
-        assert np.array_equal(s1.x_gen, s2.x_gen)
-        assert s1.ebm_loss.value == s2.ebm_loss.value
+        assert vera_fields(s1) == vera_fields(s2)
 
 
-def engine_vera_step(spec, leaves, generator, gen_pset, x_data, cfg, eta, rng):
+def engine_vera_step(spec, pset, generator, gen_pset, x_data, cfg, eta, rng):
     """``obj.vera_step`` with its posterior pass and eta slope built on the
     engine: z_k = z + eta*xi on an eta leaf, the generator's graph on the
     n*k rows, log w, and ``ad.grad`` of the masked mean log-mean weight.
-    Returns the step, the slope's node (None when every row is skipped)
-    and eta's unclamped step."""
+    Returns the step, the generated rows, the score estimate, the slope's
+    node (None when every row is skipped) and eta's unclamped step."""
     x_data = np.asarray(x_data, dtype=np.float64)
     n, d = x_data.shape
     k = cfg.n_posterior_samples
-    z = rng.normal(size=(n, cfg.latent_dim))
-    eps = rng.normal(size=(n, d))
-    xi = rng.normal(size=(n, k, cfg.latent_dim))
+    z, eps, xi = vera_draws(rng, n, d, cfg)
 
     gen_leaves = mz.param_nodes(gen_pset)
     g_z, _ = mz.mlp_forward(generator, gen_leaves, z)
     x_gen = ad.add(g_z, ad.constant(cfg.gen_noise_std * eps))
     x_gen_val = x_gen.value
+    leaves = mz.param_nodes(pset)
     energy_theta = partial(mz.energy, spec, leaves)
     ebm_loss = obj.cd_loss(energy_theta, x_data, x_gen_val)
 
@@ -583,8 +612,10 @@ def engine_vera_step(spec, leaves, generator, gen_pset, x_data, cfg, eta, rng):
     else:
         step = 0.0
     eta_new = float(np.clip(eta + step, cfg.eta_min, cfg.eta_max))
-    return obj.VeraStep(ebm_loss=ebm_loss, gen_loss=gen_loss, gen_leaves=gen_leaves, eta=eta_new,
-                        x_gen=x_gen_val, entropy_grad_wrt_x=score, n_skipped=n_skipped), d_eta, step
+    vera = obj.VeraStep(ebm_loss=float(ebm_loss.value), ebm_grad=obj._param_grads(ebm_loss, leaves),
+                        gen_grad=obj._param_grads(gen_loss, gen_leaves), eta=eta_new,
+                        n_skipped=n_skipped)
+    return vera, x_gen_val, score, d_eta, step
 
 
 def gated_generator(d, latent, gate):
@@ -602,7 +633,7 @@ def gated_generator(d, latent, gate):
 class TestVeraOracle:
     """``vera_step``'s numpy posterior pass and eta step equal the engine
     graph they replace, byte for byte: every field of the step, both losses
-    and both loss gradients."""
+    and gradients among them, the score estimate and the slope."""
 
     @staticmethod
     def run_both(d, latent, k, n, eta, generator=None, **cfg_kw):
@@ -618,32 +649,22 @@ class TestVeraOracle:
         x = np.random.default_rng(6).normal(size=(n, d))
         steps = []
         for vera in (obj.vera_step, engine_vera_step):
-            leaves = mz.param_nodes(pset)
             with warnings.catch_warnings(record=True) as caught, np.errstate(all="ignore"):
                 warnings.simplefilter("always")
-                out = vera(spec, leaves, generator, gen_pset, x, cfg, eta, np.random.default_rng(7))
-            steps.append((out, leaves, [str(w.message) for w in caught
-                                        if w.category is UserWarning]))
-        (got, got_leaves, got_warned), ((want, d_eta, step), want_leaves, want_warned) = steps
-        assert got.eta == want.eta
-        assert got.n_skipped == want.n_skipped
+                out = vera(spec, pset, generator, gen_pset, x, cfg, eta, np.random.default_rng(7))
+            steps.append((out, [str(w.message) for w in caught if w.category is UserWarning]))
+        (got, got_warned), ((want, x_gen, score, d_eta, step), want_warned) = steps
+        assert vera_fields(got) == vera_fields(want)
         assert got_warned == want_warned
-        assert got.x_gen.tobytes() == want.x_gen.tobytes()
-        assert got.entropy_grad_wrt_x.tobytes() == want.entropy_grad_wrt_x.tobytes()
-        for loss, params in (("ebm_loss", (got_leaves, want_leaves)),
-                             ("gen_loss", (got.gen_leaves, want.gen_leaves))):
-            a, b = getattr(got, loss), getattr(want, loss)
-            assert a.value.tobytes() == b.value.tobytes(), loss
-            ga = ad.grad(a, list(params[0].values()))
-            gb = ad.grad(b, list(params[1].values()))
-            assert [g.value.tobytes() for g in ga] == [g.value.tobytes() for g in gb], loss
-        # the slope itself, before eta_lr, the finiteness test and the clamps
-        draws = np.random.default_rng(7)  # vera_step's draws, in its order
-        z, _, xi = (draws.normal(size=shape) for shape in [(n, latent), (n, d), (n, k, latent)])
+        # the score estimate, and the slope itself, before eta_lr, the
+        # finiteness test and the clamps
+        z, _, xi = vera_draws(np.random.default_rng(7), n, d, cfg)
         with np.errstate(all="ignore"):
-            log_w, _, slope = obj._posterior(generator, gen_pset.arrays(), z, xi, got.x_gen, eta,
-                                             cfg)
-            got_slope = slope(np.isfinite(log_w).all(axis=1)) if d_eta is not None else None
+            got_score, finite, slope = obj._posterior(generator, gen_pset.arrays(), z, xi, x_gen,
+                                                      eta, cfg)
+            got_slope = slope() if d_eta is not None else None
+        assert got_score.tobytes() == score.tobytes()
+        assert int(n - finite.sum()) == want.n_skipped
         if d_eta is not None:
             assert got_slope.tobytes() == d_eta.value.tobytes() or (
                 np.isnan(got_slope) and np.isnan(d_eta.value))
@@ -693,9 +714,8 @@ class TestVeraOracle:
         cfg = obj.VeraConfig(latent_dim=3, n_posterior_samples=k)
         generator = obj.generator_spec(2, cfg)
         spec = mz.ModelSpec(input_dim=2, hidden=[8], head="energy")
-        obj.vera_step(spec, mz.param_nodes(mz.init_params(spec, 0)), generator,
-                      mz.init_params(generator, 1), np.ones((n, 2)), cfg, 0.1,
-                      np.random.default_rng(0))
+        obj.vera_step(spec, mz.init_params(spec, 0), generator, mz.init_params(generator, 1),
+                      np.ones((n, 2)), cfg, 0.1, np.random.default_rng(0))
         assert created  # the losses and the n generator rows are graphs
         assert not [shape for shape in created if shape[:1] == (n * k,) or shape[:2] == (n, k)]
 

@@ -13,7 +13,6 @@ import time
 import numpy as np
 import pytest
 
-from ebmlab import autodiff as ad
 from ebmlab import cli
 from ebmlab import models as mz
 from ebmlab import objectives as obj
@@ -136,7 +135,8 @@ class TestRunConfig:
     def test_default_lrs(self):
         for objective, lr in (("cd", 1e-3), ("ssm", 1e-3), ("nf", 1e-3),
                               ("ce", 1e-3), ("vera", 3e-4)):
-            cfg = tr.RunConfig(objective=objective, data={"kind": "two_moons"})
+            cfg = tr.RunConfig(objective=objective, data={"kind": "two_moons"},
+                               activation="softplus")
             assert cfg.base_lr == lr
 
     def test_bad_vera_config_rejected(self):
@@ -330,10 +330,10 @@ class TestTrain:
         assert len(result.history["loss"]) == 5 and not result.history["diverged"]
         assert np.all(np.isfinite(result.params.values))
 
-    @pytest.mark.parametrize("objective, name", [("nf", "flow_nll"), ("ce", "ce_loss")])
+    @pytest.mark.parametrize("objective, name", [("nf", "flow_nll"), ("ce", "jem_term")])
     def test_nonfinite_loss_stops_at_the_best_finite_checkpoint(self, monkeypatch, objective,
                                                                  name):
-        # the numpy step (nf) and an engine objective's loss node (ce) turn
+        # the step's loss (nf's flow NLL, ce's JEM term at weight 1) turns
         # non-finite at step k; selection runs every step
         k = 4
         config = dict(objective=objective, steps=10, eval_interval=1, n_flow_layers=3)
@@ -345,7 +345,7 @@ class TestTrain:
             out = real(*args)
             if len(calls) < k:
                 return out
-            return (math.nan, out[1]) if objective == "nf" else ad.add(out, math.nan)
+            return math.nan, out[1]
 
         monkeypatch.setattr(tr, name, diverging)
         result = tr.train(toy_config(**config))
@@ -724,7 +724,7 @@ class TestSuite:
          "run 'emb': embed_from 'nobody' names no earlier run"),
         ([{"name": "emb", "config": {}, "embed_from": "ok"}, {"name": "ok", "config": {}}],
          "run 'emb': embed_from 'ok' names no earlier run"),
-        ([{"name": "ssm", "config": {"objective": "ssm"}},
+        ([{"name": "ssm", "config": {"objective": "ssm", "activation": "softplus"}},
           {"name": "emb", "config": {}, "embed_from": "ssm"}],
          "run 'emb': embed_from run 'ssm' has no classifier head"),
     ] + [([{"name": "ok", "config": {}}, {"name": "bad", "config": patch}], f"run 'bad': {named}")
@@ -1027,6 +1027,28 @@ class TestCli:
             code = cli.main(["train", "--config", path, "--out", str(tmp_path / "o")])
         assert code == 1
         assert f"config error: {field} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("activation", ["relu", "leaky_relu"])
+    @pytest.mark.parametrize("command", ["train", "suite", "sweep-gamma"])
+    def test_ssm_with_a_piecewise_linear_energy_exits_1_before_training(
+            self, tmp_path, monkeypatch, capsys, command, activation):
+        # its input Hessian is 0, so the SSM loss is minimized by a flat energy
+        for module in (cli, tr):
+            monkeypatch.setattr(module, "train", lambda *a, **k: pytest.fail("trained"))
+        config = toy_config(objective="ssm", activation="softplus").to_dict()
+        config["activation"] = activation
+        if command == "suite":
+            argv = ["--manifest", write_json(tmp_path / "m.json",
+                                             {"runs": [{"name": "ssm", "config": config}]})]
+        else:
+            argv = ["--config", write_json(tmp_path / "c.json", config)]
+        if command == "sweep-gamma":
+            argv += ["--grid", "0,1"]
+        assert cli.main([command, *argv, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.endswith(
+            "activation must be 'relu' or 'leaky_relu' or 'softplus', and 'softplus' for "
+            f"objective 'ssm', got {activation!r}\n")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("patch,named", BAD_BLOCKS)
     def test_bad_block_exits_1_before_training(self, tmp_path, monkeypatch, capsys, patch, named):
