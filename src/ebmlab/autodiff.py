@@ -10,16 +10,16 @@ Graphs are built only through the named primitives below (``add``,
 ``matmul``, ...); ``Node`` has no operator overloads, so every operation
 on a graph is a call that a tracer wrapping this module can see and count.
 
-This engine is the oracle for every derivative in ebmlab. Graphs are
-built only inside ``objectives``, where an MLP's parameter gradient is
-taken: CD's step, VERA's EBM and generator losses, and the JEM term,
-which at weight 1 is the CE baseline's step. The training loop takes a
-(loss value, flat gradient) pair from every objective and builds no
-graph. Values and input gradients run in numpy in ``models``, and so do
-(in ``objectives``) the radial flow with its parameter gradient, VERA's
-posterior pass with its eta step, and sliced score matching with its
-second-order parameter gradient, each tested byte-equal to this engine;
-the SSM graph is kept as a test oracle.
+This engine is the oracle for every derivative in ebmlab. ebmlab builds
+a graph for one step only: CD's (``objectives._cd_step``), its loss and
+MLP parameter gradient. The training loop takes a (loss value, flat
+gradient) pair from every objective and builds no graph. Values, input
+gradients and the MLP parameter backward run in numpy in ``models``, and
+the other steps are built on them in ``objectives``: sliced score
+matching with its second-order parameter gradient, the radial flow's
+NLL, VERA's whole step and the JEM term, which at weight 1 is the CE
+baseline's step. Each is tested byte-equal to this engine, and the tests
+keep the graphs they replaced as oracles.
 """
 
 from __future__ import annotations

@@ -3,15 +3,18 @@ flows, and classifiers with embedding extraction.
 
 This module decides how E(x) and dE/dx are computed for every head with an
 energy. Values and input gradients (``score_logdensity``, ``input_grad``,
-``classifier_embed``) run in numpy on a ParameterSet, doing the engine's
-float operations in its order; tests prove them byte-equal to the engine.
+``logdensity_and_grad``, ``classifier_embed``) run in numpy on a
+ParameterSet, doing the engine's float operations in its order; tests
+prove them byte-equal to the engine. So does an MLP's parameter backward
+(``_hidden_values``' ``back`` with ``_affine_grads``), on which
+``objectives`` builds its numpy steps.
 Scoring, embedding and the head output equal the engine run over fixed row
 blocks, head included; a set's blocks run on up to one thread per usable
 CPU, and the bytes depend neither on that count nor on which thread runs a
 block. The radial flow runs in numpy
 only (``_flow``), parameter adjoints included. Graphs (``energy``,
 ``mlp_forward``) cover MLP heads, on ``param_nodes`` leaves, only for
-parameter gradients.
+CD's parameter gradient.
 """
 
 from __future__ import annotations
@@ -230,11 +233,17 @@ def _hidden_maps(depth: int, bottleneck: bool) -> tuple[tuple[str, bool], ...]:
     return tuple((f"layer{i}{part}", act) for i in range(depth) for part, act in parts)
 
 
-def _hidden_values(spec: ModelSpec, p: dict[str, np.ndarray], x, bufs=None):
+def _hidden_values(spec: ModelSpec, p: dict[str, np.ndarray], x, bufs=None, params=False):
     """The hidden layers of ``mlp_forward`` in numpy on the parameter arrays
-    ``p``: (penultimate activations, back), where ``back(g)`` maps an adjoint
-    of the penultimate activations to the input adjoint as ``ad.grad``
-    would, overwriting ``g``, which must be a fresh array.
+    ``p``: (penultimate activations, back), where ``back(g, grads=None)``
+    maps an adjoint of the penultimate activations to the input adjoint as
+    ``ad.grad`` would, overwriting ``g``, which must be a fresh array. With
+    ``params``, each map's input is kept, and given a dict ``grads``,
+    ``back`` also puts each hidden map's ``W`` and ``b`` adjoints in it under
+    their block names, as ``ad.matmul``'s and ``ad.add``'s vjps form them:
+    ``z.T @ g`` on the map's input ``z``, and ``_sum_to``'s row sum of
+    ``g``. Only then are the inputs kept: kept, they slowed a value-only
+    3,000-row score from 4.6 to 6.0 ms (2 CPUs, OpenBLAS at one thread).
 
     Given ``bufs``, an ``(out, scratch)`` pair as ``_hidden_blocks`` makes it,
     a value-only pass that allocates no array: the affine maps write
@@ -245,11 +254,13 @@ def _hidden_values(spec: ModelSpec, p: dict[str, np.ndarray], x, bufs=None):
     _check_batch(h, spec.input_dim)
     out, scratch = bufs or (None, None)
     maps = _hidden_maps(len(spec.hidden), spec.has_bottleneck)
-    factors = []  # per activation, a function giving its vjp's factor
+    inputs, factors = [], []  # each map's input; per activation, its vjp factor's function
     for k, (name, activated) in enumerate(maps):
         into = out
         if bufs and k < len(maps) - 1:
             into = _view(scratch[k % 2], (len(h), p[f"{name}.W"].shape[1]))
+        if params:
+            inputs.append(h)
         h = _affine(h, p, name, into)
         if activated:
             h, f = _activation_np(spec, h, scratch and scratch[2:])
@@ -259,17 +270,28 @@ def _hidden_values(spec: ModelSpec, p: dict[str, np.ndarray], x, bufs=None):
             out[...] = h
         return out, None
 
-    def back(g):
-        # ad.matmul's vjp is g @ W.T; ad.add passes g through unchanged.
-        # Each factor multiplies the fresh matmul result in place.
+    def back(g, grads=None):
+        # ad.matmul's vjp is g @ W.T and z.T @ g; ad.add passes g through
+        # unchanged. Each factor multiplies the fresh matmul result in place.
         rest = iter(reversed(factors))
-        for name, activated in reversed(maps):
+        for k in reversed(range(len(maps))):
+            name, activated = maps[k]
             if activated:
                 g *= next(rest)()
+            if grads is not None:
+                _affine_grads(grads, name, inputs[k], g)
             g = g @ p[f"{name}.W"].T
         return g
 
     return h, back
+
+
+def _affine_grads(grads: dict, name: str, z: np.ndarray, g: np.ndarray):
+    """Put the adjoints of affine map ``name``'s ``W`` and ``b`` in
+    ``grads``, given its input ``z`` and its output's adjoint ``g``: the
+    matmul vjp's ``z.T @ g`` and ``_sum_to``'s row sum."""
+    grads[f"{name}.b"] = g.sum(axis=(0,))
+    grads[f"{name}.W"] = z.T @ g
 
 
 def _view(flat: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -554,23 +576,41 @@ def input_grad(spec: ModelSpec, pset: ParameterSet, x) -> np.ndarray:
     its numpy hidden layers, a flow the backward of ``_flow``, each from the
     adjoint the engine would hand it.
     """
+    return _input_pass(spec, pset, x, False)[1]
+
+
+def logdensity_and_grad(spec: ModelSpec, pset: ParameterSet, x) -> tuple[np.ndarray, np.ndarray]:
+    """(log p~(x) per row, dE/dx) of an (n, d) batch from one forward pass:
+    ``input_grad``'s, whose head output (an energy head's), logsumexp (a
+    logits head's) or log p (a flow's) gives the log-density. The gradient
+    is ``input_grad``'s. The log-density is ``score_logdensity``'s byte for
+    byte on a batch of one scoring block (fewer than twice ``_BLOCK_ROWS``
+    rows); on more, it is the engine's on the whole batch, not on blocks."""
+    return _input_pass(spec, pset, x, True)
+
+
+def _input_pass(spec: ModelSpec, pset: ParameterSet, x, score: bool):
+    """(log p~ per row if ``score``, else None; ``input_grad``)."""
     p = pset.arrays()
     if spec.head == "flow":
         logp, backward = _flow(spec, p, x)
-        return backward(-np.ones(logp.shape))[0]  # the adjoint of log p under sum(-log p)
+        # the adjoint of log p under sum(-log p)
+        return logp if score else None, backward(-np.ones(logp.shape))[0]
     if spec.head not in ("energy", "logits"):
         raise ModelError(f"no energy for head {spec.head!r}")
     h, back = _hidden_values(spec, p, x)
     if spec.head == "energy":
-        # The head output is not needed. Under sum(E) its adjoint is ones, so
-        # ad.matmul's vjp ones @ head.W.T (inner dimension 1) has entries
-        # 1.0 * w = w exactly, added to a GEMM's zeroed accumulator: w + 0.0,
-        # which turns a -0.0 weight into +0.0.
-        return back(np.repeat(p["head.W"].T + 0.0, h.shape[0], axis=0))
+        # The gradient needs no head output. Under sum(E) its adjoint is
+        # ones, so ad.matmul's vjp ones @ head.W.T (inner dimension 1) has
+        # entries 1.0 * w = w exactly, added to a GEMM's zeroed accumulator:
+        # w + 0.0, which turns a -0.0 weight into +0.0.
+        logp = _block_part(spec, p, h, "score") if score else None
+        return logp, back(np.repeat(p["head.W"].T + 0.0, h.shape[0], axis=0))
     # for E = -logsumexp, the adjoint of the head output is -1 times the
     # softmax exp(logits - lse) (ad.logsumexp's vjp)
     out = _affine(h, p, "head")
-    return back(-1.0 * np.exp(out + -_logsumexp(out)) @ p["head.W"].T)
+    lse = _logsumexp(out)
+    return lse[:, 0] if score else None, back(-1.0 * np.exp(out + -lse) @ p["head.W"].T)
 
 
 def score_logdensity(spec: ModelSpec, pset: ParameterSet, x) -> np.ndarray:

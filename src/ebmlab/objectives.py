@@ -2,10 +2,11 @@
 cross-entropy, and the supervised composite's CE term with weight gamma.
 
 Each objective's step returns its loss value and flat parameter gradient,
-the one contract of the training loop. SSM-VR and the flow NLL compute
-theirs in numpy; CD, VERA and the JEM term, which at weight 1 is the CE
-baseline's step, take theirs from engine graphs: only this module's steps build
-graphs."""
+the one contract of the training loop. SSM-VR, the flow NLL, VERA and the
+JEM term, which at weight 1 is the CE baseline's step, compute theirs in
+numpy, by the float operations of the engine graphs they replaced, which
+the tests keep as oracles. Only CD's step (``_cd_step``) takes its
+gradient from an engine graph: no other code in ebmlab builds one."""
 
 from __future__ import annotations
 
@@ -17,9 +18,9 @@ from functools import partial
 import numpy as np
 
 from . import autodiff as ad
-from .models import (ModelSpec, ParameterSet, _affine, _check_batch, _flow, _hidden_maps,
-                     _hidden_values, _leaky_factor, _logsumexp, _sigmoid, _softplus, energy,
-                     mlp_forward, param_nodes)
+from .models import (ModelSpec, ParameterSet, _affine, _affine_grads, _check_batch, _flow,
+                     _hidden_maps, _hidden_values, _leaky_factor, _logsumexp, _sigmoid, _softplus,
+                     energy, param_nodes)
 
 
 class ObjectiveError(Exception):
@@ -227,8 +228,7 @@ def ssm_vr_loss(spec: ModelSpec, pset: ParameterSet, x, v) -> tuple[float, np.nd
             c_m = z[k].T @ a3out
             a3out = a3out @ W[k].T if k else None
         grads[f"{name}.W"] = _acc(_acc(c_t2[k], c_m), _acc(c_tt[k], c_gzt[k]).T)
-    return loss, np.concatenate([np.ravel(grads[name]) if name in grads else np.zeros(math.prod(s))
-                                 for name, _, s in pset.offsets])
+    return loss, _flat(pset, grads)
 
 
 def _acc(total, term):
@@ -239,10 +239,11 @@ def _acc(total, term):
     return total if term is None else total + term
 
 
-def _ones_column(n: int) -> np.ndarray:
-    """The adjoint ``ad.grad`` hands an energy head's (n, 1) output under
-    sum(E): a stride-0 view of one 1.0, as the engine builds it."""
-    return np.broadcast_to(np.ones(()).reshape((1,)), (n,)).reshape((n, 1))
+def _ones_column(n: int, scale: float = 1.0) -> np.ndarray:
+    """The adjoint ``ad.grad`` hands an energy head's (n, 1) output when
+    every row's energy has the adjoint ``scale``, 1.0 under sum(E): a
+    stride-0 view of one float, as the engine builds it."""
+    return np.broadcast_to(np.asarray(scale, dtype=np.float64).reshape((1,)), (n,)).reshape((n, 1))
 
 
 def cd_loss(energy_fn, x_data, x_samples) -> ad.Node:
@@ -265,18 +266,6 @@ def _cd_step(spec: ModelSpec, pset: ParameterSet, x_data, samples) -> tuple[floa
     return float(loss.value), _param_grads(loss, leaves)
 
 
-def ce_loss(logits: ad.Node, labels) -> ad.Node:
-    """Mean negative log softmax probability of the true class."""
-    labels = np.asarray(labels)
-    n, c = logits.value.shape
-    if labels.min() < 0 or labels.max() >= c:
-        raise ObjectiveError(f"labels must lie in [0, {c})")
-    onehot = np.zeros((n, c))
-    onehot[np.arange(n), labels] = 1.0
-    picked = ad.reduce_sum(ad.mul(logits, onehot), axis=1)
-    return ad.mean(ad.add(ad.logsumexp(logits, axis=1), ad.neg(picked)))
-
-
 def flow_nll(spec: ModelSpec, pset: ParameterSet, x) -> tuple[float, np.ndarray]:
     """A flow's mean NLL on an (n, d) batch and its flat parameter gradient,
     in numpy, by the engine's float operations for ``mean(neg(log p))``."""
@@ -291,7 +280,9 @@ def flow_nll(spec: ModelSpec, pset: ParameterSet, x) -> tuple[float, np.ndarray]
 def jem_term(spec: ModelSpec, pset: ParameterSet, x, labels, gamma: float
              ) -> tuple[float, np.ndarray]:
     """The supervised composite's addend gamma * cross-entropy of a logits
-    head on labeled rows, and its flat parameter gradient, from the engine.
+    head on labeled rows, and its flat parameter gradient, in numpy: the
+    float operations of the engine graph ``gamma * mean(logsumexp(logits)
+    - picked)``, ``picked`` the true class's logit, and of ``ad.grad`` on it.
 
     Added to an EBM objective's loss and gradient, it gives the engine's
     loss and gradient of their sum byte for byte: ``ad.grad`` of the sum
@@ -301,9 +292,32 @@ def jem_term(spec: ModelSpec, pset: ParameterSet, x, labels, gamma: float
     CE: 1.0 * CE and its unit adjoint are exact."""
     if gamma < 0:
         raise ObjectiveError("gamma must be nonnegative")
-    leaves = param_nodes(pset)
-    term = ad.mul(gamma, ce_loss(mlp_forward(spec, leaves, x)[0], labels))
-    return float(term.value), _param_grads(term, leaves)
+    p = pset.arrays()
+    h, back = _hidden_values(spec, p, x, params=True)
+    logits = _affine(h, p, "head")
+    labels = np.asarray(labels)
+    n, c = logits.shape
+    if labels.min() < 0 or labels.max() >= c:
+        raise ObjectiveError(f"labels must lie in [0, {c})")
+    onehot = np.zeros((n, c))
+    onehot[np.arange(n), labels] = 1.0
+    lse = _logsumexp(logits)
+    term = gamma * _mean(lse[:, 0] + -(logits * onehot).sum(axis=1))
+    # each row's adjoint gamma/n reaches the logits through logsumexp's
+    # vjp, the softmax, and through the picked logit, negated
+    a = (1.0 * gamma) * (1.0 / n)
+    g = a * np.exp(logits + -lse) + -a * onehot
+    grads = {}
+    _affine_grads(grads, "head", h, g)
+    back(g @ p["head.W"].T, grads)
+    return float(term), _flat(pset, grads)
+
+
+def _flat(pset: ParameterSet, grads: dict[str, np.ndarray]) -> np.ndarray:
+    """Adjoints by block name, flat in the parameters' layout; a block
+    without one gets zeros, as ``ad.grad`` gives a leaf it does not reach."""
+    return np.concatenate([np.ravel(grads[name]) if name in grads else np.zeros(math.prod(s))
+                           for name, _, s in pset.offsets])
 
 
 def _param_grads(loss: ad.Node, leaves: dict[str, ad.Node]) -> np.ndarray:
@@ -351,10 +365,14 @@ def vera_step(
     constant. The generator minimizes the energy of its samples minus an
     entropy surrogate whose gradient matches the importance-weighted
     posterior score estimator; eta follows one ascent step on the log-mean
-    importance weight before clamping. The generator's pass on the n rows
-    and both losses are graphs on leaves made here from ``pset`` and
-    ``gen_pset``; the posterior pass on the n*k rows and the eta step run
-    in numpy (``_posterior``).
+    importance weight before clamping. Everything runs in numpy, by the
+    float operations of the engine graphs of these losses and of
+    ``ad.grad`` on them: the generator's pass on the n rows with its
+    parameter backward, the EBM's forward on data and on the samples (one
+    pass on the samples serves both losses, whose forwards are the same
+    operations) with the CD loss's parameter backward and the generator
+    loss's input backward, and the posterior pass on the n*k rows with the
+    eta step (``_posterior``).
     """
     x_data = np.asarray(x_data, dtype=np.float64)
     n, d = x_data.shape
@@ -363,27 +381,31 @@ def vera_step(
     eps = rng.normal(size=(n, d))
     xi = rng.normal(size=(n, cfg.n_posterior_samples, cfg.latent_dim))
 
-    # generator pass with parameter leaves (phi)
-    gen_leaves = param_nodes(gen_pset)
-    g_z, _ = mlp_forward(generator, gen_leaves, z)
-    x_gen = ad.add(g_z, ad.constant(cfg.gen_noise_std * eps))
+    gp = gen_pset.arrays()
+    h_gen, gen_back = _hidden_values(generator, gp, z, params=True)
+    x_gen = _affine(h_gen, gp, "head") + cfg.gen_noise_std * eps
 
-    # EBM side: generated samples are constants
-    leaves = param_nodes(pset)
-    energy_theta = partial(energy, spec, leaves)
-    ebm_loss = cd_loss(energy_theta, x_data, x_gen.value)
+    # the EBM side: the CD loss of data against the samples held constant
+    p = pset.arrays()
+    e_data, data_back = _energy_pass(spec, p, x_data)
+    e_gen, gen_energy_back = _energy_pass(spec, p, x_gen)
+    ebm_loss = _mean(e_data) + -_mean(e_gen)
+    data_grads, gen_grads = {}, {}
+    data_back(1.0 * (1.0 / n), data_grads)
+    gen_energy_back(-1.0 * (1.0 / n), gen_grads)
 
-    score, finite, slope = _posterior(generator, gen_pset.arrays(), z, xi, x_gen.value, eta, cfg)
+    score, finite, slope = _posterior(generator, gp, z, xi, x_gen, eta, cfg)
     n_skipped = int(n - finite.sum())
     if n_skipped:
         warnings.warn(f"vera_step: skipped {n_skipped} samples with degenerate weights")
 
-    # entropy surrogate, the score held constant: dH/dphi ~ -mean score^T dx/dphi
-    h_surrogate = ad.neg(ad.mean(ad.reduce_sum(ad.mul(ad.constant(score), x_gen), axis=1)))
-    gen_loss = ad.add(
-        ad.mean(energy_theta(x_gen)),
-        ad.neg(ad.mul(cfg.entropy_weight, h_surrogate)),
-    )
+    # the generator loss mean E(x_gen) + w * mean(score . x_gen), the score
+    # held constant (the entropy surrogate: dH/dphi ~ -mean score^T dx/dphi):
+    # x_gen's adjoint through the energy, plus w/n * score, down the generator
+    g_gen = gen_energy_back(1.0 * (1.0 / n)) + (cfg.entropy_weight * (1.0 / n)) * score
+    grads = {}
+    _affine_grads(grads, "head", h_gen, g_gen)
+    gen_back(g_gen @ gp["head.W"].T, grads)
 
     # eta ascent on the mean log-mean importance weight, then clamp
     step = cfg.eta_lr * float(slope()) if n_skipped < n else 0.0
@@ -391,8 +413,41 @@ def vera_step(
         step = 0.0
     eta_new = float(np.clip(eta + step, cfg.eta_min, cfg.eta_max))
 
-    return VeraStep(ebm_loss=float(ebm_loss.value), ebm_grad=_param_grads(ebm_loss, leaves),
-                    gen_grad=_param_grads(gen_loss, gen_leaves), eta=eta_new, n_skipped=n_skipped)
+    return VeraStep(ebm_loss=float(ebm_loss),
+                    ebm_grad=_flat(pset, {k: _acc(data_grads[k], gen_grads[k]) for k in p}),
+                    gen_grad=_flat(gen_pset, grads), eta=eta_new, n_skipped=n_skipped)
+
+
+def _energy_pass(spec: ModelSpec, p: dict[str, np.ndarray], x):
+    """E(x) per row of an (n, d) batch for an energy or logits head, as
+    ``models.energy``'s graph computes it, and ``back(c, grads=None)``: the
+    input adjoint when each row's energy has the adjoint ``c`` (a mean's
+    1/n, say) as ``ad.grad`` hands it down, with the head's and hidden
+    maps' parameter adjoints put in ``grads`` if given."""
+    h, hidden_back = _hidden_values(spec, p, x, params=True)
+    out = _affine(h, p, "head")
+    n = out.shape[0]
+    if spec.head == "energy":
+        e = out.reshape((n,))
+    else:
+        lse = _logsumexp(out)
+        e = -lse.reshape((n,))
+
+    def back(c, grads=None):
+        if spec.head == "energy":
+            g = _ones_column(n, c)
+        else:  # E = -logsumexp: -c times logsumexp's vjp, the softmax
+            g = -c * np.exp(out + -lse)
+        if grads is not None:
+            _affine_grads(grads, "head", h, g)
+        return hidden_back(g @ p["head.W"].T, grads)
+
+    return e, back
+
+
+def _mean(values: np.ndarray):
+    """``ad.mean``'s value over every item."""
+    return values.sum() * (1.0 / float(values.size))
 
 
 def _posterior(generator: ModelSpec, p: dict[str, np.ndarray], z, xi, x_gen, eta, cfg):

@@ -1,10 +1,10 @@
 """SGLD chains, the persistent replay buffer, and likelihood ascent.
 
 The samplers take plain numpy functions of an (n, d) batch and build no
-graph: ``grad_fn(x)``, the input gradient dE/dx of the summed energy, and
-``logp_fn(x)``, the per-row log p~(x) = -E(x). For a model these are
-``models.input_grad`` and ``models.score_logdensity`` with the parameters
-bound.
+graph: SGLD ``grad_fn(x)``, the input gradient dE/dx of the summed energy,
+and ascent ``fn(x)``, the per-row log p~(x) = -E(x) with that gradient. For
+a model these are ``models.input_grad`` and ``models.logdensity_and_grad``
+with the parameters bound.
 """
 
 from __future__ import annotations
@@ -128,21 +128,22 @@ class AscentTrajectory:
     logdensity: np.ndarray   # (T+1,) unnormalized log-density summed over each batch
 
 
-def likelihood_ascent(logp_fn, grad_fn, x, steps: int, lr: float) -> AscentTrajectory:
+def likelihood_ascent(fn, x, steps: int, lr: float) -> AscentTrajectory:
     """Gradient ascent on log p~ = -E of an (n, d) batch in input space, with
-    ``logp_fn(x)`` = log p~ per row and ``grad_fn(x)`` = dE/dx; records the
-    log-density of each visited batch, and stops before the first step
+    ``fn(x)`` = (log p~ per row, dE/dx), one call per visited batch; records
+    the log-density of each visited batch, and stops before the first step
     whose gradient or log-density is not finite."""
     if lr <= 0:
         raise SamplerError("learning rate must be positive")
     x = np.array(x, dtype=np.float64)
-    logps = [logp_fn(x).sum()]
+    logp, g = fn(x)
+    logps = [logp.sum()]
     for _ in range(steps):
-        g = grad_fn(x)
         if not np.all(np.isfinite(g)):
             break
         x = x - lr * g  # ascent on -E
-        logp = logp_fn(x).sum()
+        logp, g = fn(x)
+        logp = logp.sum()
         if not np.isfinite(logp):
             break
         logps.append(logp)

@@ -47,6 +47,7 @@ from .models import (
     _usable_cpus,
     init_params,
     input_grad,
+    logdensity_and_grad,
     save_checkpoint,
 )
 from .objectives import (
@@ -83,15 +84,30 @@ class Adam:
         self.b1, self.b2 = betas
         self.eps = eps
         self.t = 0
+        self._update, self._denom = np.empty(size), np.empty(size)
 
     def step(self, grad: np.ndarray, lr: float) -> np.ndarray:
-        """Returns the update to subtract from the parameters."""
+        """Returns the update to subtract from the parameters:
+        lr * mhat / (sqrt(vhat) + eps) after m = b1*m + (1-b1)*grad and
+        v = b2*v + (1-b2)*grad*grad, each float operation in that order,
+        with ``m`` and ``v`` updated in place. The update is a buffer of
+        this optimizer that the next call overwrites."""
         self.t += 1
-        self.m = self.b1 * self.m + (1 - self.b1) * grad
-        self.v = self.b2 * self.v + (1 - self.b2) * grad * grad
-        mhat = self.m / (1 - self.b1**self.t)
-        vhat = self.v / (1 - self.b2**self.t)
-        return lr * mhat / (np.sqrt(vhat) + self.eps)
+        update, denom = self._update, self._denom
+        np.multiply(grad, 1 - self.b1, out=update)
+        self.m *= self.b1
+        self.m += update
+        np.multiply(grad, 1 - self.b2, out=update)
+        update *= grad
+        self.v *= self.b2
+        self.v += update
+        np.divide(self.v, 1 - self.b2**self.t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        np.divide(self.m, 1 - self.b1**self.t, out=update)
+        update *= lr
+        update /= denom
+        return update
 
 
 @dataclass
@@ -755,10 +771,9 @@ def run_analysis(item: dict, spec: ModelSpec, params, bundle: SplitBundle, seed:
         rows = [[c, int(v), series] for series, cnt in sorted(counts.items())
                 for c, v in zip(centers, cnt)]
     else:
-        logp, grad = partial(score_logdensity, spec, params), partial(input_grad, spec, params)
-        rows = []
+        fn, rows = partial(logdensity_and_grad, spec, params), []
         for i, x0 in enumerate(bundle.id_test.features[:p["n_points"]]):
-            traj = likelihood_ascent(logp, grad, x0[None], p["steps"], p["lr"])
+            traj = likelihood_ascent(fn, x0[None], p["steps"], p["lr"])
             rows.extend([t, lp, f"point{i}"] for t, lp in enumerate(traj.logdensity))
     write_series_csv(os.path.join(out_dir, f"{name}.csv"), rows)
     return rows

@@ -68,6 +68,19 @@ def engine_ssm_vr_loss(energy_fn, x, v) -> ad.Node:
     return ad.mean(per_row)
 
 
+def engine_ce_loss(logits: ad.Node, labels) -> ad.Node:
+    """Mean negative log softmax probability of the true class, as an
+    engine graph: the oracle of the numpy ``obj.jem_term``."""
+    labels = np.asarray(labels)
+    n, c = logits.value.shape
+    if labels.min() < 0 or labels.max() >= c:
+        raise obj.ObjectiveError(f"labels must lie in [0, {c})")
+    onehot = np.zeros((n, c))
+    onehot[np.arange(n), labels] = 1.0
+    picked = ad.reduce_sum(ad.mul(logits, onehot), axis=1)
+    return ad.mean(ad.add(ad.logsumexp(logits, axis=1), ad.neg(picked)))
+
+
 def quad(x):
     return ad.mul(ad.reduce_sum(ad.mul(x, x)), 0.5)
 

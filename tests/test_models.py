@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import pickle
@@ -345,6 +346,7 @@ class TestInputGrad:
         for spec, pset in zip(specs, psets):
             mz.input_grad(spec, pset, np.ones((4, 3)))
             mz.score_logdensity(spec, pset, np.ones((4, 3)))
+            mz.logdensity_and_grad(spec, pset, np.ones((4, 3)))
         mz.classifier_embed(specs[0], psets[0], np.ones((4, 3)))
         assert created == []
 
@@ -359,6 +361,68 @@ class TestInputGrad:
         spec = small_energy_spec()
         with pytest.raises(mz.ModelError):
             mz.input_grad(spec, mz.init_params(spec, 0), np.zeros(shape))
+
+    @pytest.mark.parametrize("n", [1, 3, 64])
+    @pytest.mark.parametrize("bottleneck", [None, 0.5])
+    @pytest.mark.parametrize("activation", mz.ACTIVATIONS)
+    @pytest.mark.parametrize("head", ["energy", "logits", "flow"])
+    def test_logdensity_and_grad_from_one_pass(self, head, activation, bottleneck, n):
+        # byte-equal to the two calls it replaces, non-finite rows included
+        spec = (perturbed_flow(3, 3)[0] if head == "flow"
+                else closed_form_spec(head, activation, bottleneck))
+        pset = perturbed_flow(3, 3)[1] if head == "flow" else perturbed_params(spec)
+        x = np.random.default_rng(n).normal(size=(n, 3)) * 3.0
+        x[0, 0] = {1: np.inf, 3: 1e300, 64: 0.5}[n]
+        with np.errstate(all="ignore"):
+            logp, grad = mz.logdensity_and_grad(spec, pset, x)
+            assert logp.tobytes() == mz.score_logdensity(spec, pset, x).tobytes()
+            assert grad.tobytes() == mz.input_grad(spec, pset, x).tobytes()
+
+
+def param_backward(spec, pset, x, g_out):
+    """The kernel's adjoints of every parameter and of ``x``, given the
+    head output's adjoint ``g_out``: the head's by ``_affine_grads``, the
+    hidden maps' by ``back``."""
+    p, grads = pset.arrays(), {}
+    h, back = mz._hidden_values(spec, p, x, params=True)
+    mz._affine_grads(grads, "head", h, g_out)
+    gx = back(g_out @ p["head.W"].T, grads)
+    return [grads[name] for name in p], gx
+
+
+def engine_param_backward(spec, pset, x, g_out):
+    """``ad.grad`` of sum(out * g_out), whose head output adjoint is g_out,
+    in every parameter and in ``x``."""
+    leaves, xn = mz.param_nodes(pset), ad.leaf(x)
+    out, _ = mz.mlp_forward(spec, leaves, xn)
+    *grads, gx = ad.grad(ad.reduce_sum(ad.mul(out, ad.constant(g_out))), [*leaves.values(), xn])
+    return [g.value for g in grads], gx.value
+
+
+class TestParamBackward:
+    """``_hidden_values``' ``back`` with a ``grads`` dict, after the head's
+    ``_affine_grads``, gives the engine's parameter and input adjoints of an
+    MLP, byte for byte, for every MLP head, activation, bottleneck, depth
+    and batch size."""
+
+    @pytest.mark.parametrize("activation", mz.ACTIVATIONS)
+    @pytest.mark.parametrize("head", ["energy", "logits", "vector"])
+    def test_equals_engine(self, head, activation):
+        rng = np.random.default_rng([["energy", "logits", "vector"].index(head),
+                                     mz.ACTIVATIONS.index(activation)])
+        for bottleneck, depth, n in itertools.product([None, 0.5, 1.0], [0, 1, 2, 3], [1, 2, 64]):
+            d, outputs = int(rng.integers(1, 4)), 1 if head == "energy" else int(rng.integers(2, 5))
+            spec = mz.ModelSpec(input_dim=d, hidden=[int(h) for h in rng.integers(1, 20, size=depth)],
+                                activation=activation, head=head, bottleneck_factor=bottleneck,
+                                n_classes=outputs if head == "logits" else None,
+                                n_outputs=outputs if head == "vector" else None)
+            pset = perturbed_params(spec, int(rng.integers(1000)))
+            x, g_out = rng.normal(size=(n, d)), rng.normal(size=(n, outputs))
+            (got, got_x), (want, want_x) = (f(spec, pset, x, g_out) for f in
+                                            (param_backward, engine_param_backward))
+            case = (bottleneck, depth, n)
+            assert [g.tobytes() for g in got] == [g.tobytes() for g in want], case
+            assert got_x.tobytes() == want_x.tobytes(), case
 
 
 def block_spec(head, activation, bottleneck, input_dim=8, hidden=(64, 48, 32)):

@@ -11,7 +11,7 @@ from ebmlab import models as mz
 from ebmlab import objectives as obj
 from ebmlab import rng as rngmod
 from ebmlab import training as tr
-from test_autodiff import engine_log, engine_ssm_vr_loss
+from test_autodiff import engine_ce_loss, engine_log, engine_ssm_vr_loss
 
 
 def quadratic_energy(x):
@@ -192,26 +192,28 @@ class TestCdLoss:
 
 
 class TestCeLoss:
+    """The engine graph of the cross-entropy, ``jem_term``'s oracle."""
+
     def test_uniform_logits(self):
         logits = ad.constant(np.zeros((4, 3)))
-        assert obj.ce_loss(logits, np.array([0, 1, 2, 0])).value == pytest.approx(math.log(3.0))
+        assert engine_ce_loss(logits, np.array([0, 1, 2, 0])).value == pytest.approx(math.log(3.0))
 
     def test_confident_correct(self):
         logits = ad.constant(np.array([[10.0, 0.0]]))
-        assert obj.ce_loss(logits, np.array([0])).value == pytest.approx(
+        assert engine_ce_loss(logits, np.array([0])).value == pytest.approx(
             math.log(1.0 + math.exp(-10.0)), rel=1e-12
         )
 
     def test_label_out_of_range(self):
         with pytest.raises(obj.ObjectiveError):
-            obj.ce_loss(ad.constant(np.zeros((2, 3))), np.array([0, 3]))
+            engine_ce_loss(ad.constant(np.zeros((2, 3))), np.array([0, 3]))
 
     def test_gradient_is_softmax_minus_onehot(self):
         rng = np.random.default_rng(1)
         l = rng.normal(size=(5, 4))
         labels = np.array([0, 1, 2, 3, 1])
         logits = ad.leaf(l)
-        (g,) = ad.grad(obj.ce_loss(logits, labels), [logits])
+        (g,) = ad.grad(engine_ce_loss(logits, labels), [logits])
         p = np.exp(l - l.max(axis=1, keepdims=True))
         p /= p.sum(axis=1, keepdims=True)
         onehot = np.eye(4)[labels]
@@ -272,6 +274,12 @@ class TestJemLoss:
     def test_negative_gamma_rejected(self):
         with pytest.raises(obj.ObjectiveError):
             obj.jem_term(*jem_case(np.random.default_rng(2)), -1.0)
+
+    def test_label_out_of_range(self):
+        spec, pset, x, _ = jem_case(np.random.default_rng(3))
+        for labels in (np.full(len(x), 3), np.full(len(x), -1)):
+            with pytest.raises(obj.ObjectiveError, match=r"labels must lie in \[0, 3\)"):
+                obj.jem_term(spec, pset, x, labels, 1.0)
 
     def test_affine_in_gamma(self):
         case = jem_case(np.random.default_rng(2))
@@ -353,7 +361,7 @@ class TestJemSplit:
     def composite(spec, pset, x, labels, gamma, base):
         leaves = mz.param_nodes(pset)
         node = ad.add(base(partial(mz.energy, spec, leaves)), ad.mul(
-            gamma, obj.ce_loss(mz.mlp_forward(spec, leaves, x)[0], labels)))
+            gamma, engine_ce_loss(mz.mlp_forward(spec, leaves, x)[0], labels)))
         return float(node.value), obj._param_grads(node, leaves)
 
     @staticmethod
@@ -367,8 +375,9 @@ class TestJemSplit:
         rng = np.random.default_rng(["ssm", "cd"].index(objective))
         for i in range(40):
             n_classes = int(rng.integers(2, 5))
+            # 5 rows: a mean's 1/n is inexact, so gamma * (1/n) differs from gamma / n
             case = (rng.choice([None, 0.5, 1.0]), int(rng.integers(1, 4)),
-                    int(rng.choice([1, 2, 64])))
+                    int(rng.choice([1, 2, 5, 64])))
             spec, pset, x, v = ssm_case(rng, n_classes, rng.choice(mz.ACTIVATIONS), *case)
             labels, gamma = rng.integers(0, n_classes, size=len(x)), float(rng.uniform(0.1, 3))
             if objective == "ssm":
@@ -400,11 +409,24 @@ class TestCeOracle:
             spec, pset, x, _ = ssm_case(rng, n_classes, activation, *case)
             labels = rng.integers(0, n_classes, size=len(x))
             leaves = mz.param_nodes(pset)
-            node = obj.ce_loss(mz.mlp_forward(spec, leaves, x)[0], labels)
+            node = engine_ce_loss(mz.mlp_forward(spec, leaves, x)[0], labels)
             grad = obj._param_grads(node, leaves)
             want = float(node.value), grad + weight_decay * pset.values if weight_decay else grad
             step = tr._objective(config, spec, pset, x, np.random.default_rng(0))
             assert_same_step(step(x, labels), want, case)
+
+    def test_equals_engine_at_suite_size(self):
+        # the suite-mix ce run's model and batch: two moons, 64-wide GEMMs
+        spec = mz.ModelSpec(input_dim=2, hidden=[64, 64, 64], head="logits", n_classes=2)
+        pset = mz.init_params(spec, 3)
+        rng = np.random.default_rng(4)
+        x, labels = rng.normal(size=(64, 2)), rng.integers(0, 2, size=64)
+        leaves = mz.param_nodes(pset)
+        node = engine_ce_loss(mz.mlp_forward(spec, leaves, x)[0], labels)
+        want = float(node.value), obj._param_grads(node, leaves) + 5e-4 * pset.values
+        step = tr._objective(tr.RunConfig(objective="ce", data={"kind": "two_moons"}), spec, pset,
+                             x, np.random.default_rng(0))
+        assert_same_step(step(x, labels), want)
 
 
 def linear_gen_setup(d=2, latent=2, noise_std=0.1, k=50, seed=0, **cfg_kw):
@@ -631,12 +653,12 @@ def gated_generator(d, latent, gate):
 
 
 class TestVeraOracle:
-    """``vera_step``'s numpy posterior pass and eta step equal the engine
-    graph they replace, byte for byte: every field of the step, both losses
-    and gradients among them, the score estimate and the slope."""
+    """The numpy ``vera_step`` equals the engine graphs it replaced, byte
+    for byte: every field of the step, both losses and gradients among them,
+    the score estimate and the slope, for every EBM and generator MLP."""
 
     @staticmethod
-    def run_both(d, latent, k, n, eta, generator=None, **cfg_kw):
+    def run_both(d, latent, k, n, eta, generator=None, spec=None, **cfg_kw):
         cfg = obj.VeraConfig(latent_dim=latent, n_posterior_samples=k, **cfg_kw)
         if generator is None:
             generator = obj.generator_spec(d, cfg)
@@ -644,8 +666,9 @@ class TestVeraOracle:
             gen_pset.values += 0.05 * np.random.default_rng(4).normal(size=gen_pset.size)
         else:
             generator, gen_pset = generator
-        spec = mz.ModelSpec(input_dim=d, hidden=[16, 16], head="energy")
+        spec = spec or mz.ModelSpec(input_dim=d, hidden=[16, 16], head="energy")
         pset = mz.init_params(spec, 5)
+        pset.values += 0.1 * np.random.default_rng(5).normal(size=pset.size)
         x = np.random.default_rng(6).normal(size=(n, d))
         steps = []
         for vera in (obj.vera_step, engine_vera_step):
@@ -680,6 +703,31 @@ class TestVeraOracle:
     def test_one_row(self):
         self.run_both(2, 16, 5, n=1, eta=0.1)
 
+    @pytest.mark.parametrize("bottleneck", [None, 0.5])
+    @pytest.mark.parametrize("activation", mz.ACTIVATIONS)
+    @pytest.mark.parametrize("n_classes", [None, 3])
+    def test_equals_engine_for_every_ebm(self, n_classes, activation, bottleneck):
+        # an energy head, or a logits head (VERA with the JEM term)
+        for depth, n in itertools.product([0, 1, 3], [1, 5]):
+            spec = mz.ModelSpec(input_dim=2, hidden=[16] * depth, activation=activation,
+                                head="logits" if n_classes else "energy", n_classes=n_classes,
+                                bottleneck_factor=bottleneck)
+            self.run_both(2, 4, 5, n=n, eta=0.1, spec=spec)
+
+    @pytest.mark.parametrize("bottleneck", [None, 0.5])
+    @pytest.mark.parametrize("activation", mz.ACTIVATIONS)
+    def test_equals_engine_for_every_generator(self, activation, bottleneck):
+        for depth in (0, 1, 3):
+            generator = mz.ModelSpec(input_dim=4, hidden=[12] * depth, activation=activation,
+                                     head="vector", n_outputs=2, bottleneck_factor=bottleneck)
+            gen_pset = mz.init_params(generator, 3)
+            gen_pset.values += 0.3 * np.random.default_rng(4).normal(size=gen_pset.size)
+            self.run_both(2, 4, 5, n=7, eta=0.1, generator=(generator, gen_pset))
+
+    def test_equals_engine_at_suite_size(self):
+        # the suite-mix vera run's models and batch
+        self.run_both(2, 16, 5, n=64, eta=0.1, spec=mz.ModelSpec(input_dim=2, hidden=[64] * 3))
+
     @pytest.mark.parametrize("eta", [0.01, 0.3, 0.17])
     def test_eta_at_and_between_its_clamps(self, eta):
         self.run_both(2, 4, 5, n=8, eta=eta)
@@ -701,23 +749,37 @@ class TestVeraOracle:
         want, step = self.run_both(2, 4, 5, n=8, eta=1e-310, eta_min=0.0)
         assert want.n_skipped == 0 and step == 0.0 and want.eta == 1e-310
 
-    def test_builds_no_node_with_posterior_rows(self, monkeypatch):
-        n, k = 4, 6
+
+class TestNoEngineGraph:
+    """VERA's step, the JEM term and CE's training step build no engine
+    node; CD's step is the one training step that still builds a graph."""
+
+    def test_node_counts(self, monkeypatch):
         created = []
         init = ad.Node.__init__
 
-        def recording_init(self, value, *args, **kwargs):
-            init(self, value, *args, **kwargs)
-            created.append(self.value.shape)
+        def counting_init(self, *args, **kwargs):
+            created.append(1)
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(ad.Node, "__init__", recording_init)
-        cfg = obj.VeraConfig(latent_dim=3, n_posterior_samples=k)
-        generator = obj.generator_spec(2, cfg)
-        spec = mz.ModelSpec(input_dim=2, hidden=[8], head="energy")
-        obj.vera_step(spec, mz.init_params(spec, 0), generator, mz.init_params(generator, 1),
-                      np.ones((n, 2)), cfg, 0.1, np.random.default_rng(0))
-        assert created  # the losses and the n generator rows are graphs
-        assert not [shape for shape in created if shape[:1] == (n * k,) or shape[:2] == (n, k)]
+        def nodes(step, *args):
+            del created[:]
+            step(*args)
+            return len(created)
+
+        monkeypatch.setattr(ad.Node, "__init__", counting_init)
+        rng = np.random.default_rng(0)
+        spec, pset, x, _ = ssm_case(rng, 3, "relu", None, 2, 8)
+        labels = rng.integers(0, 3, size=len(x))
+        cfg = obj.VeraConfig(latent_dim=3, n_posterior_samples=4)
+        generator = obj.generator_spec(x.shape[1], cfg)
+        ce = tr._objective(tr.RunConfig(objective="ce", data={"kind": "two_moons"}), spec, pset,
+                           x, np.random.default_rng(1))
+        assert nodes(obj.vera_step, spec, pset, generator, mz.init_params(generator, 1), x, cfg,
+                     0.1, np.random.default_rng(2)) == 0
+        assert nodes(obj.jem_term, spec, pset, x, labels, 0.5) == 0
+        assert nodes(ce, x, labels) == 0
+        assert nodes(obj._cd_step, spec, pset, x, rng.normal(size=x.shape)) > 0
 
 
 class TestConfigs:

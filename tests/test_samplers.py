@@ -18,6 +18,11 @@ def quadratic_grad(x):
     return x
 
 
+def quadratic(x):
+    """(log p~ per row, dE/dx) of E = 0.5|x|^2."""
+    return quadratic_logp(x), quadratic_grad(x)
+
+
 def sgld_trajectory(grad_fn, x0, cfg, rng):
     """Every state a ``cfg.steps``-step chain visits, x0 included: one-step
     chains on one generator draw the same noise in the same order."""
@@ -145,7 +150,8 @@ class TestClosedFormInputGradient:
         # noiseless SGLD descends the energy
         assert np.all(np.isfinite(out))
         assert logp(out).sum() > logp(x0).sum()
-        traj = sp.likelihood_ascent(logp, grad, x0, steps=3, lr=0.05)
+        traj = sp.likelihood_ascent(functools.partial(mz.logdensity_and_grad, spec, pset), x0,
+                                    steps=3, lr=0.05)
         assert len(traj.logdensity) == 4 and np.all(np.diff(traj.logdensity) > 0)
 
 
@@ -227,14 +233,14 @@ class TestReplayBuffer:
 class TestLikelihoodAscent:
     def test_zero_steps(self):
         x0 = np.array([[2.0, -1.0]])
-        traj = sp.likelihood_ascent(quadratic_logp, quadratic_grad, x0, steps=0, lr=0.1)
+        traj = sp.likelihood_ascent(quadratic, x0, steps=0, lr=0.1)
         assert traj.logdensity.shape == (1,)
         assert traj.logdensity[0] == pytest.approx(-2.5)
 
     def test_quadratic_shrink_factor(self):
         # ascent on -0.5|x|^2 at lr 0.1 multiplies x by 0.9 each step
         x0 = np.array([[10.0]])
-        traj = sp.likelihood_ascent(quadratic_logp, quadratic_grad, x0, steps=5, lr=0.1)
+        traj = sp.likelihood_ascent(quadratic, x0, steps=5, lr=0.1)
         assert np.allclose(traj.logdensity, -0.5 * (10.0 * 0.9 ** np.arange(6)) ** 2)
 
     def test_logdensity_nondecreasing_for_small_lr(self):
@@ -243,24 +249,60 @@ class TestLikelihoodAscent:
         total = 0
         for _ in range(20):
             x0 = rng.normal(size=(1, 3)) * 4.0
-            traj = sp.likelihood_ascent(quadratic_logp, quadratic_grad, x0, steps=30, lr=0.05)
+            traj = sp.likelihood_ascent(quadratic, x0, steps=30, lr=0.05)
             diffs = np.diff(traj.logdensity)
             ok += int((diffs >= -1e-12).all())
             total += 1
         assert ok / total >= 0.95
 
     def test_divergence_truncates(self):
-        def unstable_logp(x):
-            return np.exp(x).sum(axis=1)  # logp = sum(exp) blows up
+        def unstable(x):
+            return np.exp(x).sum(axis=1), -np.exp(x)  # logp = sum(exp) blows up
 
-        def unstable_grad(x):
-            return -np.exp(x)
-
-        traj = sp.likelihood_ascent(unstable_logp, unstable_grad, np.array([[5.0]]),
-                                    steps=10_000, lr=10.0)
+        traj = sp.likelihood_ascent(unstable, np.array([[5.0]]), steps=10_000, lr=10.0)
         assert 1 <= len(traj.logdensity) < 10_001  # stopped early
         assert np.all(np.isfinite(traj.logdensity))
 
     def test_bad_lr_rejected(self):
         with pytest.raises(sp.SamplerError):
-            sp.likelihood_ascent(quadratic_logp, quadratic_grad, np.zeros((1, 2)), steps=1, lr=0.0)
+            sp.likelihood_ascent(quadratic, np.zeros((1, 2)), steps=1, lr=0.0)
+
+    @pytest.mark.parametrize("lr", [1e-3, 0.1, 50.0, 1e150])  # 1e150: some runs diverge
+    @pytest.mark.parametrize("bottleneck", [None, 0.5])
+    @pytest.mark.parametrize("activation", mz.ACTIVATIONS)
+    @pytest.mark.parametrize("head", ["energy", "logits", "flow"])
+    def test_one_pass_equals_two_calls(self, head, activation, bottleneck, lr):
+        # models.logdensity_and_grad's trajectory is the one of
+        # score_logdensity plus input_grad, each point's log-density and
+        # gradient taken by separate calls, diverging runs included
+        if head == "flow":
+            spec = mz.ModelSpec(input_dim=3, head="flow", n_flow_layers=3)
+        else:
+            spec = mz.ModelSpec(input_dim=3, hidden=[16, 12], activation=activation, head=head,
+                                n_classes=4 if head == "logits" else None,
+                                bottleneck_factor=bottleneck)
+        pset = perturbed_params(spec)
+        for n in (1, 3):
+            x0 = np.random.default_rng(n).normal(size=(n, 3)) * 2.0
+            with np.errstate(all="ignore"):
+                got = sp.likelihood_ascent(functools.partial(mz.logdensity_and_grad, spec, pset),
+                                           x0, steps=40, lr=lr)
+                want = two_call_ascent(functools.partial(mz.score_logdensity, spec, pset),
+                                       functools.partial(mz.input_grad, spec, pset), x0, 40, lr)
+            assert got.logdensity.tobytes() == want.tobytes(), n
+
+
+def two_call_ascent(logp_fn, grad_fn, x, steps, lr):
+    """The log-densities of the ascent on log p~ with the log-density and
+    the gradient of each visited batch taken by separate calls."""
+    logps = [logp_fn(x).sum()]
+    for _ in range(steps):
+        g = grad_fn(x)
+        if not np.all(np.isfinite(g)):
+            break
+        x = x - lr * g
+        logp = logp_fn(x).sum()
+        if not np.isfinite(logp):
+            break
+        logps.append(logp)
+    return np.asarray(logps)

@@ -115,6 +115,21 @@ class TestAdam:
             x -= opt.step(2 * x, lr=0.05)
         assert abs(x[0]) < 1e-3
 
+    @pytest.mark.parametrize("betas", [(0.9, 0.999), (0.0, 0.9)])
+    @pytest.mark.parametrize("size", [1, 7, 8577, 42302])
+    def test_in_place_step_equals_the_formula(self, size, betas):
+        # the formula Adam.step computed with fresh arrays, as the oracle
+        b1, b2 = betas
+        m, v = np.zeros(size), np.zeros(size)
+        opt, rng = tr.Adam(size, betas=betas), np.random.default_rng(size)
+        for t in range(1, 61):
+            grad, lr = rng.normal(size=size) * 10.0 ** rng.integers(-8, 3), 10.0 ** -rng.uniform(2, 5)
+            m = b1 * m + (1 - b1) * grad
+            v = b2 * v + (1 - b2) * grad * grad
+            want = lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + 1e-8)
+            assert opt.step(grad, lr).tobytes() == want.tobytes(), t
+        assert opt.m.tobytes() == m.tobytes() and opt.v.tobytes() == v.tobytes()
+
 
 class TestRunConfig:
     def test_unknown_key_rejected(self):
@@ -619,13 +634,16 @@ class TestSuite:
         (tmp_path / "fast").mkdir()
         (tmp_path / "engine").mkdir()
         tr.run_analysis(item, spec, params, bundle, 0, str(tmp_path / "fast"))
-        engine_grads = []
-        monkeypatch.setattr(tr, "input_grad",
-                            lambda *a: engine_grads.append(1) or engine_input_grad(*a))
-        monkeypatch.setattr(tr, "score_logdensity",
-                            lambda spec, pset, x: -mz.energy(spec, mz.param_nodes(pset), x).value)
+        engine_calls = []
+
+        def engine_fn(spec, pset, x):
+            engine_calls.append(1)
+            return (-mz.energy(spec, mz.param_nodes(pset), x).value,
+                    engine_input_grad(spec, pset, x))
+
+        monkeypatch.setattr(tr, "logdensity_and_grad", engine_fn)
         tr.run_analysis(item, spec, params, bundle, 0, str(tmp_path / "engine"))
-        assert len(engine_grads) == 3 * 10
+        assert len(engine_calls) == 3 * (10 + 1)  # one call per visited point
         fast = (tmp_path / "fast" / "ascend.csv").read_bytes()
         assert fast == (tmp_path / "engine" / "ascend.csv").read_bytes()
 
