@@ -6,8 +6,11 @@ energy. Values and input gradients (``score_logdensity``, ``input_grad``,
 ``logdensity_and_grad``, ``classifier_embed``) run in numpy on a
 ParameterSet, doing the engine's float operations in its order; tests
 prove them byte-equal to the engine. So does an MLP's parameter backward
-(``_hidden_values``' ``back`` with ``_affine_grads``), on which
-``objectives`` builds its numpy steps.
+(``_hidden_values``' ``back`` with ``_affine_grads``). ``_energy_pass`` is
+the one code that runs an energy or logits head's E(x) with its backward,
+for ``input_grad``, ``logdensity_and_grad`` and ``objectives``' numpy steps
+(value-only scoring runs over row blocks), and ``_activation_np`` gives
+every numpy path its activations.
 Scoring, embedding and the head output equal the engine run over fixed row
 blocks, head included; a set's blocks run on up to one thread per usable
 CPU, and the bytes depend neither on that count nor on which thread runs a
@@ -67,6 +70,8 @@ class ModelSpec:
                 raise ModelError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.input_dim < 1:
             raise ModelError("input_dim must be >= 1")
+        if not math.isfinite(self.leaky_slope):  # JSON reads NaN and Infinity
+            raise ModelError(f"leaky_slope must be finite, got {self.leaky_slope!r}")
         if any(h < 1 for h in self.hidden):
             raise ModelError("hidden widths must be >= 1")
         if self.head not in ("energy", "logits", "flow", "vector"):
@@ -596,21 +601,51 @@ def _input_pass(spec: ModelSpec, pset: ParameterSet, x, score: bool):
         logp, backward = _flow(spec, p, x)
         # the adjoint of log p under sum(-log p)
         return logp if score else None, backward(-np.ones(logp.shape))[0]
+    energy_fn, back = _energy_pass(spec, p, x)
+    return -energy_fn() if score else None, back(1.0)  # sum(E): each row's adjoint is 1
+
+
+def _energy_pass(spec: ModelSpec, p: dict[str, np.ndarray], x):
+    """E(x) per row of an (n, d) batch for an energy or logits head, in
+    numpy on the parameter arrays ``p``: ``(energy, back)``. ``energy()``
+    is ``energy``'s graph value; an energy head's GEMM runs only when it is
+    called. ``back(c, grads=None)`` is the input adjoint when each row's
+    energy has the adjoint ``c`` (1 under sum(E), a mean's 1/n), as
+    ``ad.grad`` hands it down, with the head's and the hidden maps'
+    parameter adjoints put in ``grads`` if given (``_affine_grads``)."""
     if spec.head not in ("energy", "logits"):
         raise ModelError(f"no energy for head {spec.head!r}")
-    h, back = _hidden_values(spec, p, x)
-    if spec.head == "energy":
-        # The gradient needs no head output. Under sum(E) its adjoint is
-        # ones, so ad.matmul's vjp ones @ head.W.T (inner dimension 1) has
-        # entries 1.0 * w = w exactly, added to a GEMM's zeroed accumulator:
-        # w + 0.0, which turns a -0.0 weight into +0.0.
-        logp = _block_part(spec, p, h, "score") if score else None
-        return logp, back(np.repeat(p["head.W"].T + 0.0, h.shape[0], axis=0))
-    # for E = -logsumexp, the adjoint of the head output is -1 times the
-    # softmax exp(logits - lse) (ad.logsumexp's vjp)
-    out = _affine(h, p, "head")
-    lse = _logsumexp(out)
-    return lse[:, 0] if score else None, back(-1.0 * np.exp(out + -lse) @ p["head.W"].T)
+    h, hidden_back = _hidden_values(spec, p, x, params=True)
+    n, logits = h.shape[0], spec.head == "logits"
+    if logits:
+        out = _affine(h, p, "head")
+        lse = _logsumexp(out)
+
+    def energy_fn():
+        return (-lse if logits else _affine(h, p, "head")).reshape((n,))
+
+    def back(c, grads=None):
+        if logits:  # E = -logsumexp: -c times logsumexp's vjp, the softmax
+            g = -c * np.exp(out + -lse)
+            g_h = g @ p["head.W"].T
+        else:
+            # the head output's adjoint is c in every row (``_ones_column``),
+            # so ad.matmul's vjp g @ head.W.T (inner dimension 1) adds c * w
+            # to a GEMM's zeroed accumulator: c * w + 0.0, which turns a
+            # -0.0 into +0.0
+            g_h = np.repeat(c * p["head.W"].T + 0.0, n, axis=0)
+        if grads is not None:
+            _affine_grads(grads, "head", h, g if logits else _ones_column(n, c))
+        return hidden_back(g_h, grads)
+
+    return energy_fn, back
+
+
+def _ones_column(n: int, scale: float = 1.0) -> np.ndarray:
+    """The adjoint ``ad.grad`` hands an energy head's (n, 1) output when
+    every row's energy has the adjoint ``scale``, 1.0 under sum(E): a
+    stride-0 view of one float, as the engine builds it."""
+    return np.broadcast_to(np.asarray(scale, dtype=np.float64).reshape((1,)), (n,)).reshape((n, 1))
 
 
 def score_logdensity(spec: ModelSpec, pset: ParameterSet, x) -> np.ndarray:
@@ -660,6 +695,11 @@ def load_checkpoint(path: str) -> tuple[ModelSpec, ParameterSet, dict]:
     values = values.astype(np.float64, copy=False)
     if not isinstance(doc.get("metadata", {}), dict):
         raise ModelError("checkpoint metadata must be a JSON object")
+    # each flow layer holds at least 3 values: refuse a depth the values
+    # cannot fill before its layout, 3 entries a layer, is built
+    if spec.head == "flow" and 3 * spec.n_flow_layers > values.size:
+        raise ModelError(f"parameter count {values.size} cannot fill "
+                         f"{spec.n_flow_layers} flow layers")
     offsets, pos = _layout(spec)
     if pos != values.size:
         raise ModelError(f"parameter count {values.size} does not match spec ({pos})")

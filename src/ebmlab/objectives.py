@@ -5,8 +5,10 @@ Each objective's step returns its loss value and flat parameter gradient,
 the one contract of the training loop. SSM-VR, the flow NLL, VERA and the
 JEM term, which at weight 1 is the CE baseline's step, compute theirs in
 numpy, by the float operations of the engine graphs they replaced, which
-the tests keep as oracles. Only CD's step (``_cd_step``) takes its
-gradient from an engine graph: no other code in ebmlab builds one."""
+the tests keep as oracles. They take the model's passes from ``models``:
+VERA's energies and their backward from ``_energy_pass``, SSM's
+activations from ``_activation_np``. Only CD's step (``_cd_step``) takes
+its gradient from an engine graph: no other code in ebmlab builds one."""
 
 from __future__ import annotations
 
@@ -18,9 +20,9 @@ from functools import partial
 import numpy as np
 
 from . import autodiff as ad
-from .models import (ModelSpec, ParameterSet, _affine, _affine_grads, _check_batch, _flow,
-                     _hidden_maps, _hidden_values, _leaky_factor, _logsumexp, _sigmoid, _softplus,
-                     energy, param_nodes)
+from .models import (ModelSpec, ParameterSet, _activation_np, _affine, _affine_grads,
+                     _check_batch, _energy_pass, _flow, _hidden_maps, _hidden_values,
+                     _logsumexp, _ones_column, energy, param_nodes)
 
 
 class ObjectiveError(Exception):
@@ -85,20 +87,18 @@ def ssm_vr_loss(spec: ModelSpec, pset: ParameterSet, x, v) -> tuple[float, np.nd
     def slots(count):
         return ([None] * (K + 1) for _ in range(count))
 
-    # the forward; for softplus f = sigmoid, and its vjp's own factor is
-    # ss = s * (1.0 + -s) = s * op
+    # the forward, each activation's value and vjp factor f from
+    # ``_activation_np``; for softplus f = sigmoid, and its vjp's own factor
+    # is ss = s * (1.0 + -s) = s * op
     (f, op, ss), z = slots(3), [x]
     for k, (name, activated) in enumerate(maps[:K]):
         a = _affine(z[k], p, name)
+        if activated:
+            a, factor = _activation_np(spec, a)
+            f[k] = factor()
         if act[k]:
-            f[k] = _sigmoid(a)
             op[k] = 1.0 + -f[k]
             ss[k] = f[k] * op[k]
-            a = _softplus(a)
-        elif activated:
-            f[k] = ((a > 0).astype(np.float64) if spec.activation == "relu"
-                    else _leaky_factor(spec.leaky_slope, a > 0))
-            a = a * f[k]
         z.append(a)
     out = _affine(z[K], p, "head")
 
@@ -237,13 +237,6 @@ def _acc(total, term):
     if total is None:
         return term
     return total if term is None else total + term
-
-
-def _ones_column(n: int, scale: float = 1.0) -> np.ndarray:
-    """The adjoint ``ad.grad`` hands an energy head's (n, 1) output when
-    every row's energy has the adjoint ``scale``, 1.0 under sum(E): a
-    stride-0 view of one float, as the engine builds it."""
-    return np.broadcast_to(np.asarray(scale, dtype=np.float64).reshape((1,)), (n,)).reshape((n, 1))
 
 
 def cd_loss(energy_fn, x_data, x_samples) -> ad.Node:
@@ -389,7 +382,7 @@ def vera_step(
     p = pset.arrays()
     e_data, data_back = _energy_pass(spec, p, x_data)
     e_gen, gen_energy_back = _energy_pass(spec, p, x_gen)
-    ebm_loss = _mean(e_data) + -_mean(e_gen)
+    ebm_loss = _mean(e_data()) + -_mean(e_gen())
     data_grads, gen_grads = {}, {}
     data_back(1.0 * (1.0 / n), data_grads)
     gen_energy_back(-1.0 * (1.0 / n), gen_grads)
@@ -416,33 +409,6 @@ def vera_step(
     return VeraStep(ebm_loss=float(ebm_loss),
                     ebm_grad=_flat(pset, {k: _acc(data_grads[k], gen_grads[k]) for k in p}),
                     gen_grad=_flat(gen_pset, grads), eta=eta_new, n_skipped=n_skipped)
-
-
-def _energy_pass(spec: ModelSpec, p: dict[str, np.ndarray], x):
-    """E(x) per row of an (n, d) batch for an energy or logits head, as
-    ``models.energy``'s graph computes it, and ``back(c, grads=None)``: the
-    input adjoint when each row's energy has the adjoint ``c`` (a mean's
-    1/n, say) as ``ad.grad`` hands it down, with the head's and hidden
-    maps' parameter adjoints put in ``grads`` if given."""
-    h, hidden_back = _hidden_values(spec, p, x, params=True)
-    out = _affine(h, p, "head")
-    n = out.shape[0]
-    if spec.head == "energy":
-        e = out.reshape((n,))
-    else:
-        lse = _logsumexp(out)
-        e = -lse.reshape((n,))
-
-    def back(c, grads=None):
-        if spec.head == "energy":
-            g = _ones_column(n, c)
-        else:  # E = -logsumexp: -c times logsumexp's vjp, the softmax
-            g = -c * np.exp(out + -lse)
-        if grads is not None:
-            _affine_grads(grads, "head", h, g)
-        return hidden_back(g @ p["head.W"].T, grads)
-
-    return e, back
 
 
 def _mean(values: np.ndarray):

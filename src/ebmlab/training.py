@@ -232,9 +232,12 @@ _RUN = _with_defaults(RunConfig, {
     "seed": _int(0), "steps": _int(0), "warmup_steps": _int(0), "batch_size": _int(1),
     "lr": (lambda v, p: v is None or _is_finite(v) and v > 0, "null or positive and finite"),
     "weight_decay": _num(0), "eval_interval": _int(1), "patience": _int(1),
-    "hidden": (lambda v, p: _is_list(v, lambda h: _is_int(h, 1)), "a list of integers >= 1"),
-    # a piecewise-linear energy has a zero input Hessian, so the SSM loss
-    # is minimized by a flat energy
+    # a piecewise-linear energy has a zero input Hessian, so the SSM loss is
+    # minimized by a flat energy. A linear one (no hidden layer) is allowed
+    # only with a CE term (gamma > 0), which gives the loss a minimum.
+    "hidden": (lambda v, p: _is_list(v, lambda h: _is_int(h, 1))
+               and (bool(v) or p["objective"] != "ssm" or p["gamma"] > 0),
+               "a list of integers >= 1, not empty for objective 'ssm' at gamma 0"),
     "activation": (lambda v, p: v in ACTIVATIONS and (v == "softplus" or p["objective"] != "ssm"),
                    " or ".join(map(repr, ACTIVATIONS)) + ", and 'softplus' for objective 'ssm'"),
     "bottleneck_factor": (lambda v, p: v is None or _is_finite(v, 0, 1) and v > 0,

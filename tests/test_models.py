@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -5,6 +6,7 @@ import pickle
 import re
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -185,6 +187,7 @@ class TestJemHead:
         assert np.isfinite(ad.logsumexp(np.array([1e4, 1e4 - 3.0])).value)
 
 
+@pytest.mark.engine_equality
 class TestEnergy:
     """``energy`` is the one per-row -log p~ for every head."""
 
@@ -289,6 +292,7 @@ def perturbed_params(spec, seed=3):
     return pset
 
 
+@pytest.mark.engine_equality
 class TestInputGrad:
     """``input_grad`` is the engine's input gradient, byte for byte (flows:
     ``TestNumpyFlow``)."""
@@ -399,6 +403,7 @@ def engine_param_backward(spec, pset, x, g_out):
     return [g.value for g in grads], gx.value
 
 
+@pytest.mark.engine_equality
 class TestParamBackward:
     """``_hidden_values``' ``back`` with a ``grads`` dict, after the head's
     ``_affine_grads``, gives the engine's parameter and input adjoints of an
@@ -423,6 +428,68 @@ class TestParamBackward:
             case = (bottleneck, depth, n)
             assert [g.tobytes() for g in got] == [g.tobytes() for g in want], case
             assert got_x.tobytes() == want_x.tobytes(), case
+
+
+def energy_pass_results(spec, pset, x, c):
+    """``_energy_pass``'s E(x), and its parameter and input adjoints when
+    each row's energy has the adjoint ``c``."""
+    p, grads = pset.arrays(), {}
+    energy_fn, back = mz._energy_pass(spec, p, x)
+    gx = back(c, grads)
+    return energy_fn(), [grads[name] for name in p], gx
+
+
+def engine_energy_pass(spec, pset, x, c):
+    """``energy``'s node, and ``ad.grad`` of c * sum(E) in every parameter
+    and in ``x``."""
+    leaves, xn = mz.param_nodes(pset), ad.leaf(x)
+    e = mz.energy(spec, leaves, xn)
+    *grads, gx = ad.grad(ad.mul(ad.reduce_sum(e), c), [*leaves.values(), xn])
+    return e.value, [g.value for g in grads], gx.value
+
+
+@pytest.mark.engine_equality
+class TestEnergyPass:
+    """``_energy_pass`` gives ``energy``'s E(x) and the engine's parameter
+    and input adjoints of c * sum(E), byte for byte, for both heads with an
+    energy, every activation, bottleneck, depth, batch size and the row
+    adjoints the steps hand it: 1 (sum), 1/n and -1/n (a mean, either
+    sign) and one that is not a power of two."""
+
+    @pytest.mark.parametrize("activation", mz.ACTIVATIONS)
+    @pytest.mark.parametrize("head", ["energy", "logits"])
+    def test_equals_engine(self, head, activation):
+        rng = np.random.default_rng([["energy", "logits"].index(head),
+                                     mz.ACTIVATIONS.index(activation)])
+        for bottleneck, depth, n in itertools.product([None, 0.5, 1.0], [0, 1, 2, 3], [1, 2, 64]):
+            d, hidden = int(rng.integers(1, 4)), [int(h) for h in rng.integers(1, 20, size=depth)]
+            spec = mz.ModelSpec(input_dim=d, hidden=hidden,
+                                activation=activation, head=head, bottleneck_factor=bottleneck,
+                                n_classes=int(rng.integers(2, 5)) if head == "logits" else None)
+            pset = perturbed_params(spec, int(rng.integers(1000)))
+            x = rng.normal(size=(n, d)) * 3.0
+            for c in (1.0, 1.0 / n, -1.0 / n, 1.0 / 3.0):
+                (e, got, got_x), (want_e, want, want_x) = (
+                    f(spec, pset, x, c) for f in (energy_pass_results, engine_energy_pass))
+                case = (bottleneck, depth, n, c)
+                assert e.tobytes() == want_e.tobytes(), case
+                assert [g.tobytes() for g in got] == [g.tobytes() for g in want], case
+                assert got_x.tobytes() == want_x.tobytes(), case
+
+    def test_input_grad_of_an_energy_head_runs_no_head_gemm(self, monkeypatch):
+        spec = closed_form_spec("energy", "relu", None)
+        pset, names = perturbed_params(spec), []
+        affine = mz._affine
+
+        def recording(h, p, name, out=None):
+            names.append(name)
+            return affine(h, p, name, out)
+
+        monkeypatch.setattr(mz, "_affine", recording)
+        mz.input_grad(spec, pset, np.ones((4, 3)))
+        assert names and "head" not in names
+        mz.logdensity_and_grad(spec, pset, np.ones((4, 3)))
+        assert names.count("head") == 1
 
 
 def block_spec(head, activation, bottleneck, input_dim=8, hidden=(64, 48, 32)):
@@ -464,7 +531,9 @@ class TestLeakyFactor:
     @pytest.mark.parametrize("slope", [0.2, 0.01, 0.0, -0.0, 1.0, -0.5, 3, 5e-324, -np.inf,
                                        np.inf, np.nan])
     def test_equals_where(self, slope):
-        spec = mz.ModelSpec(input_dim=2, activation="leaky_relu", leaky_slope=slope)
+        # a spec refuses a non-finite slope, so it is set after the spec is built
+        spec = mz.ModelSpec(input_dim=2, activation="leaky_relu", leaky_slope=0.2)
+        spec.leaky_slope = slope
         a = np.concatenate([self.EDGES, np.random.default_rng(0).normal(size=52)]).reshape(16, 4)
         factor = np.where(a > 0, 1.0, slope)
         with np.errstate(invalid="ignore", over="ignore"):  # inf * 0.0, 1e308 * 3
@@ -478,6 +547,7 @@ class TestLeakyFactor:
         assert scratch[1][:a.size].tobytes() == factor.tobytes()
 
 
+@pytest.mark.engine_equality
 class TestRowBlocks:
     """A batch is scored and embedded over fixed ``B``-row blocks, head
     included; every row keeps the bytes of the engine applied to the same
@@ -839,6 +909,8 @@ CHECKPOINT_FAULTS = {
     "object-parameters": "checkpoint parameters must be a list of numbers",
     "list-metadata": "checkpoint metadata must be a JSON object",
     "list-document": "checkpoint must be a JSON object, got list",
+    "inf-slope": "leaky_slope must be finite, got inf",
+    "nan-slope": "leaky_slope must be finite, got nan",
 }
 
 
@@ -846,7 +918,8 @@ def damage_checkpoint(doc, damage):
     """A checkpoint document with one fault: a non-finite first or last
     parameter, a spec key ``ModelSpec`` lacks, a missing one, no spec, a
     spec value or parameter of the wrong type, parameters or metadata that
-    are not what they should hold, or a document that is not an object."""
+    are not what they should hold, a document that is not an object, or a
+    leaky-relu slope that JSON reads as a non-finite float."""
     if damage == "inf-parameter":
         doc["parameters"][-1] = float("inf")
     elif damage == "nan-parameter":
@@ -869,6 +942,8 @@ def damage_checkpoint(doc, damage):
         doc["parameters"] = {"layer0.W": doc["parameters"]}
     elif damage == "list-metadata":
         doc["metadata"] = [doc["metadata"]]
+    elif damage in ("inf-slope", "nan-slope"):
+        doc["spec"]["leaky_slope"] = float(damage[:3])
     else:
         doc = [doc]
     return doc
@@ -899,6 +974,24 @@ class TestCheckpoint:
             json.dump(doc, fh)
         with pytest.raises(mz.ModelError, match=re.escape(CHECKPOINT_FAULTS[damage])):
             mz.load_checkpoint(path)
+
+    def test_unfillable_flow_depth_rejected_before_its_layout(self, tmp_path):
+        # a few hundred bytes that claim 200,000 flow layers: the layout alone
+        # would be 600,000 entries
+        spec = mz.ModelSpec(input_dim=2, head="flow", n_flow_layers=200_000)
+        path = str(tmp_path / "c.json")
+        with open(path, "w") as fh:
+            json.dump({"schema_version": mz.CHECKPOINT_SCHEMA_VERSION,
+                       "spec": dataclasses.asdict(spec), "seed": 0, "parameters": [0.0] * 4,
+                       "metadata": {}}, fh)
+        tracemalloc.start()
+        try:
+            with pytest.raises(mz.ModelError, match="parameter count 4 cannot fill 200000 flow"):
+                mz.load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_version_mismatch_rejected(self, tmp_path):
         spec = small_energy_spec()

@@ -324,6 +324,7 @@ def assert_same_step(got, want, case=""):
     assert got[1].tobytes() == want[1].tobytes(), case
 
 
+@pytest.mark.engine_equality
 class TestSsmOracle:
     """The numpy ``ssm_vr_loss`` equals the engine graph it replaces, loss
     and flat gradient, byte for byte: forward, score, Hessian-vector pass
@@ -353,6 +354,7 @@ class TestSsmOracle:
         obj.ssm_vr_loss(spec, pset, x, v)
 
 
+@pytest.mark.engine_equality
 class TestJemSplit:
     """The JEM term as one addend equals the engine's composite graph
     base + gamma * CE, loss and flat gradient, byte for byte."""
@@ -393,6 +395,7 @@ class TestJemSplit:
                              self.composite(spec, pset, x, labels, gamma, graph), i)
 
 
+@pytest.mark.engine_equality
 class TestCeOracle:
     """CE's step in the training loop, the JEM term at weight 1 plus the
     weight decay, equals ``ad.grad`` of the bare CE graph plus the decay,
@@ -652,6 +655,7 @@ def gated_generator(d, latent, gate):
     return gen, pset
 
 
+@pytest.mark.engine_equality
 class TestVeraOracle:
     """The numpy ``vera_step`` equals the engine graphs it replaced, byte
     for byte: every field of the step, both losses and gradients among them,

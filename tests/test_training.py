@@ -1068,6 +1068,29 @@ class TestCli:
             f"objective 'ssm', got {activation!r}\n")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["train", "suite", "sweep-gamma"])
+    def test_ssm_with_a_linear_energy_exits_1_before_training(self, tmp_path, monkeypatch,
+                                                               capsys, command):
+        # with no hidden layer E = w.x + b: its input Hessian is 0, so the SSM
+        # loss 0.5*|w|^2 is minimized by a flat energy
+        for module in (cli, tr):
+            monkeypatch.setattr(module, "train", lambda *a, **k: pytest.fail("trained"))
+        config = toy_config(objective="ssm", activation="softplus").to_dict() | {"hidden": []}
+        if command == "suite":
+            argv = ["--manifest", write_json(tmp_path / "m.json",
+                                             {"runs": [{"name": "ssm", "config": config}]})]
+        elif command == "sweep-gamma":
+            # a CE term gives the loss a minimum, so only the grid's gamma 0 is refused
+            argv = ["--config", write_json(tmp_path / "c.json", config | {"gamma": 0.5}),
+                    "--grid", "0.5,0"]
+        else:
+            argv = ["--config", write_json(tmp_path / "c.json", config)]
+        assert cli.main([command, *argv, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.endswith(
+            "hidden must be a list of integers >= 1, not empty for objective 'ssm' at gamma 0, "
+            "got []\n")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("patch,named", BAD_BLOCKS)
     def test_bad_block_exits_1_before_training(self, tmp_path, monkeypatch, capsys, patch, named):
         for module in (cli, tr):
@@ -1182,7 +1205,8 @@ class TestCli:
     @pytest.mark.parametrize("command", ["evaluate", "diagnose-norm", "ascend"])
     @pytest.mark.parametrize("damage", ["nan-parameter", "unknown-key", "str-input-dim",
                                         "int-hidden", "str-bottleneck", "str-parameter",
-                                        "object-parameters", "list-metadata", "list-document"])
+                                        "object-parameters", "list-metadata", "list-document",
+                                        "inf-slope", "nan-slope"])
     def test_damaged_checkpoint_exits_1(self, trained_checkpoint, tmp_path, capsys, command,
                                         damage):
         with open(trained_checkpoint) as fh:
